@@ -69,10 +69,12 @@ _FETCH_BUFFER_FACTOR = 2
 #: structural contention first, then memory ordering, then bypass
 #: latency (higher rank wins a tie on blocked-instruction count).
 _ISSUE_BLOCK_RANK = {
+    StallCause.REGFILE_PORT: 5,
     StallCause.FU_CONTENTION: 4,
     StallCause.CACHE_PORT: 3,
     StallCause.LOAD_STORE_ORDER: 2,
     StallCause.INTER_CLUSTER_WAIT: 1,
+    StallCause.SCHED_WAIT: 0,
 }
 
 
@@ -112,6 +114,10 @@ class ReferencePipelineSimulator:
         self.cache = SetAssociativeCache(config.cache)
         self.stats = SimStats(machine=config.name, workload=trace.name)
         self._steering = self._build_steering()
+        # The two strategy hooks (repro.uarch.scheduler and
+        # repro.uarch.regfile_model name them), in their plain forms.
+        self.load_delay_tracking = config.scheduler == "load_delay_tracking"
+        self.ports_limited = config.regfile == "ports_limited"
         self._reset_state()
 
     # ------------------------------------------------------------------
@@ -207,6 +213,10 @@ class ReferencePipelineSimulator:
         # Per-cycle stall attribution (see _attribute_cycle).
         self._dispatch_block: StallCause | None = None
         self._issue_block: StallCause | None = None
+        # Load-delay tracking: last observed latency per static load
+        # (pc), and the predicted completion cycle per issued load.
+        self.load_latency_of_pc: dict[int, int] = {}
+        self.predicted_complete: dict[int, int] = {}
         if self._steering is not None:
             self._steering.reset()
 
@@ -344,6 +354,30 @@ class ReferencePipelineSimulator:
             candidates.sort()
         return candidates
 
+    def _predicted_unready(self, seq: int) -> bool:
+        """Load-delay tracking (Diavastos & Carlson): True while a
+        producing load of ``seq`` is predicted still in flight."""
+        for producer in self.producers[seq]:
+            if producer == NO_PRODUCER:
+                continue
+            if self.insts[producer].op_class is not OpClass.LOAD:
+                continue
+            if self.predicted_complete.get(producer, 0) > self.cycle:
+                return True
+        return False
+
+    def _on_load_issue(self, seq: int, latency: int) -> None:
+        """Load-delay tracking feedback: predict this load's latency
+        from the last one at its pc, then train on the actual one."""
+        pc = self.insts[seq].pc
+        predicted = self.load_latency_of_pc.get(
+            pc, self.config.cache.hit_cycles
+        )
+        self.predicted_complete[seq] = (
+            self.cycle + predicted + self.wakeup_bubble
+        )
+        self.load_latency_of_pc[pc] = latency
+
     def _requeue(self, leftovers: list[tuple[int, int, int | None]]) -> None:
         """Return unissued window candidates to their ready heaps."""
         policy = self.config.steering
@@ -403,6 +437,8 @@ class ReferencePipelineSimulator:
             tracer.emit(now, EventKind.SELECT, seq, cluster, detail=origin)
         if inst.op_class is OpClass.LOAD:
             latency = self._load_latency(inst)
+            if self.load_delay_tracking:
+                self._on_load_issue(seq, latency)
         else:
             latency = self.config.fu_latency
             if inst.is_store:
@@ -478,7 +514,16 @@ class ReferencePipelineSimulator:
         # _attribute_cycle picks the dominant one.
         blocked: dict[StallCause, int] = {}
         self._issue_block = None
+        # Per-cluster register-file read ports, granted afresh each
+        # cycle (the ports_limited regfile).
+        read_budget = [self.config.regfile_read_ports] * self.n_clusters
         for seq, cluster, fifo_index in self._gather_candidates():
+            if self.load_delay_tracking and self._predicted_unready(seq):
+                blocked[StallCause.SCHED_WAIT] = (
+                    blocked.get(StallCause.SCHED_WAIT, 0) + 1
+                )
+                leftovers.append((seq, cluster, fifo_index))
+                continue
             if budget == 0:
                 leftovers.append((seq, cluster, fifo_index))
                 continue
@@ -513,6 +558,14 @@ class ReferencePipelineSimulator:
                 )
                 leftovers.append((seq, cluster, fifo_index))
                 continue
+            if self.ports_limited:
+                if len(inst.srcs) > read_budget[cluster]:
+                    blocked[StallCause.REGFILE_PORT] = (
+                        blocked.get(StallCause.REGFILE_PORT, 0) + 1
+                    )
+                    leftovers.append((seq, cluster, fifo_index))
+                    continue
+                read_budget[cluster] -= len(inst.srcs)
             self._issue_one(seq, cluster, fifo_index)
             budget -= 1
             fu_budget[cluster] -= 1

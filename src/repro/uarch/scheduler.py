@@ -247,13 +247,6 @@ SCHEDULER_REGISTRY: dict[str, type[SchedulerStrategy]] = {
     LoadDelayTrackingScheduler.name: LoadDelayTrackingScheduler,
 }
 
-#: Schedulers the frozen reference model (pipeline_reference) covers;
-#: differential fuzzing compares against it only for these.
-REFERENCE_SCHEDULERS = (
-    ConventionalScheduler.name,
-    FifoSteeringScheduler.name,
-)
-
 
 def build_scheduler(sim: "PipelineSimulator") -> SchedulerStrategy:
     """Instantiate the scheduler strategy a simulator's config names.
@@ -275,12 +268,12 @@ def build_scheduler(sim: "PipelineSimulator") -> SchedulerStrategy:
 def supports_reference(config: "MachineConfig") -> bool:
     """True when the frozen reference model covers ``config``.
 
-    The reference predates the strategy layer: it models exactly the
-    classic schedulers with an unlimited-port register file.
+    The reference carries plain forms of every registered scheduler
+    and register-file strategy, so it covers every valid config.
     """
     return (
-        config.scheduler in REFERENCE_SCHEDULERS
-        and config.regfile == "unlimited"
+        config.scheduler in SCHEDULER_REGISTRY
+        and config.regfile in ("unlimited", "ports_limited")
     )
 
 

@@ -94,8 +94,8 @@ class FuzzCase:
 def _simulate_both(config: MachineConfig, trace) -> tuple:
     """Run all simulator models; returns (fast_sim, failures).
 
-    Every case runs the fast interpreter; shapes the frozen reference
-    covers are compared against it byte-for-byte, and shapes the
+    Every case runs the fast interpreter and compares it byte-for-byte
+    against the frozen reference (which covers every shape); shapes the
     pipeline compiler covers are additionally compared against the
     compiled artifact -- so a miscompilation (wrong constant fold,
     dropped branch, stale cache entry) is a first-class fuzz finding.
@@ -105,7 +105,6 @@ def _simulate_both(config: MachineConfig, trace) -> tuple:
     # module.
     from repro.uarch import compile as compile_mod
     from repro.uarch.pipeline import PipelineSimulator
-    from repro.uarch.scheduler import supports_reference
 
     fast = PipelineSimulator(config, trace)
     try:
@@ -115,15 +114,8 @@ def _simulate_both(config: MachineConfig, trace) -> tuple:
         # -- reported as a failure string so the minimizer can shrink
         # the triggering program like any other check failure.
         return fast, [f"fast simulator failed to complete: {error}"]
-    if supports_reference(config):
-        reference_stats = ReferencePipelineSimulator(config, trace).run()
-        failures = compare_stats(
-            fast_stats.to_dict(), reference_stats.to_dict()
-        )
-    else:
-        # The frozen reference predates the strategy layer; the new
-        # strategies are checked by the oracle + invariants only.
-        failures = []
+    reference_stats = ReferencePipelineSimulator(config, trace).run()
+    failures = compare_stats(fast_stats.to_dict(), reference_stats.to_dict())
     if compile_mod.supports_compile(config):
         compiled_sim = PipelineSimulator(config, trace)
         try:

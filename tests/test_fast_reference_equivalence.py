@@ -34,24 +34,18 @@ from repro.uarch.pipeline_reference import (
     simulate_reference,
 )
 from repro.workloads import get_trace
-from tests.machines import ALL_MACHINES, REFERENCE_MACHINES
+from tests.machines import REFERENCE_MACHINES, subset
 
-#: Reduced budget: 8 machines x 7 workloads stay fast while covering
-#: every steering/selection/cluster shape the reference models (the
-#: post-reference strategies are pinned by the conformance harness
-#: and golden IPC pins instead).
+#: Reduced budget: 10 machines x 7 workloads stay fast while covering
+#: every steering/selection/cluster/strategy shape.
 LENGTH = 1_200
 
 MACHINES = REFERENCE_MACHINES
 
-#: Registered shapes the frozen reference does not model (strategy
-#: shapes); the compiled column still pins these to the fast
-#: interpreter, so the three-way matrix covers every machine.
-NON_REFERENCE_MACHINES = {
-    name: factory
-    for name, factory in ALL_MACHINES.items()
-    if name not in REFERENCE_MACHINES
-}
+#: The two strategy shapes (pluggable scheduler / ports-limited
+#: regfile).  The reference model gained plain forms of their hooks
+#: after the classic shapes, so they keep a column of their own.
+STRATEGY_MACHINES = subset("load_tracking", "ports_limited")
 
 WORKLOADS = ("compress", "gcc", "go", "li", "m88ksim", "perl", "vortex")
 
@@ -80,20 +74,24 @@ def test_stats_byte_identical(machine, workload):
     )
 
 
-@pytest.mark.parametrize("machine", sorted(NON_REFERENCE_MACHINES))
+@pytest.mark.parametrize("machine", sorted(STRATEGY_MACHINES))
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_compiled_matches_fast_beyond_reference(machine, workload):
-    """The compiled column extends past the reference's coverage:
-    strategy shapes (pluggable scheduler / ports-limited regfile) pin
-    compiled against fast, so every registered machine is in the
-    matrix even where the seed oracle cannot go."""
+    """The strategy shapes are pinned to the reference's plain forms
+    of the load-delay-tracking hold and the read-port budget, in both
+    the fast and the compiled model."""
     trace = get_trace(workload, LENGTH)
-    factory = NON_REFERENCE_MACHINES[machine]
+    factory = STRATEGY_MACHINES[machine]
+    reference = simulate_reference(factory(), trace).to_dict()
     fast = simulate(factory(), trace).to_dict()
     compiled = simulate(factory(), trace, mode="compiled").to_dict()
-    assert compiled == fast, (
-        f"compiled simulator diverged from fast on "
-        f"{machine}/{workload}: " + _diff(compiled, fast)
+    assert fast == reference, (
+        f"optimized simulator diverged from reference on "
+        f"{machine}/{workload}: " + _diff(fast, reference)
+    )
+    assert compiled == reference, (
+        f"compiled simulator diverged from reference on "
+        f"{machine}/{workload}: " + _diff(compiled, reference)
     )
 
 

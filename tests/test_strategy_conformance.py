@@ -41,23 +41,20 @@ from repro.uarch.pipeline_reference import simulate_reference
 from repro.uarch.stats import StallCause
 from repro.verify.oracle import check_timing_invariants
 from repro.workloads import WORKLOAD_NAMES, get_trace
-from tests.machines import ALL_MACHINES, REFERENCE_MACHINES
+from tests.machines import ALL_MACHINES, REFERENCE_MACHINES, subset
 
 LENGTH = 1_500
 
-#: The shapes the frozen reference model does not cover: these lean
-#: entirely on this harness (plus golden pins) for correctness.
-POST_REFERENCE = {
-    name: factory
-    for name, factory in ALL_MACHINES.items()
-    if name not in REFERENCE_MACHINES
-}
+#: The strategy shapes: the frozen reference gained plain forms of
+#: their hooks late, so this harness also pins their contract.
+POST_REFERENCE = subset("load_tracking", "ports_limited")
 
 
 def test_partition_is_exhaustive():
-    """Every registered shape is either reference-covered or here."""
-    assert set(POST_REFERENCE) | set(REFERENCE_MACHINES) == set(ALL_MACHINES)
-    assert set(POST_REFERENCE) == {"load_tracking", "ports_limited"}
+    """The reference covers every registered shape, strategy shapes
+    included."""
+    assert set(REFERENCE_MACHINES) == set(ALL_MACHINES)
+    assert set(POST_REFERENCE) <= set(REFERENCE_MACHINES)
 
 
 class TestContract:
@@ -157,10 +154,12 @@ class TestLoadDelayTrackingBehaviour:
         simulator.run()
         assert simulator.skipped_cycles == 0
 
-    def test_reference_escape_hatch_refuses_post_reference_configs(self):
+    def test_reference_mode_covers_load_tracking(self):
         trace = get_trace("li", 200)
-        with pytest.raises(ValueError, match="reference"):
-            simulate(load_tracking_8way(), trace, fast=False)
+        reference = simulate(load_tracking_8way(), trace, mode="reference")
+        assert reference.to_dict() == simulate(
+            load_tracking_8way(), trace
+        ).to_dict()
 
 
 class TestConfigValidation:
