@@ -52,6 +52,7 @@ from repro.delay.summary import overall_delays
 from repro.isa import assemble, run_to_trace
 from repro.report import bar_chart, text_table
 from repro.technology import TECHNOLOGIES, technology_by_feature_size
+from repro.uarch.pipeline import SIMULATE_MODES
 from repro.uarch.pipeline import simulate as run_simulation
 from repro.workloads import (
     WORKLOAD_NAMES,
@@ -792,12 +793,11 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DEFAULT_INSTRUCTIONS,
                           help=f"dynamic instructions "
                                f"(default {DEFAULT_INSTRUCTIONS})")
-    simulate.add_argument("--mode", choices=("reference", "fast", "compiled"),
+    simulate.add_argument("--mode", choices=SIMULATE_MODES,
                           default="compiled",
-                          help="simulator model: the frozen reference, the "
-                               "fast interpreter, or the per-config compiled "
-                               "pipeline (default; falls back to fast on "
-                               "unsupported shapes)")
+                          help="simulator model: the frozen reference, or "
+                               "the per-config compiled pipeline (default; "
+                               "every machine shape compiles)")
     simulate.add_argument("-v", "--verbose", action="store_true")
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -950,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = commands.add_parser(
         "fuzz",
         help="differential fuzzing: emulator vs oracle, "
-             "fast vs reference vs compiled",
+             "compiled vs reference",
     )
     fuzz.add_argument("--cases", type=int, default=200,
                       help="fuzz cases to run (default 200)")

@@ -9,8 +9,10 @@ registry (one source of truth the exporters, the run ledger, and the
 future service tier all read), and the profile classes only add
 derived properties and report formatting on top.
 
-The instrumentation in :func:`profile_simulation` is per-instance
-(bound-method shadowing), so profiled and unprofiled simulators
+:func:`profile_simulation` runs the ``profiled`` variant of the
+compiled pipeline (:mod:`repro.uarch.compile`), whose generated code
+adds each stage's ``perf_counter`` time to a flat list; unprofiled
+variants emit no probe code, so profiled and unprofiled simulators
 coexist and the unprofiled hot path is untouched.
 """
 
@@ -25,14 +27,9 @@ from repro.obs.metrics import (
     format_snapshot,
 )
 
-#: Stage methods sampled, with their report labels (pipeline order).
-STAGE_METHODS = (
-    ("_process_arrivals", "wakeup"),
-    ("_commit", "commit"),
-    ("_issue", "select/issue"),
-    ("_dispatch", "rename/dispatch"),
-    ("_fetch", "fetch"),
-)
+#: Stage labels the profiled runner times, in cycle order (the
+#: generated code fills one ``stage_times`` slot per label).
+STAGE_LABELS = ("wakeup", "commit", "select/issue", "rename/dispatch", "fetch")
 
 #: Wall-clock histogram bounds for one campaign cell / fuzz case.
 CELL_SECONDS_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0)
@@ -96,7 +93,7 @@ _COMPILE_GAUGE_HELP = {
     "compile_stale_discards_total":
         "Stale/corrupted compile-cache entries discarded",
     "compile_fallbacks_total":
-        "Unsupported-shape fallbacks to the fast interpreter",
+        "Unsupported-shape fallbacks (0: every valid config compiles)",
     "compile_seconds_total": "Wall-clock spent generating + exec-compiling",
     "compile_cached_runners": "Runners currently memoized in the cache",
 }
@@ -222,7 +219,7 @@ class ProfileReport:
 
     @property
     def overhead_seconds(self) -> float:
-        """Run time outside the sampled stage methods (main loop,
+        """Run time outside the sampled stages (main loop,
         stats bookkeeping, and the samplers themselves)."""
         return max(0.0, self.wall_seconds - sum(self.stage_seconds.values()))
 
@@ -273,25 +270,12 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _instrument(simulator, stage_seconds: dict[str, float]) -> None:
-    """Shadow each stage method on the instance with a timed wrapper."""
-    clock = time.perf_counter
-    for method_name, label in STAGE_METHODS:
-        inner = getattr(simulator, method_name)
-        stage_seconds[label] = 0.0
-
-        def timed(inner=inner, label=label):
-            start = clock()
-            result = inner()
-            stage_seconds[label] += clock() - start
-            return result
-
-        setattr(simulator, method_name, timed)
-
-
 def profile_simulation(config, trace, max_cycles=None, tracer=None,
                        registry=None):
     """Run one simulation with per-stage host-time sampling.
+
+    The run goes through the ``profiled`` compiled-runner variant;
+    statistics are identical to an unprofiled run.
 
     Args:
         config: A :class:`~repro.uarch.config.MachineConfig`.
@@ -311,11 +295,12 @@ def profile_simulation(config, trace, max_cycles=None, tracer=None,
     from repro.uarch.pipeline import PipelineSimulator
 
     simulator = PipelineSimulator(config, trace, tracer=tracer)
+    simulator.stage_times = [0.0] * len(STAGE_LABELS)
     report = ProfileReport()
-    _instrument(simulator, report.stage_seconds)
     start = time.perf_counter()
     stats = simulator.run(max_cycles=max_cycles)
     report.wall_seconds = time.perf_counter() - start
+    report.stage_seconds = dict(zip(STAGE_LABELS, simulator.stage_times))
     report.instructions = stats.committed
     report.cycles = stats.cycles
     if registry is not None:

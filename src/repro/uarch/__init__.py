@@ -10,12 +10,12 @@ a steering policy, wakeup/select (flexible window or FIFO heads),
 execution with cache and store-set constraints, operand bypassing with
 per-cluster latencies, and in-order commit.
 
-Three interchangeable backends run the model: the frozen reference
-(:mod:`repro.uarch.pipeline_reference`), the fast interpreter
-(:mod:`repro.uarch.pipeline`), and per-config compiled step functions
-(:mod:`repro.uarch.compile`) -- select one with
-``simulate(..., mode=...)``; statistics are byte-identical across all
-three.
+Two interchangeable backends run the model: the frozen reference
+(:mod:`repro.uarch.pipeline_reference`) and per-config compiled step
+functions (:mod:`repro.uarch.compile`), which
+:class:`~repro.uarch.pipeline.PipelineSimulator` runs -- select one
+with ``simulate(..., mode=...)``; statistics are byte-identical
+across both.
 """
 
 from repro.uarch.config import (

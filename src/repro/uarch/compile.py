@@ -1,48 +1,55 @@
-"""Per-config compiled pipelines (``simulate(..., mode="compiled")``).
+"""Per-config compiled pipelines: the one production cycle loop.
 
-PR 3 made the interpreter fast by hoisting attribute lookups *inside*
-each stage method; this module removes the stage methods altogether.
 Given a frozen :class:`~repro.uarch.config.MachineConfig` (plus its
 scheduler/regfile strategy identity), :func:`generate_source` emits
 one flat Python function that runs the *entire* cycle loop with
 
 * every machine constant folded to a literal (widths, latencies, FU
-  counts, window capacity, cache geometry, predictor masks, the
-  wakeup bubble, the fetch-buffer cap);
+  counts, window capacities, FIFO depths, cache geometry, predictor
+  masks, the wakeup bubble, the inter-cluster bypass latency, the
+  fetch-buffer cap);
 * every branch a given shape can never take dropped at generation
-  time (clustering, FIFOs, steering, positional selection, the
-  port-budget check for unlimited regfiles, tracer probes for
-  untraced runs);
+  time: clustering and Figure-17 bypass accounting, FIFO issue
+  buffers (only heads are selectable), the six steering policies,
+  positional selection, the load-delay-tracking hold
+  (``SCHED_WAIT``), the read-port budget (``REGFILE_PORT``), the
+  random-steering and inter-cluster-wait guards on cycle skipping,
+  and tracer/profiler probes for untraced, unprofiled runs;
 * all simulator state hoisted into locals **once per run** instead of
   once per stage call per cycle;
 * the issue histogram and stall attribution kept as flat integer
-  lists indexed by cause code, converted back to the interpreter's
-  dict shape only at the end.
+  lists indexed by cause code, converted back to ``SimStats``' dict
+  shape only at the end.
+
+Only the inherently per-policy decision stays a call: dispatch hands
+the steering object (``steering.place(view, outstanding)``) the same
+view the reference model builds.  :func:`supports_compile` holds for
+every config the validator accepts, so there is no fallback path.
 
 The generated function is ``exec``-compiled and memoized in
 :data:`_COMPILE_CACHE`, keyed by the config itself (frozen, hashable)
 plus :func:`~repro.uarch.scheduler.strategy_identity`,
-:data:`COMPILE_VERSION`, and the traced / cycle-skip variant flags.
-:data:`COMPILE_VERSION` is also folded into the campaign result-cache
-key (:func:`repro.core.campaign.cache_key`), exactly like
-``PREANALYSIS_VERSION``: a compiler change invalidates cached cells
-instead of silently mixing semantics.
+:data:`COMPILE_VERSION`, and the traced / cycle-skip / profiled
+variant flags.  :data:`COMPILE_VERSION` is also folded into the
+campaign result-cache key (:func:`repro.core.campaign.cache_key`),
+exactly like ``PREANALYSIS_VERSION``: a compiler change invalidates
+cached cells instead of silently mixing semantics.
 
-**Golden-identical rule.** The compiled function replicates the fast
-interpreter cycle-for-cycle: same stage order, same heap pop order,
-same RNG-free steering, same stall attribution and tie-breaks, same
-idle-cycle fast-forward bookkeeping, same no-forward-progress guards
-with the same messages.  ``SimStats`` must be byte-identical across
-reference / fast / compiled for every supported shape -- the
-three-way equivalence matrix and the differential fuzzer both pin it.
+**Golden-identical rule.** The compiled function replicates the
+frozen reference model (:mod:`repro.uarch.pipeline_reference`)
+cycle-for-cycle: same stage order, same heap pop order, same steering
+calls and RNG draws, same stall attribution and tie-breaks, and the
+same no-forward-progress guard messages.  Idle-cycle fast-forward
+replicates the skipped cycles' statistics exactly.  ``SimStats``,
+event timelines and per-instruction timing arrays must be
+byte-identical to the reference for every shape -- the two-way
+equivalence matrix and the differential fuzzer both pin it.
 
-**Fallback semantics.** :func:`supports_compile` names the supported
-family: one cluster, no FIFOs, ``SteeringPolicy.NONE``, oldest-first
-selection, the ``conventional`` scheduler, and the ``unlimited`` or
-``ports_limited`` regfile.  Everything else (clustered, steered,
-FIFO, positional, load-delay-tracking shapes) falls back gracefully
-to the fast interpreter inside :func:`~repro.uarch.pipeline.simulate`
--- callers never need to check first.
+**Profiled variant.** ``profiled=True`` adds a ``perf_counter`` probe
+at each stage boundary; the five stage times (wakeup, commit,
+select/issue, rename/dispatch, fetch -- the labels of
+:data:`repro.obs.profiling.STAGE_LABELS`) accumulate into the
+simulator's ``stage_times`` list.
 
 ``_PLANTED_BUG`` is the fuzzer self-test's sabotage knob (see
 :mod:`repro.verify.selftest`); it is part of the cache key so a
@@ -59,6 +66,7 @@ from repro.obs.events import EventKind
 from repro.uarch.config import MachineConfig, SelectionPolicy, SteeringPolicy
 from repro.uarch.scheduler import strategy_identity
 from repro.uarch.stats import StallCause
+from repro.uarch.steering import OutstandingOperand
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.uarch.pipeline import PipelineSimulator
@@ -78,9 +86,15 @@ COMPILE_VERSION = 1
 #: pipeline deadlocks).  Part of the compile-cache key.
 _PLANTED_BUG: str | None = None
 
+#: The scheduler and register-file strategies the generator emits
+#: code for (see :mod:`repro.uarch.scheduler` and
+#: :mod:`repro.uarch.regfile_model` for what each one models).
+_SCHEDULERS = ("conventional", "fifo_steering", "load_delay_tracking")
+_REGFILES = ("unlimited", "ports_limited")
+
 #: Stable cause-code order for the flat stall counters; codegen folds
 #: list indices from this tuple and the epilogue converts nonzero
-#: slots back to the interpreter's ``{StallCause: count}`` dicts.
+#: slots back to ``SimStats``' ``{StallCause: count}`` dicts.
 _CAUSES: tuple[StallCause, ...] = tuple(StallCause)
 _CODE = {cause: index for index, cause in enumerate(_CAUSES)}
 
@@ -95,6 +109,8 @@ _COUNTERS = {
     "compiles": 0,
     "cache_hits": 0,
     "stale_discards": 0,
+    # Every valid config compiles, so this stays 0; it is kept so
+    # metrics and CI can assert that nothing ever falls back.
     "fallbacks": 0,
     "compile_seconds": 0.0,
 }
@@ -103,24 +119,21 @@ _COUNTERS = {
 def supports_compile(config: MachineConfig) -> bool:
     """True when :func:`compiled_runner` covers ``config``.
 
-    The supported family is the single-window machine the paper's
-    baseline belongs to: one cluster, no FIFOs, no steering policy,
-    oldest-first (compacting) selection, the ``conventional``
-    scheduler, and either register-file port model.  Shapes outside
-    it run the fast interpreter instead (graceful fallback).
+    The generator knows every steering policy, selection policy,
+    cluster count and FIFO geometry the config validator accepts, and
+    every registered scheduler and register-file strategy -- so this
+    holds for every valid config.
     """
     return (
-        len(config.clusters) == 1
-        and not config.clusters[0].uses_fifos
-        and config.steering is SteeringPolicy.NONE
-        and config.selection is SelectionPolicy.OLDEST_FIRST
-        and config.scheduler == "conventional"
-        and config.regfile in ("unlimited", "ports_limited")
+        len(config.clusters) in (1, 2)
+        and config.scheduler in _SCHEDULERS
+        and config.regfile in _REGFILES
     )
 
 
 def compile_cache_key(
-    config: MachineConfig, traced: bool, cycle_skip: bool
+    config: MachineConfig, traced: bool, cycle_skip: bool,
+    profiled: bool = False,
 ) -> tuple:
     """The variant key one compiled runner is memoized under."""
     return (
@@ -129,6 +142,7 @@ def compile_cache_key(
         COMPILE_VERSION,
         bool(traced),
         bool(cycle_skip),
+        bool(profiled),
         _PLANTED_BUG,
     )
 
@@ -147,11 +161,6 @@ def clear_compile_cache() -> None:
         _COUNTERS[key] = 0.0 if key == "compile_seconds" else 0
 
 
-def note_fallback() -> None:
-    """Count one unsupported-shape fallback to the fast interpreter."""
-    _COUNTERS["fallbacks"] += 1
-
-
 # ---------------------------------------------------------------------------
 # code generation
 # ---------------------------------------------------------------------------
@@ -162,6 +171,7 @@ def generate_source(
     traced: bool = False,
     cycle_skip: bool = True,
     planted: str | None = None,
+    profiled: bool = False,
 ) -> str:
     """Emit the specialized flat run function for one machine shape.
 
@@ -172,7 +182,7 @@ def generate_source(
     folded and dropped.
 
     Raises:
-        ValueError: for shapes outside :func:`supports_compile`.
+        ValueError: for configs outside :func:`supports_compile`.
     """
     if not supports_compile(config):
         raise ValueError(
@@ -186,7 +196,40 @@ def generate_source(
     cache = config.cache
     predictor = config.predictor
     # Lazy import: pipeline imports this module from simulate().
-    from repro.uarch.pipeline import _FETCH_BUFFER_FACTOR
+    from repro.uarch.pipeline import _FETCH_BUFFER_FACTOR, REGFILE_WRITE_DELAY
+
+    clusters = config.clusters
+    n_clusters = len(clusters)
+    clustered = n_clusters > 1
+    policy = config.steering
+    fifos = clusters[0].uses_fifos  # the validator forbids mixing
+    exec_driven = policy is SteeringPolicy.EXEC_DRIVEN
+    conceptual = policy is SteeringPolicy.WINDOW_DISPATCH
+    # FIFO_DISPATCH / WINDOW_DISPATCH steer by outstanding operands;
+    # RANDOM / MODULO / LEAST_LOADED by window room alone.
+    dependence_steered = policy in (
+        SteeringPolicy.FIFO_DISPATCH, SteeringPolicy.WINDOW_DISPATCH
+    )
+    steered = policy not in (SteeringPolicy.NONE, SteeringPolicy.EXEC_DRIVEN)
+    # A spinning cycle under random steering consumes RNG draws, so
+    # skipping is legal only when no placement was attempted.
+    random_steered = policy is SteeringPolicy.RANDOM
+    positional = config.selection is SelectionPolicy.POSITION
+    ldt = config.scheduler == "load_delay_tracking"
+    # Issue candidates are bare seqs popped from one ready heap (the
+    # single window, or execution-driven steering's central window),
+    # or (seq, cluster, fifo) triples gathered across clusters/FIFOs.
+    one_heap = not fifos and (not clustered or exec_driven)
+    # Operand arrivals are tracked per cluster only where a non-home
+    # cluster's count is observable: execution-driven steering picks
+    # the cluster at issue, and traced runs emit every cluster's
+    # WAKEUP.  Otherwise only the home cluster's count can wake an
+    # instruction, so other clusters' arrivals are never scheduled
+    # (they change no state; skipping over them is exact).
+    all_clusters = clustered and (exec_driven or traced)
+    # The cluster an issuing instruction leaves from / executes in.
+    cl = "0" if one_heap and not exec_driven else "k"
+    fifo_depths = [4 if conceptual else c.fifo_depth for c in clusters]
 
     const = {
         "FETCH_W": config.fetch_width,
@@ -219,16 +262,75 @@ def generate_source(
         "C_LSO": _CODE[StallCause.LOAD_STORE_ORDER],
         "C_REGFILE": _CODE[StallCause.REGFILE_PORT],
         "C_DRAIN": _CODE[StallCause.DRAIN],
+        "C_ICW": _CODE[StallCause.INTER_CLUSTER_WAIT],
+        "C_SCHED": _CODE[StallCause.SCHED_WAIT],
+        # Why a placement failed: no FIFO for dependence steering,
+        # no window room for every other policy.
+        "C_PLACE": _CODE[
+            StallCause.NO_FIFO if dependence_steered
+            else StallCause.WINDOW_FULL
+        ],
+        "EXTRA": config.extra_bypass_latency,
+        "TOTAL_CAP": config.total_capacity,
     }
 
     def plus_bubble(expr: str) -> str:
         """Fold ``expr + wakeup_bubble`` when the bubble is zero."""
         return expr if bubble == 0 else f"{expr} + {bubble}"
 
+    def window_count(k: str) -> str:
+        """Window occupancy of cluster ``k`` (a scalar local when
+        there is only one cluster)."""
+        return f"window_count[{k}]" if clustered else "window_count0"
+
+    def budget_of(name: str, k: str) -> str:
+        """A per-cycle per-cluster budget (scalar with one cluster)."""
+        return f"{name}[{k}]" if clustered else name
+
+    def per_cluster(value: object) -> str:
+        """Initial value of a per-cycle per-cluster budget."""
+        if not clustered:
+            return str(value)
+        return "[" + ", ".join([str(value)] * n_clusters) + "]"
+
+    if exec_driven:
+        requeue = "heappush(central_ready, s)"
+    elif one_heap:
+        requeue = "heappush(ready_heap, s)"
+    elif fifos:
+        requeue = None  # the candidate stays at its FIFO head
+    else:
+        requeue = "heappush(ready_heaps[k], s)"
+
+    def reject(counter: str | None, indent: str = " " * 12) -> None:
+        """Charge a candidate to ``counter`` and leave it for later."""
+        if counter is not None:
+            add(f"{indent}    {counter} += 1")
+        if requeue is not None:
+            add(f"{indent}    {requeue}")
+        add(f"{indent}    continue")
+
+    def stall(code: str) -> None:
+        """Dispatch stops this cycle on ``code``."""
+        add("                    disp_st[{%s}] += 1" % code)
+        add("                    dispatch_block_code = {%s}" % code)
+        add("                    break")
+
+    def probe(index: int) -> None:
+        """Close profiled stage ``index`` and open the next."""
+        if profiled:
+            now, last = ("t1", "t0") if index % 2 == 0 else ("t0", "t1")
+            add(f"        {now} = clock()")
+            add(f"        stage_t[{index}] += {now} - {last}")
+
     miss_latency = "HIT_LAT" if planted == "load_hit_fold" else "MISS_LAT"
 
     lines: list[str] = []
-    add = lines.append
+    _add = lines.append
+
+    def add(line: str) -> None:
+        _add(line.format(**const) if "{" in line else line)
+
     add("def _compiled_run(sim, max_cycles):")
     add("    insts = sim.insts")
     add("    n = len(insts)")
@@ -249,6 +351,8 @@ def generate_source(
         add("    tracer = sim.tracer")
         add("    tracer_emit = tracer.emit")
         add("    dest_flat = pre.dest")
+    if profiled:
+        add("    stage_t = sim.stage_times")
     add("    predictor = sim.predictor")
     add("    counters = predictor._counters")
     add("    history = predictor._history")
@@ -267,7 +371,12 @@ def generate_source(
     add("    fp_free = fp_renamer._free")
     add("    fp_free_set = fp_renamer._free_set")
     add("    arrivals = sim.arrivals")
-    add("    ready_heap = sim.ready_heaps[0]")
+    if exec_driven:
+        add("    central_ready = sim.central_ready")
+    elif one_heap:
+        add("    ready_heap = sim.ready_heaps[0]")
+    elif not fifos:
+        add("    ready_heaps = sim.ready_heaps")
     add("    unissued_stores = sim.unissued_stores")
     add("    inflight_store_words = sim.inflight_store_words")
     add("    dispatched = sim.dispatched")
@@ -284,60 +393,116 @@ def generate_source(
     add("    prev_dest_phys = sim.prev_dest_phys")
     if ports:
         add("    reads_of = sim.regfile_model.reads")
+    if clustered:
+        add("    used_x_bypass = sim.used_x_bypass")
+    if fifos or conceptual:
+        add("    fifo_of = sim.fifo_of")
+        add("    fifo_lists = [[fifo._entries for fifo in fifo_set.fifos]"
+            " for fifo_set in sim.fifo_sets]")
+    if fifos:
+        add("    fifo_occ = sum(len(entries) for lists in fifo_lists"
+            " for entries in lists)")
+        for k, cluster in enumerate(clusters):
+            for fi in range(cluster.fifo_count):
+                add(f"    fifo_{k}_{fi} = fifo_lists[{k}][{fi}]")
+    if steered:
+        # The per-policy placement decision stays a strategy call.
+        add("    steering = sim._steering")
+        add("    place = steering.place")
+        add("    view = sim._view")
+        if not fifos:
+            add("    room = sim._room")
+    if positional:
+        add("    slot_of = sim.slot_of")
+        add("    free_slots = sim.free_slots")
+    if ldt:
+        # Load-delay tracking: last observed latency per static load,
+        # and the predicted wakeup cycle of each issued load.
+        add("    ldt_latency = {{}}")
+        add("    ldt_ready = [0] * n")
     add("    pending0 = [0] * n")
+    if all_clusters:
+        add("    pending1 = [0] * n")
+        add("    pendings = (pending0, pending1)")
     add("    cycle = sim.cycle")
     add("    commit_ptr = sim.commit_ptr")
     add("    in_flight = sim.in_flight")
     add("    fetch_ptr = sim.fetch_ptr")
-    # The fetch buffer of this (in-order fetch, in-order dispatch)
-    # family is always the contiguous seq range [buf_head, fetch_ptr);
-    # the head's ready cycle is its fetch cycle plus the front-end
-    # depth, so the deque itself is compiled away.
+    # The fetch buffer (in-order fetch, in-order dispatch) is always
+    # the contiguous seq range [buf_head, fetch_ptr); the head's ready
+    # cycle is its fetch cycle plus the front-end depth, so the deque
+    # itself is compiled away.
     add("    buf_head = fetch_ptr - len(sim.fetch_buffer)")
     add("    next_fetch_cycle = sim.next_fetch_cycle")
     add("    pending_redirect = sim.pending_redirect")
-    add("    window_count0 = sim.window_count[0]")
+    if clustered:
+        add("    window_count = sim.window_count")
+    else:
+        add("    window_count0 = sim.window_count[0]")
     add("    committed = stats.committed")
     add("    fetched = stats.fetched")
     add("    mispredicts = stats.mispredicts")
     add("    store_forwards = stats.store_forwards")
     add("    occupancy_sum = stats.occupancy_sum")
     add("    active_cycles = stats.active_cycles")
+    if clustered:
+        add("    inter_cluster_bypasses = stats.inter_cluster_bypasses")
     add("    skipped_cycles = sim.skipped_cycles")
-    add("    hist = [0] * {ISSUE_W_P1}".format(
-        ISSUE_W_P1=config.issue_width + 1))
-    add("    stall_c = [0] * {N_CAUSES}".format(**const))
-    add("    disp_st = [0] * {N_CAUSES}".format(**const))
+    add("    hist = [0] * %d" % (config.issue_width + 1))
+    add("    stall_c = [0] * {N_CAUSES}")
+    add("    disp_st = [0] * {N_CAUSES}")
     add("    last_cause_code = -1")
     if planted == "port_leak" and ports:
         # The planted miscompilation: the per-cycle budget grant is
         # hoisted out of the loop as if it were loop-invariant.
-        add("    read_budget = {READ_PORTS}".format(**const))
+        add("    read_budget = " + per_cluster(config.regfile_read_ports))
     add("    while commit_ptr < n:")
     add("        if cycle > max_cycles:")
     add("            raise RuntimeError(")
     add("                'no forward progress after %d cycles "
         "(%d/%d committed)'")
     add("                ' -- simulator bug' % (cycle, commit_ptr, n))")
+    if profiled:
+        add("        t0 = clock()")
 
     # -- wakeup: process this cycle's scheduled operand arrivals -----
     add("        events = arrivals.pop(cycle, None)")
     add("        if events is not None:")
-    add("            for s, _k in events:")
-    add("                cnt = pending0[s] - 1")
-    add("                pending0[s] = cnt")
-    add("                if cnt == 0:")
+    if all_clusters:
+        add("            for s, k in events:")
+        add("                counts = pendings[k]")
+        add("                cnt = counts[s] - 1")
+        add("                counts[s] = cnt")
+    else:
+        add("            for s, %s in events:" % ("k" if clustered else "_k"))
+        add("                cnt = pending0[s] - 1")
+        add("                pending0[s] = cnt")
+    woken = []
     if traced:
-        add("                    tracer_emit(cycle, EK_WAKEUP, s, 0)")
-    add("                    if not in_ready[s]:")
-    add("                        in_ready[s] = 1")
-    add("                        heappush(ready_heap, s)")
+        woken.append("tracer_emit(cycle, EK_WAKEUP, s, %s)"
+                     % ("k" if clustered else "0"))
+    # FIFO clusters poll their heads each cycle instead.
+    if exec_driven:
+        woken += ["if not in_ready[s]:", "    in_ready[s] = 1",
+                  "    heappush(central_ready, s)"]
+    elif one_heap:
+        woken += ["if not in_ready[s]:", "    in_ready[s] = 1",
+                  "    heappush(ready_heap, s)"]
+    elif not fifos:
+        woken += ["if %snot in_ready[s]:"
+                  % ("k == home_cluster[s] and " if all_clusters else ""),
+                  "    in_ready[s] = 1", "    heappush(ready_heaps[k], s)"]
+    if woken:
+        add("                if cnt == 0:")
+        for line in woken:
+            add("                    " + line)
+    probe(0)
 
     # -- commit ------------------------------------------------------
     add("        commit_before = commit_ptr")
     add("        s = commit_ptr")
     add("        if s < n and issued[s]:")
-    add("            budget = {RETIRE_W}".format(**const))
+    add("            budget = {RETIRE_W}")
     add("            horizon = cycle - 1")
     add("            committed_now = 0")
     add("            while budget and s < n:")
@@ -361,6 +526,9 @@ def generate_source(
     add("                        else:")
     add("                            fp_free.append(previous)")
     add("                            fp_free_set.add(previous)")
+    if clustered:
+        add("                if used_x_bypass[s]:")
+        add("                    inter_cluster_bypasses += 1")
     if traced:
         add("                tracer_emit(cycle, EK_COMMIT, s, cluster_of[s])")
     add("                commit_cycle[s] = cycle")
@@ -371,80 +539,164 @@ def generate_source(
     add("                commit_ptr = s")
     add("                in_flight -= committed_now")
     add("                committed += committed_now")
+    probe(1)
 
     # -- issue (select + execute) ------------------------------------
-    add("        budget = {ISSUE_W}".format(**const))
-    add("        fu_budget = {FU0}".format(**const))
-    add("        mem_budget = {CACHE_PORTS}".format(**const))
+    add("        budget = {ISSUE_W}")
+    add("        fu_budget = " + (
+        "[%s]" % ", ".join(str(c.fu_count) for c in clusters)
+        if clustered else "{FU0}"))
+    add("        mem_budget = {CACHE_PORTS}")
     if ports and planted != "port_leak":
-        add("        read_budget = {READ_PORTS}".format(**const))
+        add("        read_budget = " + per_cluster(config.regfile_read_ports))
     add("        while unissued_stores and issued[unissued_stores[0]]:")
     add("            heappop(unissued_stores)")
     add("        oldest_store = unissued_stores[0] if unissued_stores else -1")
     add("        issued_count = 0")
     add("        b_fu = b_cache = b_lso = b_ports = 0")
+    # Blocked-cause counters, rank-descending (the reference model's
+    # _ISSUE_BLOCK_RANK).
+    blocked = [("b_ports", "C_REGFILE"), ("b_fu", "C_FU"),
+               ("b_cache", "C_CACHE"), ("b_lso", "C_LSO")]
+    if exec_driven:
+        add("        b_icw = 0")
+        blocked.append(("b_icw", "C_ICW"))
+    if ldt:
+        add("        b_sched = 0")
+        blocked.append(("b_sched", "C_SCHED"))
     add("        issue_block_code = -1")
     add("        drained = []")
-    add("        while ready_heap:")
-    add("            s = heappop(ready_heap)")
-    add("            if not issued[s]:")
-    add("                drained.append(s)")
-    add("        for s in drained:")
+    if one_heap:
+        heap = "central_ready" if exec_driven else "ready_heap"
+        add(f"        while {heap}:")
+        add(f"            s = heappop({heap})")
+        add("            if not issued[s]:")
+        add("                drained.append(s)")
+        # Execution-driven steering selects its central window oldest
+        # first whatever the selection policy.
+        if positional and not exec_driven:
+            add("        drained.sort(key=lambda s: (slot_of.get(s, s), s))")
+        add("        for s in drained:")
+    else:
+        for k, cluster in enumerate(clusters):
+            if fifos:
+                # Unrolled: one head probe per FIFO.
+                counts = "pending%d" % (k if all_clusters else 0)
+                for fi in range(cluster.fifo_count):
+                    add(f"        entries = fifo_{k}_{fi}")
+                    add("        if entries:")
+                    add("            head = entries[0]")
+                    add(f"            if {counts}[head] == 0:")
+                    add(f"                drained.append((head, {k}, {fi}))")
+            else:
+                add(f"        heap = ready_heaps[{k}]")
+                add("        while heap:")
+                add("            s = heappop(heap)")
+                add("            if not issued[s]:")
+                add(f"                drained.append((s, {k}, None))")
+        if positional:
+            add("        drained.sort(key=lambda c: (slot_of.get(c[0], c[0]),"
+                " c[0]))")
+        else:
+            add("        drained.sort()")
+        add("        for s, k, fi in drained:")
+    if ldt:
+        # Held while a producing load is predicted still in flight.
+        add("            hold = 0")
+        add("            for p in real_producers[s]:")
+        add("                if ldt_ready[p] > hold:")
+        add("                    hold = ldt_ready[p]")
+        add("            if hold > cycle:")
+        reject("b_sched")
     add("            if budget == 0:")
-    add("                heappush(ready_heap, s)")
-    add("                continue")
+    reject(None)
     add("            is_m = is_mem[s]")
     add("            if is_m and mem_budget == 0:")
-    add("                b_cache += 1")
-    add("                heappush(ready_heap, s)")
-    add("                continue")
+    reject("b_cache")
     add("            if is_load[s] and -1 < oldest_store < s:")
-    add("                b_lso += 1")
-    add("                heappush(ready_heap, s)")
-    add("                continue")
-    add("            if fu_budget == 0:")
-    add("                b_fu += 1")
-    add("                heappush(ready_heap, s)")
-    add("                continue")
+    reject("b_lso")
+    if exec_driven:
+        # Section 5.6.1: the cluster that provides the operands
+        # first, if it has a free unit; else the other; else defer.
+        add("            at0 = at1 = 0")
+        add("            for p in real_producers[s]:")
+        add("                t = " + plus_bubble("complete_cycle[p]"))
+        add("                if cluster_of[p]:")
+        add("                    t0_ = t + {EXTRA}")
+        add("                    t1_ = t")
+        add("                else:")
+        add("                    t0_ = t")
+        add("                    t1_ = t + {EXTRA}")
+        add("                if t0_ > at0:")
+        add("                    at0 = t0_")
+        add("                if t1_ > at1:")
+        add("                    at1 = t1_")
+        add("            k = -1")
+        add("            if at0 <= at1:")
+        add("                if at0 <= cycle and fu_budget[0] > 0:")
+        add("                    k = 0")
+        add("                elif at1 <= cycle and fu_budget[1] > 0:")
+        add("                    k = 1")
+        add("            elif at1 <= cycle and fu_budget[1] > 0:")
+        add("                k = 1")
+        add("            elif at0 <= cycle and fu_budget[0] > 0:")
+        add("                k = 0")
+        add("            if k < 0:")
+        add("                if fu_budget[0] > 0 or fu_budget[1] > 0:")
+        reject("b_icw", " " * 16)
+        reject("b_fu")
+    else:
+        add(f"            if {budget_of('fu_budget', cl)} == 0:")
+        reject("b_fu")
     if ports:
+        read_budget = budget_of("read_budget", cl)
         add("            needed = reads_of[s]")
-        add("            if needed > read_budget:")
-        add("                b_ports += 1")
-        add("                heappush(ready_heap, s)")
-        add("                continue")
-        add("            read_budget -= needed")
+        add(f"            if needed > {read_budget}:")
+        reject("b_ports")
+        add(f"            {read_budget} -= needed")
     if traced:
-        add("            tracer_emit(cycle, EK_SELECT, s, 0, detail='window')")
+        if fifos:
+            origin = "'fifo=%d' % fi"
+        elif positional:
+            origin = "'slot=%d' % slot_of[s] if s in slot_of else 'window'"
+        else:
+            origin = "'window'"
+        add(f"            tracer_emit(cycle, EK_SELECT, s, {cl}, "
+            f"detail={origin})")
     add("            if is_load[s]:")
     add("                if inflight_store_words.get(mem_word[s]):")
     add("                    store_forwards += 1")
-    add("                line = mem_addr[s] >> {OFFSET_BITS}".format(**const))
-    add("                ways = cache_sets[line & {SET_MASK}]".format(**const))
+    add("                line = mem_addr[s] >> {OFFSET_BITS}")
+    add("                ways = cache_sets[line & {SET_MASK}]")
     add("                cache_accesses += 1")
     add("                if line in ways:")
     add("                    ways.remove(line)")
     add("                    ways.append(line)")
-    add("                    latency = {HIT_LAT}".format(**const))
+    add("                    latency = {HIT_LAT}")
     add("                else:")
     add("                    cache_misses += 1")
-    add("                    if len(ways) >= {ASSOC}:".format(**const))
+    add("                    if len(ways) >= {ASSOC}:")
     add("                        del ways[0]")
     add("                    ways.append(line)")
-    add("                    latency = {LAT}".format(LAT=const[miss_latency]))
+    add("                    latency = %d" % const[miss_latency])
+    if ldt:
+        # Predict from the last latency seen at this pc, then train.
+        add("                pcv = pc[s]")
+        add("                ldt_ready[s] = " + plus_bubble(
+            "cycle + ldt_latency.get(pcv, {HIT_LAT})"))
+        add("                ldt_latency[pcv] = latency")
     add("            else:")
-    add("                latency = {FU_LAT}".format(**const))
+    add("                latency = {FU_LAT}")
     add("                if is_store[s]:")
-    add("                    line = mem_addr[s] >> {OFFSET_BITS}".format(
-        **const))
-    add("                    ways = cache_sets[line & {SET_MASK}]".format(
-        **const))
+    add("                    line = mem_addr[s] >> {OFFSET_BITS}")
+    add("                    ways = cache_sets[line & {SET_MASK}]")
     add("                    cache_accesses += 1")
     add("                    if line in ways:")
     add("                        ways.remove(line)")
     add("                        ways.append(line)")
     add("                    else:")
     add("                        cache_misses += 1")
-    add("                        if len(ways) >= {ASSOC}:".format(**const))
+    add("                        if len(ways) >= {ASSOC}:")
     add("                            del ways[0]")
     add("                        ways.append(line)")
     add("                    word = mem_word[s]")
@@ -454,26 +706,81 @@ def generate_source(
     add("            issue_cycle[s] = cycle")
     add("            complete = cycle + latency")
     add("            complete_cycle[s] = complete")
-    add("            cluster_of[s] = 0")
+    add(f"            cluster_of[s] = {cl}")
     if traced:
-        add("            tracer_emit(cycle, EK_ISSUE, s, 0)")
-        add("            tracer_emit(cycle, EK_EXECUTE, s, 0, "
+        add(f"            tracer_emit(cycle, EK_ISSUE, s, {cl})")
+        add(f"            tracer_emit(cycle, EK_EXECUTE, s, {cl}, "
             "detail=insts[s].op_class.name.lower(), dur=latency)")
-    add("            window_count0 -= 1")
+    # Leave the issue buffer.  A window slot belongs to the home
+    # cluster: the central window (cluster 0) under exec steering.
+    home = "0" if exec_driven else cl
+    if fifos:
+        add("            fifo_lists[k][fi].pop(0)")
+        add("            fifo_of[s] = None")
+        add("            fifo_occ -= 1")
+    else:
+        if conceptual:
+            add("            loc = fifo_of[s]")
+            add("            if loc is not None:")
+            add("                fifo_of[s] = None")
+            add("                fifo_lists[loc[0]][loc[1]].remove(s)")
+        add(f"            {window_count(home)} -= 1")
+    if positional:
+        add("            slot = slot_of.pop(s, None)")
+        add("            if slot is not None:")
+        add(f"                heappush(free_slots[{home}], slot)")
+    if clustered:
+        # Figure 17 bottom: an operand from the other cluster not yet
+        # written to this cluster's register file used the bypass.
+        add("            for p in real_producers[s]:")
+        add("                c = cluster_of[p]")
+        add("                if c != k and cycle < complete_cycle[p] + %d:"
+            % (bubble + config.extra_bypass_latency + REGFILE_WRITE_DELAY))
+        add("                    used_x_bypass[s] = 1")
+        if traced:
+            add("                    tracer_emit(cycle, EK_BYPASS, s, k, "
+                "detail='from=%d' % c)")
+        add("                    break")
     add("            waiters = waiting_on[s]")
     add("            if waiters:")
     add("                base = " + plus_bubble("complete"))
-    add("                bucket = arrivals.get(base)")
-    add("                if bucket is None:")
-    add("                    bucket = arrivals[base] = []")
-    add("                for consumer in waiters:")
-    add("                    bucket.append((consumer, 0))")
+    if clustered and not all_clusters:
+        add("                for consumer in waiters:")
+        add("                    home = home_cluster[consumer]")
+        add("                    at = base if home == k else base + {EXTRA}")
+        add("                    bucket = arrivals.get(at)")
+        add("                    if bucket is None:")
+        add("                        arrivals[at] = [(consumer, home)]")
+        add("                    else:")
+        add("                        bucket.append((consumer, home))")
+    elif clustered:
+        add("                if k:")
+        add("                    at0 = base + {EXTRA}")
+        add("                    at1 = base")
+        add("                else:")
+        add("                    at0 = base")
+        add("                    at1 = base + {EXTRA}")
+        add("                bucket = arrivals.get(at0)")
+        add("                if bucket is None:")
+        add("                    bucket = arrivals[at0] = []")
+        add("                bucket1 = arrivals.get(at1)")
+        add("                if bucket1 is None:")
+        add("                    bucket1 = arrivals[at1] = []")
+        add("                for consumer in waiters:")
+        add("                    bucket.append((consumer, 0))")
+        add("                    bucket1.append((consumer, 1))")
+    else:
+        add("                bucket = arrivals.get(base)")
+        add("                if bucket is None:")
+        add("                    bucket = arrivals[base] = []")
+        add("                for consumer in waiters:")
+        add("                    bucket.append((consumer, 0))")
     add("                waiting_on[s] = None")
     add("            if pending_redirect == s:")
     add("                pending_redirect = None")
     add("                next_fetch_cycle = complete")
     add("            budget -= 1")
-    add("            fu_budget -= 1")
+    add(f"            {budget_of('fu_budget', cl)} -= 1")
     add("            if is_m:")
     add("                mem_budget -= 1")
     add("            if is_store[s]:")
@@ -485,55 +792,96 @@ def generate_source(
     add("            issued_count += 1")
     # Dominant blocked cause, rank-descending so max-by-(count, rank)
     # reduces to strictly-greater-count in iteration order.
-    add("        if b_fu or b_cache or b_lso or b_ports:")
+    add("        if b_fu or b_cache or b_lso or b_ports"
+        + "".join(f" or {name}" for name, _ in blocked[4:]) + ":")
     add("            best = -1")
-    add("            for cnt, code in ((b_ports, {C_REGFILE}), "
-        "(b_fu, {C_FU}), (b_cache, {C_CACHE}), (b_lso, {C_LSO})):".format(
-            **const))
+    add("            for cnt, code in (%s):" % ", ".join(
+        "(%s, %d)" % (name, const[code]) for name, code in blocked))
     add("                if cnt > best:")
     add("                    best = cnt")
     add("                    issue_block_code = code")
     add("        hist[issued_count] += 1")
+    probe(2)
 
-    # -- dispatch (rename + insert) ----------------------------------
+    # -- dispatch (rename + steer + insert) --------------------------
     add("        dispatched_count = 0")
     add("        dispatch_block_code = -1")
+    if random_steered:
+        add("        place_called = False")
     add("        if buf_head < fetch_ptr:")
-    add("            budget = {DISPATCH_W}".format(**const))
+    add("            budget = {DISPATCH_W}")
     add("            while budget and buf_head < fetch_ptr:")
     add("                s = buf_head")
-    add("                if fetch_cycle[s] + {FRONT_END} > cycle:".format(
-        **const))
+    add("                if fetch_cycle[s] + {FRONT_END} > cycle:")
     add("                    break")
-    add("                if in_flight >= {MAX_IN_FLIGHT}:".format(**const))
-    add("                    disp_st[{C_IN_FLIGHT}] += 1".format(**const))
-    add("                    dispatch_block_code = {C_IN_FLIGHT}".format(
-        **const))
-    add("                    break")
+    add("                if in_flight >= {MAX_IN_FLIGHT}:")
+    stall("C_IN_FLIGHT")
     add("                kind = dest_kind[s]")
     add("                if kind:")
     add("                    if kind == 1:")
     add("                        if not int_free:")
-    add("                            disp_st[{C_INT_REGS}] += 1".format(
-        **const))
-    add("                            dispatch_block_code = "
-        "{C_INT_REGS}".format(**const))
+    add("                            disp_st[{C_INT_REGS}] += 1")
+    add("                            dispatch_block_code = {C_INT_REGS}")
     add("                            break")
     add("                    elif not fp_free:")
-    add("                        disp_st[{C_FP_REGS}] += 1".format(**const))
-    add("                        dispatch_block_code = {C_FP_REGS}".format(
-        **const))
+    add("                        disp_st[{C_FP_REGS}] += 1")
+    add("                        dispatch_block_code = {C_FP_REGS}")
     add("                        break")
-    add("                if window_count0 >= {CAP0}:".format(**const))
-    add("                    disp_st[{C_WINDOW_FULL}] += 1".format(**const))
-    add("                    dispatch_block_code = {C_WINDOW_FULL}".format(
-        **const))
-    add("                    break")
-    add("                buf_head += 1")
-    add("                home_cluster[s] = 0")
-    add("                window_count0 += 1")
+    if steered:
+        if dependence_steered:
+            add("                outstanding = []")
+            add("                for p in real_producers[s]:")
+            add("                    loc = fifo_of[p]")
+            add("                    if loc is not None:")
+            add("                        outstanding.append(OutstandingOperand("
+                "p, loc[0], loc[1], fifo_lists[loc[0]][loc[1]][-1] == p))")
+        if not fifos:
+            for k, cluster in enumerate(clusters):
+                add(f"                room[{k}] = {cluster.capacity} - "
+                    + window_count(str(k)))
+            add("                view.window_room = room")
+        if random_steered:
+            add("                place_called = True")
+        add("                placement = place(view, %s)"
+            % ("outstanding" if dependence_steered else "()"))
+        add("                if placement is None:")
+        stall("C_PLACE")
+        add("                buf_head += 1")
+        add("                k, fi = placement" if dependence_steered
+            else "                k = placement.cluster")
+        add("                home_cluster[s] = k")
+        steer_to = "k"
+    else:
+        if exec_driven:
+            add("                if window_count[0] + window_count[1] >= "
+                "{TOTAL_CAP}:")
+        else:
+            add("                if window_count0 >= {CAP0}:")
+        stall("C_WINDOW_FULL")
+        add("                buf_head += 1")
+        add("                home_cluster[s] = 0")
+        steer_to = "0"
+    if positional:
+        add(f"                if free_slots[{steer_to}]:")
+        add(f"                    slot_of[s] = heappop(free_slots[{steer_to}])")
+    if dependence_steered:
+        add("                entries = fifo_lists[k][fi]")
+        depth = (str(fifo_depths[0]) if len(set(fifo_depths)) == 1
+                 else "%r[k]" % (tuple(fifo_depths),))
+        add(f"                if len(entries) >= {depth}:")
+        add("                    raise OverflowError('push to a full FIFO')")
+        add("                entries.append(s)")
+        add("                fifo_of[s] = (k, fi)")
+        add("                fifo_occ += 1" if fifos
+            else f"                {window_count('k')} += 1")
+    else:
+        add(f"                {window_count(steer_to)} += 1")
     if traced:
-        add("                tracer_emit(cycle, EK_STEER, s, 0, detail='')")
+        rule = "getattr(steering, 'last_rule', '')" if steered else "''"
+        if dependence_steered:
+            rule = f"('fifo=%d %s' % (fi, {rule})).strip()"
+        add(f"                tracer_emit(cycle, EK_STEER, s, {steer_to}, "
+            f"detail={rule})")
     add("                if kind:")
     add("                    if kind == 1:")
     add("                        phys = int_free.pop()")
@@ -550,13 +898,16 @@ def generate_source(
     if traced:
         add("                    tracer_emit(cycle, EK_RENAME, s, "
             "detail='r%d->p%d' % (dest_flat[s], phys))")
-        add("                tracer_emit(cycle, EK_DISPATCH, s, 0)")
+        add(f"                tracer_emit(cycle, EK_DISPATCH, s, {steer_to})")
     add("                if is_store[s]:")
     add("                    heappush(unissued_stores, s)")
     add("                dispatched[s] = 1")
     add("                dispatch_cycle[s] = cycle")
     add("                in_flight += 1")
-    add("                count = 0")
+    if all_clusters:
+        add("                count = count1 = 0")
+    else:
+        add("                count = 0")
     add("                for producer in real_producers[s]:")
     add("                    if not issued[producer]:")
     add("                        w = waiting_on[producer]")
@@ -565,32 +916,65 @@ def generate_source(
     add("                        else:")
     add("                            w.append(s)")
     add("                        count += 1")
-    add("                    else:")
-    add("                        arrival = "
-        + plus_bubble("complete_cycle[producer]"))
-    add("                        if arrival > cycle:")
-    add("                            count += 1")
-    add("                            bucket = arrivals.get(arrival)")
-    add("                            if bucket is None:")
-    add("                                arrivals[arrival] = [(s, 0)]")
-    add("                            else:")
-    add("                                bucket.append((s, 0))")
-    add("                pending0[s] = count")
-    add("                if count == 0:")
-    add("                    in_ready[s] = 1")
-    add("                    heappush(ready_heap, s)")
+    if all_clusters:
+        add("                        count1 += 1")
+        add("                    else:")
+        add("                        t = " + plus_bubble("complete_cycle[producer]"))
+        add("                        c = cluster_of[producer]")
+        for k in range(n_clusters):
+            tally = "count1" if k else "count"
+            add(f"                        arrival = t if c == {k} "
+                "else t + {EXTRA}")
+            add("                        if arrival > cycle:")
+            add(f"                            {tally} += 1")
+            add("                            bucket = arrivals.get(arrival)")
+            add("                            if bucket is None:")
+            add(f"                                arrivals[arrival] = [(s, {k})]")
+            add("                            else:")
+            add(f"                                bucket.append((s, {k}))")
+        add("                pending0[s] = count")
+        add("                pending1[s] = count1")
+        if exec_driven:
+            add("                if count == 0 or count1 == 0:")
+            add("                    in_ready[s] = 1")
+            add("                    heappush(central_ready, s)")
+        elif not fifos:
+            add("                if (count1 if k else count) == 0:")
+            add("                    in_ready[s] = 1")
+            add("                    heappush(ready_heaps[k], s)")
+    else:
+        home = "k" if clustered else "0"
+        add("                    else:")
+        add("                        arrival = "
+            + plus_bubble("complete_cycle[producer]"))
+        if clustered:
+            add("                        if cluster_of[producer] != k:")
+            add("                            arrival += {EXTRA}")
+        add("                        if arrival > cycle:")
+        add("                            count += 1")
+        add("                            bucket = arrivals.get(arrival)")
+        add("                            if bucket is None:")
+        add(f"                                arrivals[arrival] = [(s, {home})]")
+        add("                            else:")
+        add(f"                                bucket.append((s, {home}))")
+        add("                pending0[s] = count")
+        if not fifos:
+            add("                if count == 0:")
+            add("                    in_ready[s] = 1")
+            add("                    heappush(%s, s)" % (
+                "ready_heaps[k]" if clustered else "ready_heap"))
     add("                budget -= 1")
     add("                dispatched_count += 1")
+    probe(3)
 
     # -- fetch -------------------------------------------------------
     add("        fetch_before = fetch_ptr")
     add("        if (cycle >= next_fetch_cycle and pending_redirect is None"
         " and fetch_ptr < n):")
-    add("            budget = {FETCH_W}".format(**const))
+    add("            budget = {FETCH_W}")
     add("            fetched_now = 0")
     add("            while budget and fetch_ptr < n:")
-    add("                if fetch_ptr - buf_head >= {FETCH_CAP}:".format(
-        **const))
+    add("                if fetch_ptr - buf_head >= {FETCH_CAP}:")
     add("                    break")
     add("                fetch_cycle[fetch_ptr] = cycle")
     if traced:
@@ -601,8 +985,7 @@ def generate_source(
     add("                fetched_now += 1")
     add("                budget -= 1")
     add("                if is_branch[s]:")
-    add("                    idx = (pc[s] ^ history) & {INDEX_MASK}".format(
-        **const))
+    add("                    idx = (pc[s] ^ history) & {INDEX_MASK}")
     add("                    counter = counters[idx]")
     add("                    prediction = counter >= 2")
     add("                    lookups += 1")
@@ -614,8 +997,7 @@ def generate_source(
     add("                            counters[idx] = counter + 1")
     add("                    elif counter > 0:")
     add("                        counters[idx] = counter - 1")
-    add("                    history = ((history << 1) | tk) & "
-        "{HISTORY_MASK}".format(**const))
+    add("                    history = ((history << 1) | tk) & {HISTORY_MASK}")
     add("                    if prediction != tk:")
     add("                        mispredicts += 1")
     if traced:
@@ -625,44 +1007,58 @@ def generate_source(
     add("                        next_fetch_cycle = INF")
     add("                        break")
     add("            fetched += fetched_now")
+    probe(4)
 
     # -- occupancy + attribution + clock -----------------------------
-    add("        occupancy_sum += window_count0")
+    if fifos:
+        buffered = "fifo_occ"
+    elif clustered:
+        buffered = " + ".join(f"window_count[{k}]" for k in range(n_clusters))
+    else:
+        buffered = "window_count0"
+    add(f"        occupancy_sum += {buffered}")
     add("        if dispatched_count:")
     add("            last_cause_code = -1")
     add("            active_cycles += 1")
     add("        elif dispatch_block_code >= 0:")
     add("            cause_code = dispatch_block_code")
     add("            if (issued_count == 0 and issue_block_code >= 0 and"
-        " cause_code in ({C_WINDOW_FULL}, {C_IN_FLIGHT})):".format(**const))
+        " cause_code in ({C_PLACE}, {C_IN_FLIGHT})):")
     add("                cause_code = issue_block_code")
     add("            last_cause_code = cause_code")
     add("            stall_c[cause_code] += 1")
     add("        elif fetch_ptr >= n and buf_head == fetch_ptr:")
-    add("            last_cause_code = {C_DRAIN}".format(**const))
-    add("            stall_c[{C_DRAIN}] += 1".format(**const))
+    add("            last_cause_code = {C_DRAIN}")
+    add("            stall_c[{C_DRAIN}] += 1")
     add("        else:")
-    add("            last_cause_code = {C_FETCH_STARVED}".format(**const))
-    add("            stall_c[{C_FETCH_STARVED}] += 1".format(**const))
+    add("            last_cause_code = {C_FETCH_STARVED}")
+    add("            stall_c[{C_FETCH_STARVED}] += 1")
     add("        cycle += 1")
 
     # -- idle-cycle fast forward (exact stat replication) ------------
     if cycle_skip:
-        add("        if (dispatched_count == 0 and issued_count == 0 and"
-            " events is None and commit_before == commit_ptr and"
-            " fetch_before == fetch_ptr):")
+        # An idle cycle mutated nothing, so every stage would repeat
+        # it until an event lands -- except a clock-resolved
+        # inter-cluster wait and an RNG-consuming placement attempt.
+        idle = ("dispatched_count == 0 and issued_count == 0 and"
+                " events is None and commit_before == commit_ptr and"
+                " fetch_before == fetch_ptr")
+        if random_steered:
+            idle += " and not place_called"
+        if exec_driven:
+            idle += " and issue_block_code != {C_ICW}"
+        add(f"        if ({idle}):")
         add("            best = min(arrivals) if arrivals else -1")
         add("            if commit_ptr < n and issued[commit_ptr]:")
         add("                t = complete_cycle[commit_ptr] + 1")
         add("                if best < 0 or t < best:")
         add("                    best = t")
         add("            if buf_head < fetch_ptr:")
-        add("                t = fetch_cycle[buf_head] + {FRONT_END}".format(
-            **const))
+        add("                t = fetch_cycle[buf_head] + {FRONT_END}")
         add("                if t >= cycle and (best < 0 or t < best):")
         add("                    best = t")
         add("            if (pending_redirect is None and fetch_ptr < n and"
-            " fetch_ptr - buf_head < {FETCH_CAP}):".format(**const))
+            " fetch_ptr - buf_head < {FETCH_CAP}):")
         add("                t = next_fetch_cycle")
         add("                if t >= cycle and (best < 0 or t < best):")
         add("                    best = t")
@@ -681,7 +1077,8 @@ def generate_source(
         add("                hist[0] += skipped")
         add("                if dispatch_block_code >= 0:")
         add("                    disp_st[dispatch_block_code] += skipped")
-        add("                occupancy_sum += window_count0 * skipped")
+        add("                occupancy_sum += %s * skipped" % (
+            buffered if " " not in buffered else f"({buffered})"))
         add("                cycle = best")
         add("                skipped_cycles += skipped")
 
@@ -692,13 +1089,13 @@ def generate_source(
     add("    sim.fetch_ptr = fetch_ptr")
     add("    sim.next_fetch_cycle = next_fetch_cycle")
     add("    sim.pending_redirect = pending_redirect")
-    add("    sim.window_count[0] = window_count0")
+    if not clustered:
+        add("    sim.window_count[0] = window_count0")
     add("    sim.skipped_cycles = skipped_cycles")
     add("    fetch_buffer = sim.fetch_buffer")
     add("    fetch_buffer.clear()")
     add("    for s in range(buf_head, fetch_ptr):")
-    add("        fetch_buffer.append((s, fetch_cycle[s] + {FRONT_END}))".format(
-        **const))
+    add("        fetch_buffer.append((s, fetch_cycle[s] + {FRONT_END}))")
     add("    predictor._history = history")
     add("    predictor.lookups = lookups")
     add("    predictor.hits = phits")
@@ -710,6 +1107,8 @@ def generate_source(
     add("    stats.store_forwards = store_forwards")
     add("    stats.occupancy_sum = occupancy_sum")
     add("    stats.active_cycles = active_cycles")
+    if clustered:
+        add("    stats.inter_cluster_bypasses = inter_cluster_bypasses")
     add("    stats.cycles = cycle")
     add("    stats.branch_lookups = lookups")
     add("    stats.branch_hits = phits")
@@ -741,6 +1140,8 @@ def _exec_namespace() -> dict:
         "heappop": heapq.heappop,
         "INF": float("inf"),
         "CAUSES": _CAUSES,
+        "OutstandingOperand": OutstandingOperand,
+        "clock": time.perf_counter,
         "EK_FETCH": EventKind.FETCH,
         "EK_SQUASH": EventKind.SQUASH,
         "EK_STEER": EventKind.STEER,
@@ -750,12 +1151,14 @@ def _exec_namespace() -> dict:
         "EK_SELECT": EventKind.SELECT,
         "EK_ISSUE": EventKind.ISSUE,
         "EK_EXECUTE": EventKind.EXECUTE,
+        "EK_BYPASS": EventKind.BYPASS,
         "EK_COMMIT": EventKind.COMMIT,
     }
 
 
 def compiled_runner(
-    config: MachineConfig, traced: bool = False, cycle_skip: bool = True
+    config: MachineConfig, traced: bool = False, cycle_skip: bool = True,
+    profiled: bool = False,
 ) -> Callable:
     """The memoized compiled run function for one machine variant.
 
@@ -765,9 +1168,9 @@ def compiled_runner(
     trust-nothing loads.
 
     Raises:
-        ValueError: for shapes outside :func:`supports_compile`.
+        ValueError: for configs outside :func:`supports_compile`.
     """
-    key = compile_cache_key(config, traced, cycle_skip)
+    key = compile_cache_key(config, traced, cycle_skip, profiled)
     entry = _COMPILE_CACHE.get(key)
     if entry is not None:
         if (isinstance(entry, dict)
@@ -779,7 +1182,8 @@ def compiled_runner(
         _COUNTERS["stale_discards"] += 1
     start = time.perf_counter()
     source = generate_source(
-        config, traced=traced, cycle_skip=cycle_skip, planted=_PLANTED_BUG
+        config, traced=traced, cycle_skip=cycle_skip, planted=_PLANTED_BUG,
+        profiled=profiled,
     )
     namespace = _exec_namespace()
     code = compile(source, f"<compiled pipeline {config.name}>", "exec")
@@ -800,20 +1204,22 @@ def run_compiled(
 ) -> "SimStats":
     """Run one constructed simulator through its compiled function.
 
-    The simulator is built normally (identical initial state, shared
-    per-instruction timing arrays), then the whole cycle loop runs in
-    the specialized function -- so equivalence tests can compare
-    ``issue_cycle``/``commit_cycle``/... on the instance afterwards
-    exactly as they do for the interpreter.
+    The simulator holds the initial state and the per-instruction
+    timing arrays; the whole cycle loop runs in the specialized
+    function, which fills those arrays in place -- so equivalence
+    tests can compare ``issue_cycle``/``commit_cycle``/... on the
+    instance afterwards.  The variant follows the simulator: traced
+    when a tracer is attached, profiled when ``stage_times`` is set.
 
     Raises:
-        ValueError: for shapes outside :func:`supports_compile`.
-        RuntimeError: on no-forward-progress, with the interpreter's
-            message (the guards are compiled into the function).
+        ValueError: for configs outside :func:`supports_compile`.
+        RuntimeError: on no-forward-progress (the guards are compiled
+            into the function).
     """
     if max_cycles is None:
         max_cycles = 100 * len(sim.insts) + 1_000
     runner = compiled_runner(
-        sim.config, traced=sim.tracer is not None, cycle_skip=sim.cycle_skip
+        sim.config, traced=sim.tracer is not None, cycle_skip=sim.cycle_skip,
+        profiled=sim.stage_times is not None,
     )
     return runner(sim, max_cycles)

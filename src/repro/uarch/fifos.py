@@ -103,7 +103,7 @@ class FifoSet:
     def empty_fifo_index(self) -> int | None:
         """Index of a free (empty) FIFO, or None if none is free."""
         for index, fifo in enumerate(self.fifos):
-            if fifo.is_empty:
+            if not fifo._entries:
                 return index
         return None
 

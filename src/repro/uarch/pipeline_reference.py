@@ -1,22 +1,25 @@
 """Frozen reference implementation of the pipeline timing model.
 
 This module preserves the straightforward (pre-optimization) cycle
-loop exactly as the seed revision wrote it.  It is the *oracle* for
-the optimized hot path in :mod:`repro.uarch.pipeline`: the equivalence
-suite (``tests/test_fast_reference_equivalence.py``) asserts that the
-optimized simulator produces byte-identical
-:meth:`~repro.uarch.stats.SimStats.to_dict` payloads and identical
-event timelines against this implementation for every machine
-configuration and workload.
+loop exactly as the seed revision wrote it, plus plain forms of the
+two strategy hooks added since: the load-delay-tracking hold and the
+per-cluster read-port budget.  It is the *oracle* for the compiled
+pipeline (:mod:`repro.uarch.compile`, run by
+:mod:`repro.uarch.pipeline`): the equivalence suite
+(``tests/test_fast_reference_equivalence.py``) and the differential
+fuzzer assert that the compiled runner produces byte-identical
+:meth:`~repro.uarch.stats.SimStats.to_dict` payloads, per-instruction
+timings and event timelines against this implementation for every
+machine configuration and workload.
 
 Reach it through the public escape hatch::
 
     from repro.uarch.pipeline import simulate
-    stats = simulate(config, trace, fast=False)
+    stats = simulate(config, trace, mode="reference")
 
 Do **not** optimize this module.  Its value is that it stays simple
 enough to audit against the paper's Table 3 model by eye; every clever
-trick lives (and is tested) in ``pipeline.py`` instead.  See
+trick lives (and is tested) in the code generator instead.  See
 docs/performance.md for the rules that keep the two in lockstep.
 """
 

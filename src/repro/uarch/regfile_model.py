@@ -1,4 +1,4 @@
-"""Pluggable physical-register-file port models.
+"""Registered physical-register-file port models.
 
 The paper sizes the register file generously (Table 3: enough read
 ports for every issue slot's two operands), so the seed simulator
@@ -15,9 +15,10 @@ port model a strategy selected by ``MachineConfig.regfile``:
   shrink the register file's word lines and bitlines, so the matching
   delay model shows the clock gain that the IPC loss buys.
 
-The port model only *denies* issue slots; all ordering, budgets, and
-stall attribution stay in the pipeline's issue loop, so every model
-inherits the accounting invariants checked by ``SimStats.validate``.
+The per-cycle port budget is a branch of the generated issue loop
+(:func:`repro.uarch.compile.generate_source`) and of the reference
+model; it only *denies* issue slots, so every model inherits the
+accounting invariants checked by ``SimStats.validate``.
 """
 
 from __future__ import annotations
@@ -29,23 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class RegfileStrategy:
-    """Base class: per-cycle register-file read-port arbitration."""
+    """Base class: one register-file read-port model."""
 
     #: Registry key; also the value ``MachineConfig.regfile`` takes.
     name = ""
     #: Bumped on any timing-behaviour change (cache-key component).
     version = 1
-    #: True when the pipeline must consult the port budget at issue.
-    limited = False
 
     def __init__(self, sim: "PipelineSimulator"):
         self.sim = sim
-
-    def reset(self) -> None:
-        """Clear per-run state (called from ``_reset_state``)."""
-
-    def new_cycle(self) -> None:
-        """Restore the per-cycle port budget (limited models only)."""
 
 
 class UnlimitedRegfile(RegfileStrategy):
@@ -66,35 +59,22 @@ class PortsLimitedRegfile(RegfileStrategy):
 
     name = "ports_limited"
     version = 1
-    limited = True
 
     def __init__(self, sim: "PipelineSimulator"):
         super().__init__(sim)
-        self.read_ports = sim.config.regfile_read_ports
+        read_ports = sim.config.regfile_read_ports
         #: Read-port demand per instruction (at most 2 in this ISA).
         self.reads = [len(inst.srcs) for inst in sim.insts]
         widest = max(self.reads, default=0)
-        if widest > self.read_ports:
+        if widest > read_ports:
             raise ValueError(
                 f"an instruction reads {widest} registers but the "
-                f"ports_limited file has only {self.read_ports} read "
+                f"ports_limited file has only {read_ports} read "
                 f"ports per cluster; it could never issue"
             )
-        self.budget = [0] * sim.n_clusters
-
-    def reset(self) -> None:
-        self.new_cycle()
-
-    def new_cycle(self) -> None:
-        ports = self.read_ports
-        budget = self.budget
-        for cluster in range(len(budget)):
-            budget[cluster] = ports
 
 
-#: All registered register-file models, keyed by name.  The planted
-#: bug self-test swaps entries here, so look models up at
-#: simulator-construction time rather than caching classes.
+#: All registered register-file models, keyed by name.
 REGFILE_REGISTRY: dict[str, type[RegfileStrategy]] = {
     UnlimitedRegfile.name: UnlimitedRegfile,
     PortsLimitedRegfile.name: PortsLimitedRegfile,

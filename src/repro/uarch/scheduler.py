@@ -1,9 +1,9 @@
-"""Pluggable wakeup/select scheduler strategies.
+"""Registered wakeup/select scheduler strategies.
 
-The issue stage of :class:`~repro.uarch.pipeline.PipelineSimulator` is
-a strategy object drawn from :data:`SCHEDULER_REGISTRY`, mirroring
-``MACHINE_REGISTRY`` (:mod:`repro.core.machines`) and
-``DELAY_MODEL_REGISTRY`` (:mod:`repro.delay.critical_path`):
+:data:`SCHEDULER_REGISTRY` names the issue-stage strategies a
+``MachineConfig.scheduler`` may select, mirroring ``MACHINE_REGISTRY``
+(:mod:`repro.core.machines`) and ``DELAY_MODEL_REGISTRY``
+(:mod:`repro.delay.critical_path`):
 
 * ``conventional`` -- the paper's broadcast wakeup + select over a
   flexible window (also drives the window-steered clustered shapes);
@@ -16,14 +16,12 @@ a strategy object drawn from :data:`SCHEDULER_REGISTRY`, mirroring
   scheduler that replaces the broadcast CAM with per-instruction
   ready-time countdowns.
 
-A strategy owns candidate *gathering* (which buffered instructions
-select may consider this cycle) and *requeueing* of unissued
-candidates; the surrounding issue loop (budgets, cache ports, memory
-ordering, stall attribution) stays in the pipeline, so all strategies
-share the same accounting invariants.  The ``conventional`` and
-``fifo_steering`` strategies are verbatim re-expressions of the
-pre-refactor issue path and remain byte-identical to the frozen
-reference model (``tests/test_strategy_conformance.py`` proves it).
+Each strategy's behaviour is a branch of the generated cycle loop
+(:func:`repro.uarch.compile.generate_source`) and, in plain form, of
+the frozen reference model (:mod:`repro.uarch.pipeline_reference`),
+which the equivalence suite pins the generated code to.  The classes
+here carry only what callers need before a run: identity and whether
+idle-cycle skipping is sound.
 
 Strategy identity (name + version) is folded into the campaign cache
 key by :func:`strategy_identity`, exactly like ``PREANALYSIS_VERSION``:
@@ -32,33 +30,14 @@ bump a strategy's ``version`` whenever its timing behaviour changes.
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING
-
-from repro.uarch.stats import StallCause
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.uarch.config import MachineConfig
-    from repro.uarch.pipeline import PipelineSimulator
-
-_heappush = heapq.heappush
-_heappop = heapq.heappop
-
-#: Issue candidate: (seq, cluster, fifo_index).
-Candidate = "tuple[int, int, int | None]"
-
-#: Shared empty held-list: most cycles hold nothing back.
-_NO_HELD: tuple = ()
 
 
 class SchedulerStrategy:
-    """Base class: candidate gathering/requeueing for the issue stage.
-
-    One instance is bound to one :class:`PipelineSimulator`; it reads
-    the simulator's issue-buffer state directly (ready heaps, FIFO
-    sets, pending counts) so the classic strategies stay on the
-    optimized hot path.
-    """
+    """Base class: one registered wakeup/select strategy."""
 
     #: Registry key; also the value ``MachineConfig.scheduler`` takes.
     name = ""
@@ -69,104 +48,20 @@ class SchedulerStrategy:
     #: does not know about must disable skipping.
     supports_cycle_skip = True
 
-    def __init__(self, sim: "PipelineSimulator"):
-        self.sim = sim
 
-    def reset(self) -> None:
-        """Clear per-run state (called from ``_reset_state``)."""
-
-    def gather(self):
-        """Collect this cycle's issue candidates.
-
-        Returns:
-            ``(candidates, held)`` -- candidates as
-            ``(seq, cluster, fifo_index)`` triples in selection
-            priority order, and ``held`` as ``(candidate, cause)``
-            pairs the strategy refused to expose to select this cycle
-            (they are charged to ``cause`` and requeued).
-        """
-        raise NotImplementedError
-
-    def requeue(self, leftovers) -> None:
-        """Return unissued window candidates to their ready pools."""
-        raise NotImplementedError
-
-
-class ClassicScheduler(SchedulerStrategy):
-    """The pre-refactor gather/requeue path, shared by the paper's
-    conventional-window and dependence-FIFO machines (the concrete
-    subclasses differ only in registry identity)."""
-
-    def gather(self):
-        sim = self.sim
-        issued = sim.issued
-        if sim._exec_driven:
-            heap = sim.central_ready
-            drained = []
-            while heap:
-                seq = _heappop(heap)
-                if not issued[seq]:
-                    drained.append(seq)
-            return [(seq, -1, None) for seq in drained], _NO_HELD
-        candidates = []
-        pending = sim.pending
-        fifo_flags = sim._cluster_fifo_flags
-        for cluster_index in range(sim.n_clusters):
-            if fifo_flags[cluster_index]:
-                for fifo_index, fifo in enumerate(
-                    sim.fifo_sets[cluster_index].fifos
-                ):
-                    entries = fifo._entries
-                    if entries:
-                        head = entries[0]
-                        counts = pending[head]
-                        if counts is not None and counts[cluster_index] == 0:
-                            candidates.append((head, cluster_index, fifo_index))
-            else:
-                heap = sim.ready_heaps[cluster_index]
-                drained = []
-                while heap:
-                    seq = _heappop(heap)
-                    if not issued[seq]:
-                        drained.append(seq)
-                for seq in drained:
-                    candidates.append((seq, cluster_index, None))
-        if sim.positional:
-            slot_of = sim.slot_of
-            candidates.sort(
-                key=lambda item: (slot_of.get(item[0], item[0]), item[0])
-            )
-        else:
-            candidates.sort()
-        return candidates, _NO_HELD
-
-    def requeue(self, leftovers) -> None:
-        sim = self.sim
-        if sim._exec_driven:
-            central_ready = sim.central_ready
-            for seq, _cluster, _fifo in leftovers:
-                _heappush(central_ready, seq)
-            return
-        fifo_flags = sim._cluster_fifo_flags
-        ready_heaps = sim.ready_heaps
-        for seq, cluster, _fifo in leftovers:
-            if not fifo_flags[cluster]:
-                _heappush(ready_heaps[cluster], seq)
-
-
-class ConventionalScheduler(ClassicScheduler):
+class ConventionalScheduler(SchedulerStrategy):
     """Broadcast wakeup + select over flexible windows (Section 4)."""
 
     name = "conventional"
 
 
-class FifoSteeringScheduler(ClassicScheduler):
+class FifoSteeringScheduler(SchedulerStrategy):
     """Dependence-based FIFOs; only heads are selectable (Section 5)."""
 
     name = "fifo_steering"
 
 
-class LoadDelayTrackingScheduler(ConventionalScheduler):
+class LoadDelayTrackingScheduler(SchedulerStrategy):
     """Predicted ready-time issue with real-time load-delay feedback.
 
     Follows Diavastos & Carlson (arXiv:2109.03112): instead of a
@@ -188,81 +83,13 @@ class LoadDelayTrackingScheduler(ConventionalScheduler):
     name = "load_delay_tracking"
     supports_cycle_skip = False
 
-    def reset(self) -> None:
-        sim = self.sim
-        #: Last observed latency per static load (pc), the predictor.
-        self._load_latency_of_pc: dict[int, int] = {}
-        #: Predicted completion (wakeup) cycle per issued load.
-        self._predicted_complete: dict[int, int] = {}
-        self._default_latency = sim.config.cache.hit_cycles
 
-    def on_load_issue(self, seq: int, latency: int) -> None:
-        """Real-time feedback hook, called when a load issues.
-
-        Records the *prediction* for this dynamic load (consumers are
-        held until it) and trains the per-pc table with the actual
-        latency for the next dynamic instance.
-        """
-        sim = self.sim
-        pc = sim.pre.pc[seq]
-        predicted = self._load_latency_of_pc.get(pc, self._default_latency)
-        self._predicted_complete[seq] = (
-            sim.cycle + predicted + sim.wakeup_bubble
-        )
-        self._load_latency_of_pc[pc] = latency
-
-    def gather(self):
-        candidates, _ = super().gather()
-        if not candidates:
-            return candidates, _NO_HELD
-        sim = self.sim
-        now = sim.cycle
-        predicted_complete = self._predicted_complete
-        producers = sim.pre.real_producers
-        is_load = sim.pre.is_load
-        ready = []
-        held = []
-        for candidate in candidates:
-            hold_until = 0
-            for producer in producers[candidate[0]]:
-                if is_load[producer]:
-                    until = predicted_complete.get(producer, 0)
-                    if until > hold_until:
-                        hold_until = until
-            if hold_until > now:
-                held.append((candidate, StallCause.SCHED_WAIT))
-            else:
-                ready.append(candidate)
-        if not held:
-            return ready, _NO_HELD
-        return ready, held
-
-
-#: All registered scheduler strategies, keyed by name.  The planted
-#: bug self-test swaps entries here, so look strategies up at
-#: simulator-construction time rather than caching classes.
+#: All registered scheduler strategies, keyed by name.
 SCHEDULER_REGISTRY: dict[str, type[SchedulerStrategy]] = {
     ConventionalScheduler.name: ConventionalScheduler,
     FifoSteeringScheduler.name: FifoSteeringScheduler,
     LoadDelayTrackingScheduler.name: LoadDelayTrackingScheduler,
 }
-
-
-def build_scheduler(sim: "PipelineSimulator") -> SchedulerStrategy:
-    """Instantiate the scheduler strategy a simulator's config names.
-
-    Raises:
-        ValueError: if the config names an unregistered strategy.
-    """
-    name = sim.config.scheduler
-    try:
-        strategy_class = SCHEDULER_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler strategy {name!r}; registered: "
-            f"{sorted(SCHEDULER_REGISTRY)}"
-        ) from None
-    return strategy_class(sim)
 
 
 def supports_reference(config: "MachineConfig") -> bool:

@@ -22,22 +22,20 @@ time, not dispatch time; it lives in the pipeline's select stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.uarch.fifos import FifoSet
 from repro.workloads._datagen import Lcg
 
 
-@dataclass(frozen=True, slots=True)
-class Placement:
+class Placement(NamedTuple):
     """Where a dispatched instruction goes."""
 
     cluster: int
     fifo: int | None = None  #: FIFO index within the cluster, if any
 
 
-@dataclass(frozen=True, slots=True)
-class OutstandingOperand:
+class OutstandingOperand(NamedTuple):
     """A source operand whose producer is still buffered in a FIFO."""
 
     producer: int  #: producer seq
@@ -105,12 +103,13 @@ class FifoDispatchSteering:
         self, view: SteeringView, operand: OutstandingOperand
     ) -> Placement | None:
         """Placement behind one producer, or None if unsuitable."""
-        fifo = view.fifo_sets[operand.cluster].fifos[operand.fifo]
-        if not operand.is_tail or fifo.is_full:
+        if not operand.is_tail:
+            return None
+        if view.fifo_sets[operand.cluster].fifos[operand.fifo].is_full:
             return None
         if not view.has_window_room(operand.cluster):
             return None
-        return Placement(cluster=operand.cluster, fifo=operand.fifo)
+        return Placement(operand.cluster, operand.fifo)
 
     def _new_fifo(self, view: SteeringView) -> Placement | None:
         """Placement in an empty FIFO via the free-list discipline."""
@@ -123,7 +122,7 @@ class FifoDispatchSteering:
                 # Switching the current list only happens when the
                 # current one was exhausted (attempt > 0).
                 self._current_cluster = cluster
-                return Placement(cluster=cluster, fifo=index)
+                return Placement(cluster, index)
         return None
 
     def place(

@@ -7,8 +7,8 @@ trace (timing-only) -- and run the full check stack from
 :mod:`repro.verify.oracle`:
 
 1. emulator vs shadow-interpreter architectural equality,
-2. fast vs reference ``SimStats`` byte equality,
-3. timing invariants on the fast simulator.
+2. compiled vs reference ``SimStats`` byte equality,
+3. timing invariants on the compiled simulator.
 
 Cases fan out over the existing campaign worker pool
 (:func:`repro.core.campaign._collect_parallel`); a case is fully
@@ -92,52 +92,32 @@ class FuzzCase:
 
 
 def _simulate_both(config: MachineConfig, trace) -> tuple:
-    """Run all simulator models; returns (fast_sim, failures).
+    """Run both simulator models; returns (compiled_sim, failures).
 
-    Every case runs the fast interpreter and compares it byte-for-byte
-    against the frozen reference (which covers every shape); shapes the
-    pipeline compiler covers are additionally compared against the
-    compiled artifact -- so a miscompilation (wrong constant fold,
-    dropped branch, stale cache entry) is a first-class fuzz finding.
+    Every case runs the compiled pipeline and compares it byte-for-byte
+    against the frozen reference (which covers every shape), so a
+    miscompilation (wrong constant fold, dropped branch, stale cache
+    entry) or a broken strategy hook is a first-class fuzz finding.
     """
     # Imported late so the planted-bug self-tests' monkeypatches of
     # the pipeline/compile modules are honoured even inside this
     # module.
-    from repro.uarch import compile as compile_mod
     from repro.uarch.pipeline import PipelineSimulator
 
-    fast = PipelineSimulator(config, trace)
+    compiled = PipelineSimulator(config, trace)
     try:
-        fast_stats = fast.run()
+        compiled_stats = compiled.run()
     except RuntimeError as error:
         # A deadlock (or cycle-bound overrun) is a first-class finding
         # -- reported as a failure string so the minimizer can shrink
         # the triggering program like any other check failure.
-        return fast, [f"fast simulator failed to complete: {error}"]
+        return compiled, [f"compiled simulator failed to complete: {error}"]
     reference_stats = ReferencePipelineSimulator(config, trace).run()
-    failures = compare_stats(fast_stats.to_dict(), reference_stats.to_dict())
-    if compile_mod.supports_compile(config):
-        compiled_sim = PipelineSimulator(config, trace)
-        try:
-            compiled_stats = compile_mod.run_compiled(compiled_sim)
-        except RuntimeError as error:
-            failures.append(
-                f"compiled simulator failed to complete: {error}"
-            )
-        else:
-            fast_payload = fast_stats.to_dict()
-            compiled_payload = compiled_stats.to_dict()
-            if compiled_payload != fast_payload:
-                differing = {
-                    key: (compiled_payload.get(key), fast_payload.get(key))
-                    for key in set(compiled_payload) | set(fast_payload)
-                    if compiled_payload.get(key) != fast_payload.get(key)
-                }
-                failures.append(
-                    f"compiled/fast SimStats diverge: {differing}"
-                )
-    failures.extend(check_timing_invariants(fast, config, trace))
-    return fast, failures
+    failures = compare_stats(
+        compiled_stats.to_dict(), reference_stats.to_dict()
+    )
+    failures.extend(check_timing_invariants(compiled, config, trace))
+    return compiled, failures
 
 
 def check_program_trace(program, config: MachineConfig,

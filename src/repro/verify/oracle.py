@@ -328,24 +328,24 @@ def compare_architectural(
     return failures
 
 
-def compare_stats(fast_payload: dict, reference_payload: dict) -> list[str]:
-    """Fast vs reference ``SimStats.to_dict()`` payloads, byte level."""
+def compare_stats(compiled_payload: dict, reference_payload: dict) -> list[str]:
+    """Compiled vs reference ``SimStats.to_dict()`` payloads, byte level."""
     import json
 
-    fast_bytes = json.dumps(fast_payload, sort_keys=True)
+    compiled_bytes = json.dumps(compiled_payload, sort_keys=True)
     reference_bytes = json.dumps(reference_payload, sort_keys=True)
-    if fast_bytes == reference_bytes:
+    if compiled_bytes == reference_bytes:
         return []
     differing = {
-        key: (fast_payload.get(key), reference_payload.get(key))
-        for key in set(fast_payload) | set(reference_payload)
-        if fast_payload.get(key) != reference_payload.get(key)
+        key: (compiled_payload.get(key), reference_payload.get(key))
+        for key in set(compiled_payload) | set(reference_payload)
+        if compiled_payload.get(key) != reference_payload.get(key)
     }
-    return [f"fast/reference SimStats diverge: {differing}"]
+    return [f"compiled/reference SimStats diverge: {differing}"]
 
 
 def check_timing_invariants(simulator, config, trace) -> list[str]:
-    """Machine-independent timing invariants on a finished fast run.
+    """Machine-independent timing invariants on a finished compiled run.
 
     Checks per-instruction lifecycle ordering (fetch <= dispatch <=
     issue < complete <= commit), in-order commit within the retire

@@ -1,27 +1,26 @@
 """Planted-bug self-tests: prove the fuzzer can actually catch bugs.
 
 A verification harness that has never caught anything is an untested
-claim.  This module *plants* three realistic bugs, one per layer the
-fuzz oracle guards:
+claim.  This module *plants* three realistic bugs into the compiled
+pipeline, one per layer the fuzz oracle guards:
 
 * a **steering bug** -- a FIFO dispatch heuristic that ignores the
-  paper's behind-the-producer rule -- planted into the **fast**
-  pipeline only (the module-level ``FifoDispatchSteering`` name that
-  ``repro.uarch.pipeline`` binds at import is rebound for the
-  duration; the reference pipeline imports its own copy and keeps the
-  correct logic).  Caught by fast/reference stats divergence.
-* a **port-arbiter bug** -- a ``ports_limited`` register file whose
-  per-cycle read-port budget is never replenished, so issue starves
-  and the pipeline deadlocks.  The reference model does not cover the
-  ports_limited strategy, so this one must be caught by the fast
-  simulator's own failure checks (the no-forward-progress guard
-  surfaces as a failure string).
-* a **compiler constant-folding bug** -- the pipeline compiler's
-  ``_PLANTED_BUG`` knob folds the load-miss latency branch down to
-  the hit latency, the classic dropped-branch miscompilation.  The
-  interpreter stays correct, so this one must be caught by the
-  compiled/fast stats comparison the fuzzer runs on every
-  compile-supported shape.
+  paper's behind-the-producer rule.  The module-level
+  ``FifoDispatchSteering`` name that ``repro.uarch.pipeline`` binds
+  at import (and builds each simulator's steering object from) is
+  rebound for the duration; the reference pipeline imports its own
+  copy and keeps the correct logic.  Caught by compiled/reference
+  stats divergence.
+* a **port-arbiter bug** -- the pipeline compiler's ``_PLANTED_BUG``
+  knob set to ``"port_leak"`` hoists the per-cycle read-port grant of
+  the ``ports_limited`` register file out of the cycle loop, so
+  claimed ports are never replenished and issue starves.  The
+  compiled runner's no-forward-progress guard turns the deadlock into
+  a failure string.
+* a **compiler constant-folding bug** -- the same knob set to
+  ``"load_hit_fold"`` folds the load-miss latency branch down to the
+  hit latency, the classic dropped-branch miscompilation.  Caught by
+  compiled/reference stats divergence.
 
 Each bug must be (a) detected and (b) shrunk to a small reproducer.
 The patches are process-local, so the self-tests always run with
@@ -36,8 +35,6 @@ from pathlib import Path
 
 from repro.uarch import compile as compile_mod
 from repro.uarch import pipeline as pipeline_mod
-from repro.uarch import regfile_model as regfile_mod
-from repro.uarch.regfile_model import PortsLimitedRegfile
 from repro.uarch.steering import FifoDispatchSteering, Placement
 from repro.verify.fuzzer import FuzzReport, run_fuzz
 
@@ -58,28 +55,6 @@ class PlantedSteeringBug(FifoDispatchSteering):
         return placement
 
 
-class PlantedPortArbiterBug(PortsLimitedRegfile):
-    """A read-port arbiter that never releases claimed ports.
-
-    ``new_cycle`` -- the per-cycle budget replenishment -- is a no-op,
-    so every read permanently consumes ports and issue eventually
-    starves: the classic leaked-resource arbiter bug.  The pipeline's
-    no-forward-progress guard turns the ensuing deadlock into a
-    failure the fuzzer reports and minimizes.
-    """
-
-    def reset(self) -> None:
-        # Grant the initial budget once per run (the correct model
-        # re-grants it every cycle).
-        ports = self.read_ports
-        budget = self.budget
-        for cluster in range(len(budget)):
-            budget[cluster] = ports
-
-    def new_cycle(self) -> None:
-        pass  # the planted leak: claimed ports are never freed
-
-
 @dataclass
 class SelfTestResult:
     """Outcome of one planted-bug run."""
@@ -88,6 +63,19 @@ class SelfTestResult:
     detected: bool
     minimized_instructions: int | None
     reproducer: Path | None
+
+
+def _result(report: FuzzReport) -> SelfTestResult:
+    """Summarize a planted-bug fuzz report."""
+    minimized = [f for f in report.failures if f.reproducer is not None]
+    return SelfTestResult(
+        report=report,
+        detected=bool(report.failures),
+        minimized_instructions=(
+            minimized[0].minimized_instructions if minimized else None
+        ),
+        reproducer=minimized[0].reproducer if minimized else None,
+    )
 
 
 def run_selftest(
@@ -123,15 +111,36 @@ def run_selftest(
         )
     finally:
         pipeline_mod.FifoDispatchSteering = original
-    minimized = [f for f in report.failures if f.reproducer is not None]
-    return SelfTestResult(
-        report=report,
-        detected=bool(report.failures),
-        minimized_instructions=(
-            minimized[0].minimized_instructions if minimized else None
-        ),
-        reproducer=minimized[0].reproducer if minimized else None,
-    )
+    return _result(report)
+
+
+def _run_planted_compile(
+    planted: str, cases: int, seed: int, repro_dir: str | Path,
+    max_minimized: int, shapes: tuple[str, ...],
+) -> SelfTestResult:
+    """Fuzz ``shapes`` with the compiler knob set to ``planted``.
+
+    The knob is part of the compile-cache key and the cache is cleared
+    on both sides of the patch, so sabotaged runners can never leak
+    into (or survive from) clean runs.
+    """
+    compile_mod.clear_compile_cache()
+    original = compile_mod._PLANTED_BUG
+    compile_mod._PLANTED_BUG = planted
+    try:
+        report = run_fuzz(
+            cases=cases,
+            seed=seed,
+            jobs=1,  # the patch is process-local
+            repro_dir=repro_dir,
+            only_shapes=shapes,
+            minimize=True,
+            max_minimized=max_minimized,
+        )
+    finally:
+        compile_mod._PLANTED_BUG = original
+        compile_mod.clear_compile_cache()
+    return _result(report)
 
 
 def run_compile_selftest(
@@ -140,41 +149,16 @@ def run_compile_selftest(
     repro_dir: str | Path = "repros-selftest",
     max_minimized: int = 1,
 ) -> SelfTestResult:
-    """Plant the constant-folding bug, fuzz compiled shapes, report.
+    """Plant the constant-folding bug, fuzz the baseline, report.
 
-    :data:`repro.uarch.compile._PLANTED_BUG` is set to
-    ``"load_hit_fold"`` for the duration: every runner generated while
-    it is set folds the load-miss latency to the hit latency.  The
-    knob is part of the compile-cache key and the cache is cleared on
-    both sides of the patch, so sabotaged runners can never leak into
-    (or survive from) clean runs.  Sampling is restricted to the
-    ``baseline`` registry shape -- the compiler's home turf -- and the
-    bug must surface as a compiled/fast SimStats divergence.
+    :data:`repro.uarch.compile._PLANTED_BUG` is ``"load_hit_fold"``
+    for the duration: every runner generated while it is set folds the
+    load-miss latency to the hit latency.  The bug must surface as a
+    compiled/reference SimStats divergence.
     """
-    compile_mod.clear_compile_cache()
-    original = compile_mod._PLANTED_BUG
-    compile_mod._PLANTED_BUG = "load_hit_fold"
-    try:
-        report = run_fuzz(
-            cases=cases,
-            seed=seed,
-            jobs=1,  # the patch is process-local
-            repro_dir=repro_dir,
-            only_shapes=("baseline",),
-            minimize=True,
-            max_minimized=max_minimized,
-        )
-    finally:
-        compile_mod._PLANTED_BUG = original
-        compile_mod.clear_compile_cache()
-    minimized = [f for f in report.failures if f.reproducer is not None]
-    return SelfTestResult(
-        report=report,
-        detected=bool(report.failures),
-        minimized_instructions=(
-            minimized[0].minimized_instructions if minimized else None
-        ),
-        reproducer=minimized[0].reproducer if minimized else None,
+    return _run_planted_compile(
+        "load_hit_fold", cases, seed, repro_dir, max_minimized,
+        ("baseline",),
     )
 
 
@@ -186,33 +170,11 @@ def run_port_selftest(
 ) -> SelfTestResult:
     """Plant the port-arbiter bug, fuzz ports_limited machines, report.
 
-    The ``ports_limited`` entry of
-    :data:`repro.uarch.regfile_model.REGFILE_REGISTRY` is swapped for
-    :class:`PlantedPortArbiterBug` for the duration (simulators look
-    the strategy up at construction time, so the swap takes effect
-    immediately) and sampling is restricted to the ``ports_limited``
+    :data:`repro.uarch.compile._PLANTED_BUG` is ``"port_leak"`` for
+    the duration, and sampling is restricted to the ``ports_limited``
     registry shape so every case exercises the sabotaged arbiter.
     """
-    original = regfile_mod.REGFILE_REGISTRY["ports_limited"]
-    regfile_mod.REGFILE_REGISTRY["ports_limited"] = PlantedPortArbiterBug
-    try:
-        report = run_fuzz(
-            cases=cases,
-            seed=seed,
-            jobs=1,  # the patch is process-local
-            repro_dir=repro_dir,
-            only_shapes=("ports_limited",),
-            minimize=True,
-            max_minimized=max_minimized,
-        )
-    finally:
-        regfile_mod.REGFILE_REGISTRY["ports_limited"] = original
-    minimized = [f for f in report.failures if f.reproducer is not None]
-    return SelfTestResult(
-        report=report,
-        detected=bool(report.failures),
-        minimized_instructions=(
-            minimized[0].minimized_instructions if minimized else None
-        ),
-        reproducer=minimized[0].reproducer if minimized else None,
+    return _run_planted_compile(
+        "port_leak", cases, seed, repro_dir, max_minimized,
+        ("ports_limited",),
     )

@@ -20,10 +20,11 @@ from repro.uarch.scheduler import supports_reference
 #: the strategy-conformance harness.
 ALL_MACHINES = dict(MACHINE_REGISTRY)
 
-#: The shapes the frozen reference model covers (classic schedulers,
-#: unlimited regfile): the fast-vs-reference equivalence sweep runs
-#: exactly these -- derived from the same predicate the fuzzer uses,
-#: so the two can never disagree about what the reference models.
+#: The shapes the frozen reference model covers (all of them, now that
+#: it carries plain forms of every strategy hook): the
+#: compiled-vs-reference equivalence sweep runs exactly these --
+#: derived from the same predicate the fuzzer once used, so the two
+#: can never disagree about what the reference models.
 REFERENCE_MACHINES = {
     name: factory
     for name, factory in MACHINE_REGISTRY.items()

@@ -3,13 +3,12 @@
 ``repro.uarch.compile`` turns one frozen :class:`MachineConfig` into
 an ``exec``-compiled flat run function.  These tests pin the parts
 the equivalence matrix (tests/test_fast_reference_equivalence.py)
-does not: the compile cache's key sensitivity and trust-nothing
-loads (mirroring the campaign ``ResultCache`` audits in
-tests/test_campaign.py), the graceful-fallback contract of
-``simulate(..., mode="compiled")``, the planted miscompilation knobs
-the fuzzer self-test relies on, and -- satellite: the
-no-forward-progress guard must fire *inside* compiled step functions,
-with the interpreter's exact message shapes.
+does not: coverage of every valid config (no fallback path), the
+compile cache's key sensitivity and trust-nothing loads (mirroring
+the campaign ``ResultCache`` audits in tests/test_campaign.py), the
+planted miscompilation knobs the fuzzer self-test relies on, and the
+no-forward-progress guard, which must fire *inside* compiled step
+functions with the reference model's exact message shapes.
 """
 
 import pytest
@@ -39,8 +38,15 @@ def fresh_compile_cache():
     compile_mod.clear_compile_cache()
 
 
+def _forged(config, **fields):
+    """A config carrying field values the validator would reject."""
+    for name, value in fields.items():
+        object.__setattr__(config, name, value)
+    return config
+
+
 class TestSupportsCompile:
-    """The supported family is exactly the single-window machines."""
+    """Every valid config compiles; only forged ones are refused."""
 
     def test_registry_coverage(self):
         supported = {
@@ -48,25 +54,41 @@ class TestSupportsCompile:
             for name, factory in MACHINE_REGISTRY.items()
             if supports_compile(factory())
         }
-        assert supported == {"baseline", "ports_limited"}
+        assert supported == set(MACHINE_REGISTRY)
+
+    def test_sampled_configs_compile(self):
+        import random
+
+        from repro.verify.sampler import sample_machine
+
+        rng = random.Random(7)
+        for _ in range(200):
+            _shape, config = sample_machine(rng)
+            assert supports_compile(config), config
 
     def test_generate_source_rejects_unsupported_shapes(self):
-        from repro.core.machines import clustered_dependence_8way
-
+        forged = _forged(baseline_8way(), scheduler="oracle")
         with pytest.raises(ValueError, match="cannot compile"):
-            generate_source(clustered_dependence_8way())
+            generate_source(forged)
 
     def test_compiled_runner_rejects_unsupported_shapes(self):
         from repro.core.machines import dependence_based_8way
 
+        forged = _forged(dependence_based_8way(), regfile="infinite")
+        assert not supports_compile(forged)
         with pytest.raises(ValueError, match="cannot compile"):
-            compiled_runner(dependence_based_8way())
+            generate_source(forged)
 
     def test_source_is_a_flat_function(self):
         source = generate_source(baseline_8way())
         assert "def _compiled_run(sim, max_cycles):" in source
         # Constants are folded: the generated body never consults the
         # config object at run time.
+        assert "sim.config" not in source
+
+    @pytest.mark.parametrize("shape", sorted(MACHINE_REGISTRY))
+    def test_every_shape_folds_its_config(self, shape):
+        source = generate_source(MACHINE_REGISTRY[shape]())
         assert "sim.config" not in source
 
 
@@ -177,14 +199,13 @@ class TestCompileCache:
             "cached_runners": 0,
         }
 
-    def test_fallback_is_counted(self):
+    def test_clustered_shape_compiles_without_fallback(self):
         from repro.core.machines import clustered_dependence_8way
 
         trace = get_trace("li", LENGTH)
         simulate(clustered_dependence_8way(), trace, mode="compiled")
-        assert compile_cache_stats()["fallbacks"] == 1
-        # ...and nothing was compiled for the unsupported shape.
-        assert compile_cache_stats()["compiles"] == 0
+        assert compile_cache_stats()["fallbacks"] == 0
+        assert compile_cache_stats()["compiles"] == 1
 
     def test_cached_source_is_kept_for_inspection(self):
         compiled_runner(baseline_8way())
@@ -197,7 +218,7 @@ class TestSimulateModes:
     """The mode switch on the public simulate() entry point."""
 
     def test_mode_tuple(self):
-        assert SIMULATE_MODES == ("reference", "fast", "compiled")
+        assert SIMULATE_MODES == ("reference", "compiled")
 
     def test_unknown_mode_rejected(self):
         trace = get_trace("li", LENGTH)
@@ -205,10 +226,12 @@ class TestSimulateModes:
             simulate(baseline_8way(), trace, mode="jit")
 
     def test_compiled_mode_matches_fast(self):
+        """The default (compiled) mode is the fast path; it matches
+        the reference model."""
         trace = get_trace("li", LENGTH)
-        fast = simulate(baseline_8way(), trace).to_dict()
-        compiled = simulate(baseline_8way(), trace, mode="compiled").to_dict()
-        assert compiled == fast
+        reference = simulate(baseline_8way(), trace, mode="reference")
+        compiled = simulate(baseline_8way(), trace).to_dict()
+        assert compiled == reference.to_dict()
 
 
 class TestPlantedCompilerBug:
@@ -218,14 +241,14 @@ class TestPlantedCompilerBug:
         monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "load_hit_fold")
         trace = get_trace("gcc", LENGTH)
         bugged = run_compiled(PipelineSimulator(baseline_8way(), trace))
-        fast = PipelineSimulator(baseline_8way(), trace).run()
-        assert bugged.to_dict() != fast.to_dict()
+        reference = simulate(baseline_8way(), trace, mode="reference")
+        assert bugged.to_dict() != reference.to_dict()
 
     def test_clean_compiler_does_not_diverge(self):
         trace = get_trace("gcc", LENGTH)
         clean = run_compiled(PipelineSimulator(baseline_8way(), trace))
-        fast = PipelineSimulator(baseline_8way(), trace).run()
-        assert clean.to_dict() == fast.to_dict()
+        reference = simulate(baseline_8way(), trace, mode="reference")
+        assert clean.to_dict() == reference.to_dict()
 
     def test_selftest_catches_and_minimizes(self, tmp_path):
         from repro.verify.selftest import run_compile_selftest
@@ -243,9 +266,9 @@ class TestPlantedCompilerBug:
 
 
 class TestCompiledProgressGuard:
-    """Satellite: the no-forward-progress guard fires *inside* the
-    compiled step function -- a deadlocking port-budget shape must
-    raise the interpreter's exact message shapes, not hang."""
+    """The no-forward-progress guard fires *inside* the compiled step
+    function -- a deadlocking port-budget shape must raise the
+    reference model's exact message shapes, not hang."""
 
     def test_guard_fires_with_cycle_skip(self, monkeypatch):
         monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "port_leak")

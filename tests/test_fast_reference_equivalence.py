@@ -1,22 +1,20 @@
-"""The optimized and compiled simulators are pinned to the oracle.
+"""The compiled pipeline is pinned to the oracle.
 
-Three models, one contract.  ``repro.uarch.pipeline`` (pre-analysis
-arrays, inlined hot paths, cycle skipping) must produce
+Two models, one contract.  The per-config compiled pipeline
+(``repro.uarch.compile``, what ``PipelineSimulator.run`` and
+``simulate(..., mode="compiled")`` execute) must produce
 **byte-identical** ``SimStats`` to ``repro.uarch.pipeline_reference``
--- the seed implementation kept verbatim as the oracle -- and the
-per-config compiled pipeline (``repro.uarch.compile``, reached via
-``simulate(..., mode="compiled")``) must in turn be byte-identical to
-the fast interpreter on every registered shape, whether it genuinely
-compiles or falls back.  These tests sweep every machine shape times
-every workload and compare the full serialised stats dict, not just
-IPC: any divergence in stall attribution, histograms, occupancy, or
-bypass counts fails.
+-- the readable model kept as the oracle -- on every registered
+machine shape.  These tests sweep every shape times every workload
+and compare the full serialised stats dict, not just IPC: any
+divergence in stall attribution, histograms, occupancy, or bypass
+counts fails.  Per-instruction timing arrays and event timelines are
+compared too.
 
-The cycle-skipping machinery gets its own checks, in both the
-interpreted and compiled models: skipping must not change the
-event-tracer timeline (idle cycles emit no events, so the streams are
-comparable element by element) and must replicate per-cause stall
-totals exactly.
+The cycle-skipping machinery gets its own checks: skipping must not
+change the event-tracer timeline (idle cycles emit no events, so the
+streams are comparable element by element) and must replicate
+per-cause stall totals exactly.
 """
 
 import pytest
@@ -49,6 +47,12 @@ STRATEGY_MACHINES = subset("load_tracking", "ports_limited")
 
 WORKLOADS = ("compress", "gcc", "go", "li", "m88ksim", "perl", "vortex")
 
+#: The per-instruction lifecycle arrays both models fill.
+TIMING_ARRAYS = (
+    "fetch_cycle", "dispatch_cycle", "issue_cycle", "complete_cycle",
+    "commit_cycle", "cluster_of",
+)
+
 
 def _diff(left: dict, right: dict) -> str:
     return str({k: (left.get(k), right.get(k))
@@ -56,51 +60,60 @@ def _diff(left: dict, right: dict) -> str:
                 if left.get(k) != right.get(k)})
 
 
+def _timeline(tracer):
+    return [
+        (e.cycle, e.kind, e.seq, e.cluster, e.detail, e.dur)
+        for e in tracer.events
+    ]
+
+
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_stats_byte_identical(machine, workload):
-    """Full SimStats dict equality, reference vs fast vs compiled."""
+    """Full SimStats dict equality and per-instruction timings,
+    compiled (cycle skip on and off) vs reference."""
     trace = get_trace(workload, LENGTH)
-    fast = simulate(MACHINES[machine](), trace).to_dict()
-    reference = simulate_reference(MACHINES[machine](), trace).to_dict()
-    compiled = simulate(MACHINES[machine](), trace, mode="compiled").to_dict()
-    assert fast == reference, (
-        f"optimized simulator diverged from reference on "
-        f"{machine}/{workload}: " + _diff(fast, reference)
-    )
-    assert compiled == fast, (
-        f"compiled simulator diverged from fast on "
-        f"{machine}/{workload}: " + _diff(compiled, fast)
-    )
+    reference = ReferencePipelineSimulator(MACHINES[machine](), trace)
+    expected = reference.run().to_dict()
+    for cycle_skip in (True, False):
+        compiled = PipelineSimulator(
+            MACHINES[machine](), trace, cycle_skip=cycle_skip
+        )
+        got = compiled.run().to_dict()
+        assert got == expected, (
+            f"compiled simulator (cycle_skip={cycle_skip}) diverged from "
+            f"reference on {machine}/{workload}: " + _diff(got, expected)
+        )
+        for name in TIMING_ARRAYS:
+            assert getattr(compiled, name) == getattr(reference, name), name
 
 
 @pytest.mark.parametrize("machine", sorted(STRATEGY_MACHINES))
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_compiled_matches_fast_beyond_reference(machine, workload):
-    """The strategy shapes are pinned to the reference's plain forms
-    of the load-delay-tracking hold and the read-port budget, in both
-    the fast and the compiled model."""
+    """The strategy shapes' codegen branches (the load-delay-tracking
+    hold, the read-port budget) emit the reference's exact event
+    timeline, not just its totals."""
     trace = get_trace(workload, LENGTH)
     factory = STRATEGY_MACHINES[machine]
-    reference = simulate_reference(factory(), trace).to_dict()
-    fast = simulate(factory(), trace).to_dict()
-    compiled = simulate(factory(), trace, mode="compiled").to_dict()
-    assert fast == reference, (
-        f"optimized simulator diverged from reference on "
-        f"{machine}/{workload}: " + _diff(fast, reference)
-    )
-    assert compiled == reference, (
+    ref_tracer = EventTracer(capacity=None)
+    compiled_tracer = EventTracer(capacity=None)
+    reference = simulate_reference(factory(), trace, tracer=ref_tracer)
+    compiled = simulate(factory(), trace, tracer=compiled_tracer)
+    assert compiled.to_dict() == reference.to_dict(), (
         f"compiled simulator diverged from reference on "
-        f"{machine}/{workload}: " + _diff(compiled, reference)
+        f"{machine}/{workload}: "
+        + _diff(compiled.to_dict(), reference.to_dict())
     )
+    assert _timeline(compiled_tracer) == _timeline(ref_tracer)
 
 
-def test_simulate_fast_false_escape_hatch():
-    """``simulate(..., fast=False)`` routes to the reference model."""
+def test_simulate_reference_mode_escape_hatch():
+    """``simulate(..., mode="reference")`` routes to the reference."""
     trace = get_trace("gcc", LENGTH)
-    via_flag = simulate(baseline_8way(), trace, fast=False)
+    via_mode = simulate(baseline_8way(), trace, mode="reference")
     direct = simulate_reference(baseline_8way(), trace)
-    assert via_flag.to_dict() == direct.to_dict()
+    assert via_mode.to_dict() == direct.to_dict()
 
 
 def test_cycle_skip_off_matches_on():
@@ -131,17 +144,13 @@ def test_cycle_skip_engages_on_long_stalls():
 
 
 class TestTracedEquivalence:
-    """Cycle skipping under tracing (satellite: tracer timelines)."""
+    """Cycle skipping under tracing (tracer timelines)."""
 
-    @pytest.mark.parametrize("machine", ["baseline", "dependence", "clustered"])
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
     def test_event_timeline_identical(self, machine):
         trace = get_trace("li", LENGTH)
-        fast_tracer = EventTracer(capacity=None)
         ref_tracer = EventTracer(capacity=None)
         compiled_tracer = EventTracer(capacity=None)
-        fast_stats = PipelineSimulator(
-            MACHINES[machine](), trace, tracer=fast_tracer
-        ).run()
         ref_stats = ReferencePipelineSimulator(
             MACHINES[machine](), trace, tracer=ref_tracer
         ).run()
@@ -149,59 +158,42 @@ class TestTracedEquivalence:
             MACHINES[machine](), trace, mode="compiled",
             tracer=compiled_tracer,
         )
-        assert fast_stats.to_dict() == ref_stats.to_dict()
-        assert compiled_stats.to_dict() == fast_stats.to_dict()
-
-        def timeline(tracer):
-            return [
-                (e.cycle, e.kind, e.seq, e.cluster, e.detail, e.dur)
-                for e in tracer.events
-            ]
-
-        assert timeline(fast_tracer) == timeline(ref_tracer)
-        assert timeline(compiled_tracer) == timeline(ref_tracer)
+        assert compiled_stats.to_dict() == ref_stats.to_dict()
+        assert _timeline(compiled_tracer) == _timeline(ref_tracer)
 
     def test_compiled_timeline_on_ports_limited(self):
-        """A genuinely compiled (not fallen-back) traced run on a
-        shape outside the reference's coverage."""
+        """A traced, cycle-skipping run of a strategy shape."""
         trace = get_trace("li", LENGTH)
         assert supports_compile(ports_limited_8way())
-        fast_tracer = EventTracer(capacity=None)
+        ref_tracer = EventTracer(capacity=None)
         compiled_tracer = EventTracer(capacity=None)
-        fast_stats = PipelineSimulator(
-            ports_limited_8way(), trace, tracer=fast_tracer
-        ).run()
+        ref_stats = simulate_reference(
+            ports_limited_8way(), trace, tracer=ref_tracer
+        )
         compiled_stats = simulate(
             ports_limited_8way(), trace, mode="compiled",
             tracer=compiled_tracer,
         )
-        assert compiled_stats.to_dict() == fast_stats.to_dict()
-        fast_events = [
-            (e.cycle, e.kind, e.seq, e.cluster, e.detail, e.dur)
-            for e in fast_tracer.events
-        ]
-        compiled_events = [
-            (e.cycle, e.kind, e.seq, e.cluster, e.detail, e.dur)
-            for e in compiled_tracer.events
-        ]
-        assert compiled_events == fast_events
+        assert compiled_stats.to_dict() == ref_stats.to_dict()
+        assert _timeline(compiled_tracer) == _timeline(ref_tracer)
 
     def test_per_cause_stall_totals_identical(self):
         trace = get_trace("go", LENGTH)
-        fast = PipelineSimulator(baseline_8way(), trace)
-        fast_stats = fast.run()
+        compiled = PipelineSimulator(baseline_8way(), trace)
+        compiled_stats = compiled.run()
         ref_stats = ReferencePipelineSimulator(baseline_8way(), trace).run()
-        assert fast_stats.stall_cycles == ref_stats.stall_cycles
-        assert fast_stats.dispatch_stalls == ref_stats.dispatch_stalls
-        assert fast_stats.issue_histogram == ref_stats.issue_histogram
+        assert compiled_stats.stall_cycles == ref_stats.stall_cycles
+        assert compiled_stats.dispatch_stalls == ref_stats.dispatch_stalls
+        assert compiled_stats.issue_histogram == ref_stats.issue_histogram
         # The skipped cycles are inside the total, not on top of it.
-        assert fast_stats.cycles == ref_stats.cycles
+        assert compiled_stats.cycles == ref_stats.cycles
+        assert compiled.skipped_cycles > 0
 
 
 def test_compiled_cycle_skip_off_matches_on():
     """The compiled variants replicate the fast-forward exactly: a
     stepping compiled run equals a skipping one, and both equal the
-    interpreter."""
+    reference."""
     trace = get_trace("li", LENGTH)
     skipping = PipelineSimulator(baseline_8way(), trace, cycle_skip=True)
     stepping = PipelineSimulator(baseline_8way(), trace, cycle_skip=False)
@@ -212,47 +204,42 @@ def test_compiled_cycle_skip_off_matches_on():
         "expected the compiled skipper to engage on this workload"
     )
     assert stepping.skipped_cycles == 0
-    assert skip_stats.to_dict() == simulate(baseline_8way(), trace).to_dict()
+    assert skip_stats.to_dict() == (
+        simulate_reference(baseline_8way(), trace).to_dict()
+    )
 
 
 def test_compiled_backpressure_shape():
     """A tiny window forces backpressure inside the compiled step
-    function; the stall partition must still match the interpreter."""
+    function; the stall partition must still match the reference."""
     trace = get_trace("compress", LENGTH)
     config = baseline_8way(window_size=4)
     assert supports_compile(config)
     stats = run_compiled(PipelineSimulator(config, trace))
     stats.validate()
-    fast = PipelineSimulator(baseline_8way(window_size=4), trace).run()
-    assert stats.to_dict() == fast.to_dict()
+    reference = simulate_reference(baseline_8way(window_size=4), trace)
+    assert stats.to_dict() == reference.to_dict()
 
 
 def test_compiled_per_instruction_timings_identical():
     """The compiled pipeline fills the same per-instruction lifecycle
-    arrays the interpreter does, element for element."""
+    arrays the reference does, element for element."""
     trace = get_trace("gcc", LENGTH)
     compiled = PipelineSimulator(ports_limited_8way(), trace)
     run_compiled(compiled)
-    fast = PipelineSimulator(ports_limited_8way(), trace)
-    fast.run()
-    assert compiled.fetch_cycle == fast.fetch_cycle
-    assert compiled.dispatch_cycle == fast.dispatch_cycle
-    assert compiled.issue_cycle == fast.issue_cycle
-    assert compiled.complete_cycle == fast.complete_cycle
-    assert compiled.commit_cycle == fast.commit_cycle
-    assert compiled.cluster_of == fast.cluster_of
+    reference = ReferencePipelineSimulator(ports_limited_8way(), trace)
+    reference.run()
+    for name in TIMING_ARRAYS:
+        assert getattr(compiled, name) == getattr(reference, name), name
 
 
 def test_per_instruction_timings_identical():
-    """Not just aggregates: per-instruction lifecycle cycles match."""
+    """Not just aggregates: per-instruction lifecycle cycles match on
+    the paper's clustered dependence-based machine."""
     trace = get_trace("gcc", LENGTH)
-    fast = PipelineSimulator(clustered_dependence_8way(), trace)
-    fast.run()
+    compiled = PipelineSimulator(clustered_dependence_8way(), trace)
+    compiled.run()
     reference = ReferencePipelineSimulator(clustered_dependence_8way(), trace)
     reference.run()
-    assert fast.fetch_cycle == reference.fetch_cycle
-    assert fast.dispatch_cycle == reference.dispatch_cycle
-    assert fast.issue_cycle == reference.issue_cycle
-    assert fast.complete_cycle == reference.complete_cycle
-    assert fast.commit_cycle == reference.commit_cycle
-    assert fast.cluster_of == reference.cluster_of
+    for name in TIMING_ARRAYS:
+        assert getattr(compiled, name) == getattr(reference, name), name

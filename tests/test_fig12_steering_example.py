@@ -18,6 +18,7 @@ builds and the issue schedule.
 import pytest
 
 from repro.isa import assemble, run_to_trace
+from repro.obs.events import EventKind, EventTracer
 from repro.uarch.config import (
     CacheConfig,
     ClusterConfig,
@@ -72,16 +73,16 @@ def figure12_machine() -> MachineConfig:
 def simulated():
     trace = run_to_trace(assemble(FIGURE12))
     assert len(trace) == 15
-    simulator = PipelineSimulator(figure12_machine(), trace)
-    placements: dict[int, tuple[int, int]] = {}
-    original = simulator._apply_placement
-
-    def recording(seq, placement):
-        placements[seq] = (placement.cluster, placement.fifo)
-        original(seq, placement)
-
-    simulator._apply_placement = recording
+    tracer = EventTracer(capacity=None)
+    simulator = PipelineSimulator(figure12_machine(), trace, tracer=tracer)
     simulator.run()
+    # Each steering decision: its cluster, and the FIFO named first in
+    # the detail ("fifo=<index> <rule>").
+    placements: dict[int, tuple[int, int]] = {}
+    for event in tracer.events:
+        if event.kind is EventKind.STEER:
+            fifo = int(event.detail.split()[0][len("fifo="):])
+            placements[event.seq] = (event.cluster, fifo)
     return simulator, placements
 
 

@@ -3,7 +3,7 @@
 from repro.core.machines import baseline_8way
 from repro.obs import ProfileReport, profile_simulation
 from repro.obs.events import EventTracer
-from repro.obs.profiling import STAGE_METHODS, profile_run
+from repro.obs.profiling import STAGE_LABELS, profile_run
 from repro.uarch.pipeline import simulate
 from repro.workloads import get_trace
 
@@ -22,9 +22,7 @@ class TestProfileSimulation:
         stats, report = profile_simulation(
             baseline_8way(), get_trace("gcc", 1_500)
         )
-        assert set(report.stage_seconds) == {
-            label for _, label in STAGE_METHODS
-        }
+        assert set(report.stage_seconds) == set(STAGE_LABELS)
         assert all(v >= 0 for v in report.stage_seconds.values())
         assert sum(report.stage_seconds.values()) <= report.wall_seconds
 
@@ -47,18 +45,29 @@ class TestProfileSimulation:
         _, report = profile_simulation(baseline_8way(), get_trace("li", 800))
         text = report.format_report()
         assert isinstance(report, ProfileReport)
-        for _, label in STAGE_METHODS:
+        for label in STAGE_LABELS:
             assert label in text
         assert "instructions/s" in text
 
     def test_instrumentation_does_not_leak(self):
-        """Profiling patches bound methods on one instance only."""
+        """Profiling compiles its own runner variant; the unprofiled
+        variant carries no probe code and a fresh simulator is not
+        profiled."""
+        from repro.uarch import compile as compile_mod
         from repro.uarch.pipeline import PipelineSimulator
 
         profile_simulation(baseline_8way(), get_trace("li", 500))
         fresh = PipelineSimulator(baseline_8way(), get_trace("li", 500))
-        assert "_fetch" not in vars(fresh)
+        assert fresh.stage_times is None
         assert fresh.run().committed == 500
+        profiled = compile_mod.generate_source(baseline_8way(), profiled=True)
+        plain = compile_mod.generate_source(baseline_8way())
+        assert "clock()" in profiled and "stage_t" in profiled
+        assert "clock" not in plain and "stage_t" not in plain
+        key = compile_mod.compile_cache_key
+        assert key(baseline_8way(), False, True, True) != (
+            key(baseline_8way(), False, True)
+        )
 
 
 class TestProfileRun:

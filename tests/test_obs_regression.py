@@ -21,16 +21,16 @@ from repro.obs.regression import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def sim_payload(fast=50_000, reference=20_000, fast_floor=30_000,
+def sim_payload(fast=150_000, reference=20_000, fast_floor=60_000,
                 seed_floor=10_000):
     return {
         "kind": "repro-simulator-bench",
         "measured": {
-            "baseline_8way/gcc": fast,
+            "baseline_8way/gcc (compiled)": fast,
             "baseline_8way/gcc (reference)": reference,
         },
         "recorded": {
-            "min_rate_floor": fast_floor,
+            "compiled_min_rate_floor": fast_floor,
             "seed_min_rate_floor": seed_floor,
         },
     }
@@ -44,18 +44,24 @@ class TestSimulatorFloor:
         findings = check_simulator_bench(sim_payload(fast=10_000))
         (finding,) = findings
         assert finding.source == "floor"
-        assert "baseline_8way/gcc" in finding.subject
+        assert "baseline_8way/gcc (compiled)" in finding.subject
         assert finding.measured == 10_000.0
-        assert finding.reference == 30_000.0
+        assert finding.reference == 60_000.0
 
     def test_reference_label_uses_seed_floor(self):
-        # 20k clears the 30k fast floor only because "(reference)"
-        # labels route to the (lower) seed floor.
+        # 20k clears nothing but the seed floor: "(reference)" labels
+        # route to the (lower) seed floor, not the compiled one.
         assert check_simulator_bench(sim_payload(reference=20_000)) == []
         findings = check_simulator_bench(sim_payload(reference=5_000))
         (finding,) = findings
         assert "(reference)" in finding.subject
         assert finding.reference == 10_000.0
+
+    def test_unlabelled_rows_use_compiled_floor(self):
+        payload = sim_payload()
+        payload["measured"]["clustered_dependence_8way/gcc"] = 50_000
+        (finding,) = check_simulator_bench(payload)
+        assert finding.reference == 60_000.0
 
     def test_missing_floors_are_not_findings(self):
         payload = sim_payload()
@@ -168,7 +174,7 @@ class TestBenchCli:
             shutil.copy(REPO_ROOT / name, bench_dir / name)
         payload = json.loads(
             (bench_dir / "BENCH_simulator.json").read_text())
-        payload["recorded"]["min_rate_floor"] = 10 ** 9
+        payload["recorded"]["compiled_min_rate_floor"] = 10 ** 9
         (bench_dir / "BENCH_simulator.json").write_text(json.dumps(payload))
 
         code = main(["bench", "--check", "--bench-dir", str(bench_dir)])

@@ -5,6 +5,7 @@ makes, on real workloads."""
 import pytest
 
 from repro.core.machines import clustered_dependence_8way, dependence_based_8way
+from repro.obs.events import EventKind, EventTracer
 from repro.uarch.depend import NO_PRODUCER, dependence_info
 from repro.uarch.pipeline import PipelineSimulator
 from repro.uarch.src_fifo import SrcFifoEntry, SrcFifoTable
@@ -79,42 +80,40 @@ class TestTableSemantics:
 def test_equivalence_with_pipeline_bookkeeping(factory, workload):
     """Property (Section 5): at every dispatch, SRC_FIFO(src) agrees
     with the pipeline's producer-resident-in-FIFO map -- so the table
-    is a faithful implementation of the steering query."""
+    is a faithful implementation of the steering query.  The map is
+    replayed from the compiled runner's own STEER (enter a FIFO) and
+    ISSUE (leave it) events, in the order the pipeline acted."""
     trace = get_trace(workload, 1_500)
     info = dependence_info(trace)
-    simulator = PipelineSimulator(factory(), trace)
+    tracer = EventTracer(capacity=None)
+    simulator = PipelineSimulator(factory(), trace, tracer=tracer)
+    simulator.run()
     table = SrcFifoTable()
+    fifo_of: dict[int, tuple[int, int]] = {}
     mismatches = []
     checks = 0
-
-    original_place = simulator._apply_placement
-    original_issue = simulator._issue_one
-
-    def checking_place(seq, placement):
-        nonlocal checks
+    for event in tracer.events:
+        seq = event.seq
         inst = simulator.insts[seq]
-        # Check the steering query BEFORE this instruction updates
-        # the table (the hardware reads SRC_FIFO during rename).
-        for src, producer in zip(inst.srcs, info.producers[seq]):
-            entry = table.lookup(src)
-            expected = (
-                simulator.fifo_of.get(producer)
-                if producer != NO_PRODUCER
-                else None
-            )
-            got = (entry.cluster, entry.fifo) if entry is not None else None
-            checks += 1
-            if got != expected:
-                mismatches.append((seq, src, got, expected))
-        original_place(seq, placement)
-        table.on_dispatch(seq, inst.dest, placement.cluster, placement.fifo)
-
-    def checking_issue(seq, cluster, fifo_index):
-        original_issue(seq, cluster, fifo_index)
-        table.on_issue(seq, simulator.insts[seq].dest)
-
-    simulator._apply_placement = checking_place
-    simulator._issue_one = checking_issue
-    simulator.run()
+        if event.kind is EventKind.STEER:
+            # Check the steering query BEFORE this instruction updates
+            # the table (the hardware reads SRC_FIFO during rename).
+            for src, producer in zip(inst.srcs, info.producers[seq]):
+                entry = table.lookup(src)
+                expected = (
+                    fifo_of.get(producer) if producer != NO_PRODUCER
+                    else None
+                )
+                got = (entry.cluster, entry.fifo) if entry is not None else None
+                checks += 1
+                if got != expected:
+                    mismatches.append((seq, src, got, expected))
+            fifo = int(event.detail.split()[0][len("fifo="):])
+            fifo_of[seq] = (event.cluster, fifo)
+            table.on_dispatch(seq, inst.dest, event.cluster, fifo)
+        elif event.kind is EventKind.ISSUE:
+            fifo_of.pop(seq, None)
+            table.on_issue(seq, inst.dest)
+    assert not fifo_of and not any(simulator.fifo_of)
     assert checks > 500
     assert not mismatches, mismatches[:5]

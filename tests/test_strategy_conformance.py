@@ -1,10 +1,8 @@
 """Strategy conformance harness.
 
-The scheduler/regfile strategy refactor lets a machine shape swap its
-issue logic or register-file model without touching the pipeline.
-That flexibility is only safe if every strategy -- including ones the
-frozen reference model does *not* cover -- obeys the same contract.
-This suite pins that contract for all registered shapes:
+The scheduler/regfile strategies let a machine shape swap its issue
+logic or register-file model.  That flexibility is only safe if every
+strategy obeys the same contract.  This suite pins that contract:
 
 * ``SimStats`` schema validity and the stall-cycle partition
   (attribution sums to ``cycles``) on every workload;
@@ -14,11 +12,11 @@ This suite pins that contract for all registered shapes:
   simulator commits exactly that stream, in order, within the retire
   width;
 * bit-level determinism (same config + trace -> identical stats);
-* byte-identical behaviour of the ``conventional`` and
-  ``fifo_steering`` strategies against the frozen reference (the full
-  8x7 sweep lives in ``test_fast_reference_equivalence``; this is the
-  conformance-level re-assertion);
-* behavioural direction checks for the post-reference strategies --
+* byte-identical behaviour of every registered shape against the
+  frozen reference (the full 10x7 sweep lives in
+  ``test_fast_reference_equivalence``; this is the conformance-level
+  re-assertion);
+* behavioural direction checks for the two strategy shapes --
   read-port starvation can only lower IPC, load-delay mispredictions
   can only delay issue -- plus the degenerate-parameter identity:
   ``ports_limited`` with a full complement of ports is behaviourally
@@ -86,9 +84,9 @@ class TestContract:
     def test_classic_strategies_match_reference(self, shape):
         trace = get_trace("m88ksim", LENGTH)
         config = REFERENCE_MACHINES[shape]()
-        fast = simulate(config, trace).to_dict()
+        compiled = simulate(config, trace).to_dict()
         reference = simulate_reference(config, trace).to_dict()
-        assert fast == reference
+        assert compiled == reference
 
 
 class TestPortsLimitedBehaviour:

@@ -3,9 +3,10 @@
 Covers case derivation (determinism, replay), the serial and parallel
 execution paths, budget handling, and the end-to-end planted-bug
 self-tests -- the proof that the fuzzer detects and minimizes both a
-steering bug (caught differentially against the reference) and a
-read-port arbiter bug (caught by the fast pipeline's own deadlock
-guard); acceptance: each reproducer at most 25 instructions.
+steering bug planted into the compiled pipeline (caught differentially
+against the reference) and a read-port arbiter bug planted through the
+compiler's ``port_leak`` knob (caught by the compiled runner's own
+deadlock guard); acceptance: each reproducer at most 25 instructions.
 """
 
 import pytest
@@ -115,6 +116,12 @@ class TestPlantedBug:
         assert selftest.detected
         assert not selftest.report.ok
 
+    def test_caught_as_compiled_reference_divergence(self, selftest):
+        first = selftest.report.failures[0]
+        assert any(
+            "compiled/reference SimStats diverge" in f for f in first.failures
+        )
+
     def test_reproducer_is_small(self, selftest):
         assert selftest.reproducer is not None
         assert selftest.minimized_instructions is not None
@@ -140,10 +147,10 @@ class TestPlantedBug:
 class TestPlantedPortArbiterBug:
     """The second planted bug: a leaked read-port budget.
 
-    The reference model does not cover ``ports_limited``, so the
-    fuzzer must catch this one without a differential oracle -- the
-    pipeline's no-forward-progress guard turns the deadlock into a
-    failure string, and the minimizer shrinks it like any other.
+    The compiler's ``port_leak`` knob hoists the per-cycle port grant
+    out of the cycle loop; the compiled runner's no-forward-progress
+    guard turns the resulting deadlock into a failure string, and the
+    minimizer shrinks it like any other.
     """
 
     @pytest.fixture(scope="class")
@@ -168,7 +175,7 @@ class TestPlantedPortArbiterBug:
         assert set(selftest.report.profile.shape_counts) == {"ports_limited"}
 
     def test_reproducer_passes_once_bug_is_gone(self, selftest):
-        """The registry swap is restored before returning, so the
+        """The compiler knob is restored before returning, so the
         emitted reproducer -- which reconstructs the ports_limited
         config, strategy fields included -- must pass against the
         healthy arbiter."""
@@ -179,10 +186,12 @@ class TestPlantedPortArbiterBug:
         ), namespace)
         namespace["test_reproducer"]()  # must not raise
 
-    def test_registry_is_restored(self):
+    def test_registry_is_restored(self, selftest):
+        from repro.uarch import compile as compile_mod
         from repro.uarch.regfile_model import (
             REGFILE_REGISTRY,
             PortsLimitedRegfile,
         )
 
         assert REGFILE_REGISTRY["ports_limited"] is PortsLimitedRegfile
+        assert compile_mod._PLANTED_BUG is None
