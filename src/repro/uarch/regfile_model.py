@@ -38,7 +38,7 @@ class RegfileStrategy:
     version = 1
 
     def __init__(self, sim: "PipelineSimulator"):
-        self.sim = sim
+        """Bind to one simulator (models read its config and trace)."""
 
 
 class UnlimitedRegfile(RegfileStrategy):
@@ -61,7 +61,6 @@ class PortsLimitedRegfile(RegfileStrategy):
     version = 1
 
     def __init__(self, sim: "PipelineSimulator"):
-        super().__init__(sim)
         read_ports = sim.config.regfile_read_ports
         #: Read-port demand per instruction (at most 2 in this ISA).
         self.reads = [len(inst.srcs) for inst in sim.insts]
