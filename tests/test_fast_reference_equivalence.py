@@ -70,22 +70,32 @@ def _timeline(tracer):
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_stats_byte_identical(machine, workload):
-    """Full SimStats dict equality and per-instruction timings,
-    compiled (cycle skip on and off) vs reference."""
+    """Full SimStats dict equality, per-instruction timings and event
+    timelines, compiled (cycle skip on and off, traced and untraced)
+    vs reference."""
     trace = get_trace(workload, LENGTH)
-    reference = ReferencePipelineSimulator(MACHINES[machine](), trace)
+    ref_tracer = EventTracer(capacity=None)
+    reference = ReferencePipelineSimulator(
+        MACHINES[machine](), trace, tracer=ref_tracer
+    )
     expected = reference.run().to_dict()
     for cycle_skip in (True, False):
-        compiled = PipelineSimulator(
-            MACHINES[machine](), trace, cycle_skip=cycle_skip
-        )
-        got = compiled.run().to_dict()
-        assert got == expected, (
-            f"compiled simulator (cycle_skip={cycle_skip}) diverged from "
-            f"reference on {machine}/{workload}: " + _diff(got, expected)
-        )
-        for name in TIMING_ARRAYS:
-            assert getattr(compiled, name) == getattr(reference, name), name
+        for traced in (False, True):
+            tracer = EventTracer(capacity=None) if traced else None
+            compiled = PipelineSimulator(
+                MACHINES[machine](), trace, tracer=tracer,
+                cycle_skip=cycle_skip,
+            )
+            got = compiled.run().to_dict()
+            assert got == expected, (
+                f"compiled simulator (cycle_skip={cycle_skip}, "
+                f"traced={traced}) diverged from reference on "
+                f"{machine}/{workload}: " + _diff(got, expected)
+            )
+            for name in TIMING_ARRAYS:
+                assert getattr(compiled, name) == getattr(reference, name), name
+            if traced:
+                assert _timeline(tracer) == _timeline(ref_tracer)
 
 
 @pytest.mark.parametrize("machine", sorted(STRATEGY_MACHINES))
