@@ -13,7 +13,12 @@ and the event-tracing overhead.
 ``COMPILED_MIN_RATE`` is the floor every compiled row must clear:
 twice ``MIN_RATE``, the floor of the hand-inlined interpreter the
 compiled pipeline replaced, so a compiled path that silently degrades
-to interpreter speed fails.  ``SEED_MIN_RATE`` holds the reference
+to interpreter speed fails.  On top of it each compiled row has its
+own floor in ``BENCH_simulator.json`` (``compiled_row_floors``: half
+the row's recorded interleaved median), so a 2x regression of any one
+shape fails; both are applied by
+:func:`repro.obs.regression.check_simulator_bench`, the same gate
+``repro bench --check`` runs.  ``SEED_MIN_RATE`` holds the reference
 model.  The tracing-disabled overhead guard keeps the untraced
 runner (which carries no probe code at all) at or above the compiled
 floor.
@@ -23,19 +28,31 @@ by the ``sim_bench_record`` fixture, next to the checked-in
 before/after record of the optimization passes.
 """
 
+from pathlib import Path
+
 from repro.core.machines import (
     baseline_8way,
     clustered_dependence_8way,
+    clustered_random_8way,
+    dependence_based_8way,
     load_tracking_8way,
     ports_limited_8way,
 )
 from repro.isa import Emulator
 from repro.obs import EventTracer, profile_simulation
 from repro.obs.profiling import profile_run
+from repro.obs.regression import (
+    check_simulator_bench,
+    format_findings,
+    load_bench,
+)
 from repro.uarch.pipeline import simulate
 from repro.workloads import build_program, get_trace
 
 TRACE_LENGTH = 8_000
+
+#: The checked-in record whose ``recorded`` block holds the floors.
+BENCH_SIMULATOR = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
 #: The hand-inlined interpreter's floor (baseline 8-way, gcc).  The
 #: seed revision sustained ~66k and asserted 10k; the interpreter
@@ -55,17 +72,24 @@ COMPILED_MIN_RATE = 60_000
 def _compiled_rate(benchmark, config, label, sim_bench_record):
     """Time steady-state compiled runs of ``config`` on gcc.
 
-    The runner is compiled once up front so the benchmark times
-    execution, as campaign/frontier/service workers see it.
+    One untimed run up front compiles the runner variant the timed
+    runs use (``load_tracking`` opts out of cycle skipping, so a bare
+    ``compiled_runner(config)`` would warm the wrong variant), so the
+    benchmark times execution, as campaign/frontier/service workers
+    see it.
     """
-    from repro.uarch.compile import compiled_runner
-
     trace = get_trace("gcc", TRACE_LENGTH)
-    compiled_runner(config)  # warm the compile cache
+    simulate(config, trace)  # warm the compile cache
     stats = benchmark(simulate, config, trace, mode="compiled")
     rate = TRACE_LENGTH / benchmark.stats.stats.mean
-    sim_bench_record(f"{label}/gcc (compiled)", rate)
+    row = f"{label}/gcc (compiled)"
+    sim_bench_record(row, rate)
     assert rate > COMPILED_MIN_RATE
+    recorded = load_bench(BENCH_SIMULATOR).get("recorded", {})
+    findings = check_simulator_bench(
+        {"measured": {row: rate}, "recorded": recorded}
+    )
+    assert not findings, format_findings(findings)
     return stats, rate
 
 
@@ -88,7 +112,7 @@ def test_throughput_compiled_clustered_fifo_machine(
     benchmark, paper_report, sim_bench_record
 ):
     """The paper's own proposal: two clusters of FIFOs, dependence
-    steering through the steering object, inter-cluster bypass."""
+    steering generated inline, inter-cluster bypass."""
     stats, rate = _compiled_rate(
         benchmark, clustered_dependence_8way(), "clustered_dependence_8way",
         sim_bench_record,
@@ -98,6 +122,24 @@ def test_throughput_compiled_clustered_fifo_machine(
         "(compiled pipeline)",
         f"  {rate:,.0f} simulated instructions/second "
         f"(IPC {stats.ipc:.2f} on gcc)",
+    )
+
+
+def test_throughput_compiled_dependence_machine(benchmark, sim_bench_record):
+    """Figure 13's dependence-based machine: one cluster of FIFOs,
+    the Section 5.1 steering heuristic generated inline."""
+    _compiled_rate(
+        benchmark, dependence_based_8way(), "dependence_based_8way",
+        sim_bench_record,
+    )
+
+
+def test_throughput_compiled_random_machine(benchmark, sim_bench_record):
+    """Random steering (Section 5.6.3): the generator's draws are
+    generated inline, one per placement attempt."""
+    _compiled_rate(
+        benchmark, clustered_random_8way(), "clustered_random_8way",
+        sim_bench_record,
     )
 
 

@@ -61,14 +61,22 @@ def check_simulator_bench(payload: dict) -> list[RegressionFinding]:
     The frozen reference model (labels containing ``"(reference)"``)
     must clear ``recorded.seed_min_rate_floor``; every other row -- the
     compiled pipeline, labelled ``"(compiled)"`` -- must clear
-    ``recorded.compiled_min_rate_floor``.
+    ``recorded.compiled_min_rate_floor`` and, when the row has one,
+    its own ``recorded.compiled_row_floors`` entry (half its recorded
+    median, so a 2x regression of that shape fails).
     """
     findings: list[RegressionFinding] = []
     recorded = payload.get("recorded", {})
     seed_floor = recorded.get("seed_min_rate_floor")
     compiled_floor = recorded.get("compiled_min_rate_floor")
+    row_floors = recorded.get("compiled_row_floors", {})
     for label, rate in sorted(payload.get("measured", {}).items()):
-        floor = seed_floor if "(reference)" in label else compiled_floor
+        if "(reference)" in label:
+            floor = seed_floor
+        else:
+            floors = [f for f in (compiled_floor, row_floors.get(label))
+                      if f is not None]
+            floor = max(floors) if floors else None
         if floor is None:
             continue
         if rate < floor:

@@ -21,10 +21,18 @@ one flat Python function that runs the *entire* cycle loop with
   lists indexed by cause code, converted back to ``SimStats``' dict
   shape only at the end.
 
-Only the inherently per-policy decision stays a call: dispatch hands
-the steering object (``steering.place(view, outstanding)``) the same
-view the reference model builds.  :func:`supports_compile` holds for
-every config the validator accepts, so there is no fallback path.
+* each dispatch-time steering policy emitted inline: the Section 5.1
+  FIFO heuristic with the Section 5.5 free lists (over real or
+  conceptual FIFOs, the empty-FIFO search unrolled over per-FIFO
+  locals), modulo, least-loaded and random steering (the
+  ``repro.workloads._datagen.Lcg`` step with the seed folded in),
+  their state -- current free list, rotation pointer, generator
+  state -- held in locals.
+
+Nothing in the cycle loop calls back into a strategy object; the
+classes of :mod:`repro.uarch.steering` serve only the reference
+model.  :func:`supports_compile` holds for every config the validator
+accepts, so there is no fallback path.
 
 The generated function is ``exec``-compiled and memoized in
 :data:`_COMPILE_CACHE`, keyed by the config itself (frozen, hashable)
@@ -38,7 +46,7 @@ cached cells instead of silently mixing semantics.
 **Golden-identical rule.** The compiled function replicates the
 frozen reference model (:mod:`repro.uarch.pipeline_reference`)
 cycle-for-cycle: same stage order, same heap pop order, same steering
-calls and RNG draws, same stall attribution and tie-breaks, and the
+decisions and RNG draws, same stall attribution and tie-breaks, and the
 same no-forward-progress guard messages.  Idle-cycle fast-forward
 replicates the skipped cycles' statistics exactly.  ``SimStats``,
 event timelines and per-instruction timing arrays must be
@@ -66,7 +74,6 @@ from repro.obs.events import EventKind
 from repro.uarch.config import MachineConfig, SelectionPolicy, SteeringPolicy
 from repro.uarch.scheduler import strategy_identity
 from repro.uarch.stats import StallCause
-from repro.uarch.steering import OutstandingOperand
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.uarch.pipeline import PipelineSimulator
@@ -80,11 +87,21 @@ COMPILE_VERSION = 1
 #: Deliberate miscompilation knob for the fuzzer self-test
 #: (:func:`repro.verify.selftest.run_compile_selftest`).  ``None`` in
 #: production; the recognised values are ``"load_hit_fold"`` (the
-#: cache-miss latency branch is constant-folded to the hit latency)
-#: and ``"port_leak"`` (the per-cycle read-port budget is hoisted out
-#: of the cycle loop, so claimed ports are never replenished and the
-#: pipeline deadlocks).  Part of the compile-cache key.
+#: cache-miss latency branch is constant-folded to the hit latency),
+#: ``"port_leak"`` (the per-cycle read-port budget is hoisted out of
+#: the cycle loop, so claimed ports are never replenished and the
+#: pipeline deadlocks) and ``"blind_steer"`` (the FIFO heuristic's
+#: behind-the-producer rule is dropped, so every instruction takes a
+#: new FIFO).  Part of the compile-cache key.
 _PLANTED_BUG: str | None = None
+
+#: The STEER trace detail of the dependence-blind policies (the
+#: reference's ``last_rule`` strings).
+_RULES = {
+    SteeringPolicy.RANDOM: "random",
+    SteeringPolicy.MODULO: "modulo",
+    SteeringPolicy.LEAST_LOADED: "least_loaded",
+}
 
 #: The scheduler and register-file strategies the generator emits
 #: code for (see :mod:`repro.uarch.scheduler` and
@@ -196,7 +213,11 @@ def generate_source(
     cache = config.cache
     predictor = config.predictor
     # Lazy import: pipeline imports this module from simulate().
-    from repro.uarch.pipeline import _FETCH_BUFFER_FACTOR, REGFILE_WRITE_DELAY
+    from repro.uarch.pipeline import (
+        _FETCH_BUFFER_FACTOR,
+        REGFILE_WRITE_DELAY,
+        fifo_geometry,
+    )
 
     clusters = config.clusters
     n_clusters = len(clusters)
@@ -229,7 +250,7 @@ def generate_source(
     all_clusters = clustered and (exec_driven or traced)
     # The cluster an issuing instruction leaves from / executes in.
     cl = "0" if one_heap and not exec_driven else "k"
-    fifo_depths = [4 if conceptual else c.fifo_depth for c in clusters]
+    geometry = fifo_geometry(config)
 
     const = {
         "FETCH_W": config.fetch_width,
@@ -310,11 +331,125 @@ def generate_source(
             add(f"{indent}    {requeue}")
         add(f"{indent}    continue")
 
-    def stall(code: str) -> None:
+    def stall(code: str, indent: str = " " * 20) -> None:
         """Dispatch stops this cycle on ``code``."""
-        add("                    disp_st[{%s}] += 1" % code)
-        add("                    dispatch_block_code = {%s}" % code)
-        add("                    break")
+        add(indent + "disp_st[{%s}] += 1" % code)
+        add(indent + "dispatch_block_code = {%s}" % code)
+        add(indent + "break")
+
+    capacities = [c.capacity for c in clusters]
+
+    def has_room(k: int | str) -> str:
+        """Cluster ``k``'s window has a free slot (``k`` is a literal
+        cluster index or an expression)."""
+        if isinstance(k, int):
+            cap = capacities[k]
+        elif len(set(capacities)) == 1:
+            cap = capacities[0]
+        else:
+            cap = f"{tuple(capacities)!r}[{k}]"
+        return f"{window_count(str(k))} < {cap}"
+
+    def by_start(state: str, emit: Callable[[list[int], str], None],
+                 indent: str) -> None:
+        """Emit ``emit(order, indent)`` for the cluster order that
+        starts at local ``state`` (one order with one cluster)."""
+        if not clustered:
+            emit([0], indent)
+            return
+        add(indent + f"if {state}:")
+        emit([1, 0], indent + "    ")
+        add(indent + "else:")
+        emit([0, 1], indent + "    ")
+
+    def first_with_room(order: list[int], indent: str) -> None:
+        """``k`` = the first cluster of ``order`` with window room
+        (advancing the modulo rotation past it); else stall."""
+        for pos, c in enumerate(order):
+            add(indent + f"{'elif' if pos else 'if'} {has_room(c)}:")
+            add(indent + f"    k = {c}")
+            if policy is SteeringPolicy.MODULO and clustered:
+                add(indent + f"    rotation = {(c + 1) % n_clusters}")
+        add(indent + "else:")
+        stall("C_PLACE", indent + "    ")
+
+    def new_fifo(order: list[int], indent: str) -> None:
+        """``k``/``fi``/``entries`` = the lowest-index empty FIFO of
+        the first cluster of ``order`` that has one (and, for
+        conceptual FIFOs, window room); that cluster's free list
+        becomes current.  ``k`` stays -1 when none qualifies."""
+        for pos, c in enumerate(order):
+            guards = ["k < 0"] if pos else []
+            if conceptual:
+                guards.append(has_room(c))
+            inner = indent
+            if guards:
+                add(indent + f"if {' and '.join(guards)}:")
+                inner += "    "
+            for fi in range(geometry[c][0]):
+                add(inner + f"{'elif' if fi else 'if'} not fifo_{c}_{fi}:")
+                add(inner + ("    k = current = %d" if clustered
+                             else "    k = %d") % c)
+                add(inner + f"    fi = {fi}")
+                add(inner + f"    entries = fifo_{c}_{fi}")
+
+    def place() -> None:
+        """Emit the steering policy's placement of ``s``: set ``k``
+        (and ``fi``/``entries`` for FIFO steering) or stall."""
+        base = " " * 16
+        if not dependence_steered:
+            if random_steered:
+                # RandomSteering's Lcg draw, then the other cluster if
+                # the drawn one is full.
+                add(base + "rng_state = (rng_state * 1664525 + 1013904223)"
+                    " & 0xFFFFFFFF")
+                by_start(f"(rng_state >> 8) % {n_clusters}", first_with_room,
+                         base)
+            elif policy is SteeringPolicy.MODULO:
+                by_start("rotation", first_with_room, base)
+            elif clustered:  # LEAST_LOADED: most room, ties to cluster 0
+                for c in range(n_clusters):
+                    add(base + f"room{c} = {capacities[c]} - "
+                        + window_count(str(c)))
+                add(base + "if room1 > room0 and room1 > 0:")
+                add(base + "    k = 1")
+                add(base + "elif room0 > 0:")
+                add(base + "    k = 0")
+                add(base + "else:")
+                stall("C_PLACE", base + "    ")
+            else:
+                first_with_room([0], base)
+            return
+        # Section 5.1 (with the Section 5.5 free lists): behind the
+        # first of the first two outstanding producers that is its
+        # FIFO's tail with room behind it, else a new FIFO.
+        add(base + "k = -1")
+        if planted != "blind_steer":
+            depths = [depth for _count, depth in geometry]
+            depth = (str(depths[0]) if len(set(depths)) == 1
+                     else f"{tuple(depths)!r}[loc[0]]")
+            fits = f"entries[-1] == p and len(entries) < {depth}"
+            if conceptual:
+                fits += " and " + has_room("loc[0]")
+            add(base + "tried = 0")
+            add(base + "for p in real_producers[s]:")
+            add(base + "    loc = fifo_of[p]")
+            add(base + "    if loc is not None:")
+            add(base + "        entries = fifo_lists[loc[0]][loc[1]]")
+            add(base + f"        if {fits}:")
+            add(base + "            k, fi = loc")
+            if traced:
+                add(base + "            rule = 'behind_producer'")
+            add(base + "            break")
+            add(base + "        if tried:")
+            add(base + "            break")
+            add(base + "        tried = 1")
+        add(base + "if k < 0:")
+        by_start("current", new_fifo, base + "    ")
+        add(base + "    if k < 0:")
+        stall("C_PLACE", base + "        ")
+        if traced:
+            add(base + "    rule = 'new_fifo'")
 
     def probe(index: int) -> None:
         """Close profiled stage ``index`` and open the next."""
@@ -397,21 +532,21 @@ def generate_source(
         add("    used_x_bypass = sim.used_x_bypass")
     if fifos or conceptual:
         add("    fifo_of = sim.fifo_of")
-        add("    fifo_lists = [[fifo._entries for fifo in fifo_set.fifos]"
-            " for fifo_set in sim.fifo_sets]")
+        add("    fifo_lists = sim.fifo_lists")
     if fifos:
         add("    fifo_occ = sum(len(entries) for lists in fifo_lists"
             " for entries in lists)")
-        for k, cluster in enumerate(clusters):
-            for fi in range(cluster.fifo_count):
-                add(f"    fifo_{k}_{fi} = fifo_lists[{k}][{fi}]")
-    if steered:
-        # The per-policy placement decision stays a strategy call.
-        add("    steering = sim._steering")
-        add("    place = steering.place")
-        add("    view = sim._view")
-        if not fifos:
-            add("    room = sim._room")
+    for k, (count, _depth) in enumerate(geometry):
+        for fi in range(count):
+            add(f"    fifo_{k}_{fi} = fifo_lists[{k}][{fi}]")
+    # Steering state: the FIFO heuristic's current free list, the
+    # modulo rotation pointer, the random-steering generator.
+    if dependence_steered and clustered:
+        add("    current = 0")
+    if policy is SteeringPolicy.MODULO and clustered:
+        add("    rotation = 0")
+    if random_steered:
+        add(f"    rng_state = {config.steering_seed & 0xFFFFFFFF}")
     if positional:
         add("    slot_of = sim.slot_of")
         add("    free_slots = sim.free_slots")
@@ -828,27 +963,10 @@ def generate_source(
     add("                        dispatch_block_code = {C_FP_REGS}")
     add("                        break")
     if steered:
-        if dependence_steered:
-            add("                outstanding = []")
-            add("                for p in real_producers[s]:")
-            add("                    loc = fifo_of[p]")
-            add("                    if loc is not None:")
-            add("                        outstanding.append(OutstandingOperand("
-                "p, loc[0], loc[1], fifo_lists[loc[0]][loc[1]][-1] == p))")
-        if not fifos:
-            for k, cluster in enumerate(clusters):
-                add(f"                room[{k}] = {cluster.capacity} - "
-                    + window_count(str(k)))
-            add("                view.window_room = room")
         if random_steered:
             add("                place_called = True")
-        add("                placement = place(view, %s)"
-            % ("outstanding" if dependence_steered else "()"))
-        add("                if placement is None:")
-        stall("C_PLACE")
+        place()
         add("                buf_head += 1")
-        add("                k, fi = placement" if dependence_steered
-            else "                k = placement.cluster")
         add("                home_cluster[s] = k")
         steer_to = "k"
     else:
@@ -865,11 +983,8 @@ def generate_source(
         add(f"                if free_slots[{steer_to}]:")
         add(f"                    slot_of[s] = heappop(free_slots[{steer_to}])")
     if dependence_steered:
-        add("                entries = fifo_lists[k][fi]")
-        depth = (str(fifo_depths[0]) if len(set(fifo_depths)) == 1
-                 else "%r[k]" % (tuple(fifo_depths),))
-        add(f"                if len(entries) >= {depth}:")
-        add("                    raise OverflowError('push to a full FIFO')")
+        # ``entries`` is the chosen FIFO, which the heuristic checked
+        # has room.
         add("                entries.append(s)")
         add("                fifo_of[s] = (k, fi)")
         add("                fifo_occ += 1" if fifos
@@ -877,9 +992,10 @@ def generate_source(
     else:
         add(f"                {window_count(steer_to)} += 1")
     if traced:
-        rule = "getattr(steering, 'last_rule', '')" if steered else "''"
         if dependence_steered:
-            rule = f"('fifo=%d %s' % (fi, {rule})).strip()"
+            rule = "'fifo=%d %s' % (fi, rule)"
+        else:
+            rule = repr(_RULES.get(policy, ""))
         add(f"                tracer_emit(cycle, EK_STEER, s, {steer_to}, "
             f"detail={rule})")
     add("                if kind:")
@@ -1140,7 +1256,6 @@ def _exec_namespace() -> dict:
         "heappop": heapq.heappop,
         "INF": float("inf"),
         "CAUSES": _CAUSES,
-        "OutstandingOperand": OutstandingOperand,
         "clock": time.perf_counter,
         "EK_FETCH": EventKind.FETCH,
         "EK_SQUASH": EventKind.SQUASH,

@@ -61,21 +61,12 @@ from repro.obs.events import EventTracer
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.compile import run_compiled
 from repro.uarch.config import MachineConfig, SteeringPolicy
-from repro.uarch.fifos import FifoSet
 from repro.uarch.preanalysis import preanalyze
 from repro.uarch.predictor import GshareBranchPredictor
 from repro.uarch.regfile_model import build_regfile
 from repro.uarch.rename import RegisterRenamer
 from repro.uarch.scheduler import SCHEDULER_REGISTRY
 from repro.uarch.stats import SimStats
-from repro.uarch.steering import (
-    FifoDispatchSteering,
-    LeastLoadedSteering,
-    ModuloSteering,
-    RandomSteering,
-    SteeringView,
-    WindowDispatchSteering,
-)
 
 _INF = float("inf")
 
@@ -87,6 +78,20 @@ REGFILE_WRITE_DELAY = 2
 
 #: Fetch-buffer depth in multiples of the fetch width.
 _FETCH_BUFFER_FACTOR = 2
+
+
+def fifo_geometry(config: MachineConfig) -> list[tuple[int, int]]:
+    """``(count, depth)`` of each cluster's steering FIFOs.
+
+    The real issue FIFOs of a FIFO machine, or -- for window dispatch
+    steering (Section 5.6.2) -- each window modeled as conceptual
+    FIFOs of four slots; empty for every other machine.
+    """
+    if any(c.uses_fifos for c in config.clusters):
+        return [(c.fifo_count, c.fifo_depth) for c in config.clusters]
+    if config.steering is SteeringPolicy.WINDOW_DISPATCH:
+        return [(max(1, c.window_size // 4), 4) for c in config.clusters]
+    return []
 
 
 class PipelineSimulator:
@@ -127,7 +132,6 @@ class PipelineSimulator:
         self.predictor = GshareBranchPredictor(config.predictor)
         self.cache = SetAssociativeCache(config.cache)
         self.stats = SimStats(machine=config.name, workload=trace.name)
-        self._steering = self._build_steering()
         # The register-file port model named by the config
         # (repro.uarch.regfile_model): per-instruction read demand.
         self.regfile_model = build_regfile(self)
@@ -139,20 +143,6 @@ class PipelineSimulator:
         )
         self.stage_times: list[float] | None = None
         self._reset_state()
-
-    def _build_steering(self):
-        policy = self.config.steering
-        if policy is SteeringPolicy.FIFO_DISPATCH:
-            return FifoDispatchSteering(self.n_clusters)
-        if policy is SteeringPolicy.WINDOW_DISPATCH:
-            return WindowDispatchSteering(self.n_clusters)
-        if policy is SteeringPolicy.RANDOM:
-            return RandomSteering(self.n_clusters, seed=self.config.steering_seed)
-        if policy is SteeringPolicy.MODULO:
-            return ModuloSteering(self.n_clusters)
-        if policy is SteeringPolicy.LEAST_LOADED:
-            return LeastLoadedSteering(self.n_clusters)
-        return None  # NONE and EXEC_DRIVEN place without a dispatch policy
 
     def _reset_state(self) -> None:
         n = len(self.insts)
@@ -173,20 +163,14 @@ class PipelineSimulator:
         self.arrivals: dict[int, list[tuple[int, int]]] = {}
         self.waiting_on: list[list[int] | None] = [None] * n
         self.in_ready = bytearray(n)
-        # Issue buffers.
-        self.fifo_sets: list[FifoSet] = []
+        # Issue FIFOs (or, for window dispatch steering, the
+        # conceptual FIFOs the heuristic runs over) as per-cluster
+        # lists of per-FIFO seq lists, oldest entry first.
+        self.fifo_lists: list[list[list[int]]] = [
+            [[] for _ in range(count)] for count, _depth in fifo_geometry(config)
+        ]
         # (cluster, fifo) of each instruction buffered in a FIFO.
         self.fifo_of: list[tuple[int, int] | None] = [None] * n
-        if any(c.uses_fifos for c in config.clusters):
-            self.fifo_sets = [
-                FifoSet(c.fifo_count, c.fifo_depth) for c in config.clusters
-            ]
-        elif config.steering is SteeringPolicy.WINDOW_DISPATCH:
-            # Section 5.6.2: each 32-entry window is modeled (for the
-            # steering heuristic only) as eight FIFOs of four slots.
-            self.fifo_sets = [
-                FifoSet(max(1, c.window_size // 4), 4) for c in config.clusters
-            ]
         self.window_count = [0] * self.n_clusters
         # Non-compacting (position-priority) selection: track which
         # window slot each instruction occupies; lowest free slot is
@@ -222,12 +206,6 @@ class PipelineSimulator:
         self.inflight_store_words: dict[int, int] = {}
         self.commit_ptr = 0
         self.skipped_cycles = 0
-        # The one steering view the runner hands the policy, with a
-        # reusable per-cluster window-room list.
-        self._view = SteeringView(self.fifo_sets)
-        self._room = [0] * self.n_clusters
-        if self._steering is not None:
-            self._steering.reset()
 
     @property
     def free_int_regs(self) -> int:

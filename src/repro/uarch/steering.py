@@ -5,6 +5,12 @@ FIFO, for FIFO machines) each renamed instruction goes to.  Policies
 see a narrow view of machine state through :class:`SteeringView` so
 they stay decoupled from the pipeline internals.
 
+These classes are the plain, readable form of each heuristic, called
+only by the frozen reference model
+(:mod:`repro.uarch.pipeline_reference`).  The production runners of
+:mod:`repro.uarch.compile` emit the same decisions as generated code,
+so the reference/compiled differential checks steering too.
+
 Policies:
 
 * :class:`FifoDispatchSteering` -- the paper's Section 5.1 heuristic
@@ -15,6 +21,8 @@ Policies:
   window.
 * :class:`RandomSteering` -- Section 5.6.3 baseline: pick a random
   cluster, fall back to the other if its window is full.
+* :class:`ModuloSteering` / :class:`LeastLoadedSteering` --
+  dependence-blind ablation baselines (round-robin, emptiest window).
 
 Execution-driven steering (Section 5.6.1) assigns clusters at issue
 time, not dispatch time; it lives in the pipeline's select stage.
@@ -84,7 +92,6 @@ class FifoDispatchSteering:
     current -- keeping adjacent instructions in the same cluster.
     """
 
-    #: Placement is attempted behind a producer only in these cases.
     def __init__(self, cluster_count: int):
         if cluster_count < 1:
             raise ValueError("cluster_count must be >= 1")

@@ -38,14 +38,13 @@ from repro.verify.oracle import (
     shadow_run,
 )
 from repro.verify.sampler import sample_machine, sample_program, sample_synthetic
-from repro.verify.selftest import PlantedSteeringBug, SelfTestResult, run_selftest
+from repro.verify.selftest import SelfTestResult, run_selftest
 
 __all__ = [
     "DEFAULT_CASE_INSTRUCTIONS",
     "FuzzCase",
     "FuzzFailure",
     "FuzzReport",
-    "PlantedSteeringBug",
     "ProgramGenConfig",
     "SelfTestResult",
     "check_source_on_config",

@@ -2,30 +2,31 @@
 
 A verification harness that has never caught anything is an untested
 claim.  This module *plants* three realistic bugs into the compiled
-pipeline, one per layer the fuzz oracle guards:
+pipeline through the pipeline compiler's ``_PLANTED_BUG`` knob, one
+per layer the fuzz oracle guards:
 
-* a **steering bug** -- a FIFO dispatch heuristic that ignores the
-  paper's behind-the-producer rule.  The module-level
-  ``FifoDispatchSteering`` name that ``repro.uarch.pipeline`` binds
-  at import (and builds each simulator's steering object from) is
-  rebound for the duration; the reference pipeline imports its own
-  copy and keeps the correct logic.  Caught by compiled/reference
-  stats divergence.
-* a **port-arbiter bug** -- the pipeline compiler's ``_PLANTED_BUG``
-  knob set to ``"port_leak"`` hoists the per-cycle read-port grant of
-  the ``ports_limited`` register file out of the cycle loop, so
-  claimed ports are never replenished and issue starves.  The
-  compiled runner's no-forward-progress guard turns the deadlock into
-  a failure string.
-* a **compiler constant-folding bug** -- the same knob set to
-  ``"load_hit_fold"`` folds the load-miss latency branch down to the
-  hit latency, the classic dropped-branch miscompilation.  Caught by
-  compiled/reference stats divergence.
+* a **steering bug** -- ``"blind_steer"`` drops the paper's
+  behind-the-producer rule from the generated FIFO dispatch
+  heuristic, so every instruction is sent to a new empty FIFO
+  regardless of where its producers sit (the "steer blindly" failure
+  mode Section 5.1's heuristic exists to avoid).  The reference
+  pipeline, the only caller of
+  :class:`repro.uarch.steering.FifoDispatchSteering`, keeps the
+  correct logic.  Caught by compiled/reference stats divergence.
+* a **port-arbiter bug** -- ``"port_leak"`` hoists the per-cycle
+  read-port grant of the ``ports_limited`` register file out of the
+  cycle loop, so claimed ports are never replenished and issue
+  starves.  The compiled runner's no-forward-progress guard turns the
+  deadlock into a failure string.
+* a **compiler constant-folding bug** -- ``"load_hit_fold"`` folds the
+  load-miss latency branch down to the hit latency, the classic
+  dropped-branch miscompilation.  Caught by compiled/reference stats
+  divergence.
 
 Each bug must be (a) detected and (b) shrunk to a small reproducer.
-The patches are process-local, so the self-tests always run with
-``jobs=1`` -- worker processes would import the unpatched modules and
-see no bug.
+The knob is process-local, so the self-tests always run with
+``jobs=1`` -- worker processes would compile clean runners and see no
+bug.
 """
 
 from __future__ import annotations
@@ -34,25 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.uarch import compile as compile_mod
-from repro.uarch import pipeline as pipeline_mod
-from repro.uarch.steering import FifoDispatchSteering, Placement
 from repro.verify.fuzzer import FuzzReport, run_fuzz
-
-
-class PlantedSteeringBug(FifoDispatchSteering):
-    """FIFO steering with the dependence heuristic removed.
-
-    Every instruction is sent to a new empty FIFO regardless of where
-    its producers sit -- exactly the "steer blindly" failure mode the
-    paper's Section 5.1 heuristic exists to avoid.  Timing-visible,
-    architecturally invisible: the perfect planted bug for a
-    differential fuzzer.
-    """
-
-    def place(self, view, outstanding) -> Placement | None:
-        placement = self._new_fifo(view)
-        self.last_rule = "new_fifo" if placement is not None else ""
-        return placement
 
 
 @dataclass
@@ -86,6 +69,10 @@ def run_selftest(
 ) -> SelfTestResult:
     """Plant the steering bug, fuzz FIFO machines, restore, report.
 
+    :data:`repro.uarch.compile._PLANTED_BUG` is ``"blind_steer"`` for
+    the duration, and sampling is restricted to the FIFO-steered
+    shapes (``fifo_only``) so every case runs the sabotaged heuristic.
+
     Args:
         cases: Fuzz cases to run against the sabotaged simulator.
         seed: Campaign seed (any seed works; the bug is gross).
@@ -97,30 +84,21 @@ def run_selftest(
         A :class:`SelfTestResult`; ``detected`` must be True and the
         minimized reproducer small for the harness to be trusted.
     """
-    original = pipeline_mod.FifoDispatchSteering
-    pipeline_mod.FifoDispatchSteering = PlantedSteeringBug
-    try:
-        report = run_fuzz(
-            cases=cases,
-            seed=seed,
-            jobs=1,  # the patch is process-local
-            repro_dir=repro_dir,
-            fifo_only=True,
-            minimize=True,
-            max_minimized=max_minimized,
-        )
-    finally:
-        pipeline_mod.FifoDispatchSteering = original
-    return _result(report)
+    return _run_planted_compile(
+        "blind_steer", cases, seed, repro_dir, max_minimized,
+        fifo_only=True,
+    )
 
 
 def _run_planted_compile(
     planted: str, cases: int, seed: int, repro_dir: str | Path,
-    max_minimized: int, shapes: tuple[str, ...],
+    max_minimized: int, shapes: tuple[str, ...] | None = None,
+    fifo_only: bool = False,
 ) -> SelfTestResult:
-    """Fuzz ``shapes`` with the compiler knob set to ``planted``.
+    """Fuzz with the compiler knob set to ``planted``.
 
-    The knob is part of the compile-cache key and the cache is cleared
+    Sampling is restricted to ``shapes``, or with ``fifo_only`` to the
+    FIFO-steered shapes.  The knob is part of the compile-cache key and the cache is cleared
     on both sides of the patch, so sabotaged runners can never leak
     into (or survive from) clean runs.
     """
@@ -133,6 +111,7 @@ def _run_planted_compile(
             seed=seed,
             jobs=1,  # the patch is process-local
             repro_dir=repro_dir,
+            fifo_only=fifo_only,
             only_shapes=shapes,
             minimize=True,
             max_minimized=max_minimized,
@@ -158,7 +137,7 @@ def run_compile_selftest(
     """
     return _run_planted_compile(
         "load_hit_fold", cases, seed, repro_dir, max_minimized,
-        ("baseline",),
+        shapes=("baseline",),
     )
 
 
@@ -176,5 +155,5 @@ def run_port_selftest(
     """
     return _run_planted_compile(
         "port_leak", cases, seed, repro_dir, max_minimized,
-        ("ports_limited",),
+        shapes=("ports_limited",),
     )

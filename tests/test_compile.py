@@ -265,6 +265,61 @@ class TestPlantedCompilerBug:
         assert compile_cache_stats()["cached_runners"] == 0
 
 
+    def test_blind_steer_diverges_from_reference(self, monkeypatch):
+        from repro.core.machines import dependence_based_8way
+
+        trace = get_trace("gcc", LENGTH)
+        reference = simulate(dependence_based_8way(), trace, mode="reference")
+        monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "blind_steer")
+        bugged = run_compiled(PipelineSimulator(dependence_based_8way(), trace))
+        assert bugged.to_dict() != reference.to_dict()
+
+
+class TestInlinedSteering:
+    """Steering is generated code, so the reference model's steering
+    classes are now an independent oracle for it."""
+
+    @pytest.mark.parametrize("seed", (1, 12345, 2**32 + 7))
+    def test_random_seed_matches_reference(self, seed):
+        from repro.core.machines import clustered_random_8way
+
+        config = clustered_random_8way(steering_seed=seed)
+        trace = get_trace("gcc", LENGTH)
+        compiled = simulate(config, trace).to_dict()
+        assert compiled == simulate(config, trace, mode="reference").to_dict()
+
+    def test_distinct_seeds_give_distinct_stats(self):
+        from repro.core.machines import clustered_random_8way
+
+        trace = get_trace("gcc", LENGTH)
+        first = simulate(clustered_random_8way(steering_seed=1), trace)
+        second = simulate(clustered_random_8way(steering_seed=12345), trace)
+        assert first.to_dict() != second.to_dict()
+
+    def test_seed_is_masked_and_keyed(self):
+        # The generator's state is 32 bits wide (Lcg masks its seed),
+        # so 2**32 + 7 runs the same code as 7 -- but the config, and
+        # with it the compile key, still tells the two apart.
+        from repro.core.machines import clustered_random_8way
+
+        wide = clustered_random_8way(steering_seed=2**32 + 7)
+        narrow = clustered_random_8way(steering_seed=7)
+        assert "rng_state = 7\n" in generate_source(wide)
+        assert generate_source(wide) == generate_source(narrow)
+        assert compile_cache_key(wide, False, True) != (
+            compile_cache_key(narrow, False, True)
+        )
+
+    @pytest.mark.parametrize("shape", sorted(MACHINE_REGISTRY))
+    @pytest.mark.parametrize("variant", [
+        {}, {"traced": True}, {"profiled": True},
+    ])
+    def test_runners_never_call_a_steering_object(self, shape, variant):
+        source = generate_source(MACHINE_REGISTRY[shape](), **variant)
+        assert "place(" not in source
+        assert "OutstandingOperand" not in source
+
+
 class TestCompiledProgressGuard:
     """The no-forward-progress guard fires *inside* the compiled step
     function -- a deadlocking port-budget shape must raise the

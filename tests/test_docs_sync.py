@@ -173,6 +173,26 @@ class TestPerformanceDoc:
         )
         assert compiled["after_inst_per_s"] >= 2 * compiled["before_inst_per_s"]
 
+    def test_compiled_row_floors_are_half_the_recorded_medians(self):
+        # Each compiled row's own floor sits at half its recorded
+        # interleaved median (so a 2x regression of that shape fails)
+        # and never below the shared compiled floor.
+        import json
+
+        from benchmarks.bench_simulator_throughput import (  # noqa: PLC0415
+            COMPILED_MIN_RATE,
+        )
+        payload = json.loads(
+            (ROOT / "BENCH_simulator.json").read_text(encoding="utf-8"))
+        recorded = payload["recorded"]
+        floors = recorded["compiled_row_floors"]
+        medians = recorded["compiled_row_medians"]
+        assert set(floors) == set(medians)
+        assert all(label.endswith("(compiled)") for label in floors)
+        for label, floor in floors.items():
+            assert floor == max(COMPILED_MIN_RATE,
+                                medians[label]["median"] // 2), label
+
     def test_cross_linked_from_architecture(self, architecture_doc):
         assert "performance.md" in architecture_doc
 

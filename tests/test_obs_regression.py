@@ -63,6 +63,25 @@ class TestSimulatorFloor:
         (finding,) = check_simulator_bench(payload)
         assert finding.reference == 60_000.0
 
+    def test_row_floor_gates_its_own_row(self):
+        payload = sim_payload(fast=150_000)
+        payload["recorded"]["compiled_row_floors"] = {
+            "baseline_8way/gcc (compiled)": 160_000,
+        }
+        (finding,) = check_simulator_bench(payload)
+        assert "baseline_8way/gcc (compiled)" in finding.subject
+        assert finding.reference == 160_000.0
+        payload["measured"]["baseline_8way/gcc (compiled)"] = 170_000
+        assert check_simulator_bench(payload) == []
+
+    def test_row_floor_never_undercuts_compiled_floor(self):
+        payload = sim_payload(fast=50_000)
+        payload["recorded"]["compiled_row_floors"] = {
+            "baseline_8way/gcc (compiled)": 40_000,
+        }
+        (finding,) = check_simulator_bench(payload)
+        assert finding.reference == 60_000.0
+
     def test_missing_floors_are_not_findings(self):
         payload = sim_payload()
         payload["recorded"] = {}
