@@ -10,10 +10,9 @@ emulator's execution rate, a per-stage host-time profile (via
 ``repro.obs.profiling``) showing where simulation time itself goes,
 and the event-tracing overhead.
 
-``COMPILED_MIN_RATE`` is the floor every compiled row must clear:
-twice ``MIN_RATE``, the floor of the hand-inlined interpreter the
-compiled pipeline replaced, so a compiled path that silently degrades
-to interpreter speed fails.  On top of it each compiled row has its
+``COMPILED_MIN_RATE`` is the floor every compiled row must clear, so a
+compiled path that silently degrades to interpreter speed fails.  On
+top of it each compiled row has its
 own floor in ``BENCH_simulator.json`` (``compiled_row_floors``: half
 the row's recorded interleaved median), so a 2x regression of any one
 shape fails; both are applied by
@@ -21,7 +20,8 @@ shape fails; both are applied by
 ``repro bench --check`` runs.  ``SEED_MIN_RATE`` holds the reference
 model.  The tracing-disabled overhead guard keeps the untraced
 runner (which carries no probe code at all) at or above the compiled
-floor.
+floor; it takes no ``benchmark`` fixture, so ``--benchmark-only``
+skips it and CI runs it in a separate step.
 
 Measured rates are folded into ``BENCH_simulator.json`` (repo root)
 by the ``sim_bench_record`` fixture, next to the checked-in
@@ -54,19 +54,18 @@ TRACE_LENGTH = 8_000
 #: The checked-in record whose ``recorded`` block holds the floors.
 BENCH_SIMULATOR = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
 
-#: The hand-inlined interpreter's floor (baseline 8-way, gcc).  The
-#: seed revision sustained ~66k and asserted 10k; the interpreter
-#: sustained ~135k.  Kept because the compiled floor is defined from
-#: it and the optimization log pins it.
-MIN_RATE = 30_000
-
 #: The seed revision's floor, now held by the frozen reference model.
 SEED_MIN_RATE = 10_000
 
-#: Floor for every compiled row: 2x the interpreter floor (the
-#: compiled pipeline measures >2.5x the interpreter it replaced; see
-#: BENCH_simulator.json's "compiled" records).
+#: Floor for every compiled row, in simulated instructions per second
+#: (the retired hand-inlined interpreter sustained ~135k on baseline;
+#: the compiled rows measure 250k-400k, see BENCH_simulator.json).
 COMPILED_MIN_RATE = 60_000
+
+#: Interleaved runs per side in the tracing-overhead guard; each side
+#: is timed as its fastest run, so one slow phase of the host cannot
+#: fail the guard on its own.
+OVERHEAD_ROUNDS = 3
 
 
 def _compiled_rate(benchmark, config, label, sim_bench_record):
@@ -211,9 +210,15 @@ def test_tracing_disabled_overhead_guard(paper_report):
     trace = get_trace("gcc", TRACE_LENGTH)
     config = baseline_8way()
     simulate(config, trace)  # warm caches before timing
-    _, plain_seconds = profile_run(simulate, config, trace)
-    tracer = EventTracer()
-    _, traced_seconds = profile_run(simulate, config, trace, tracer=tracer)
+    plain_times, traced_times = [], []
+    for _ in range(OVERHEAD_ROUNDS):
+        _, seconds = profile_run(simulate, config, trace)
+        plain_times.append(seconds)
+        tracer = EventTracer()
+        _, seconds = profile_run(simulate, config, trace, tracer=tracer)
+        traced_times.append(seconds)
+    plain_seconds = min(plain_times)
+    traced_seconds = min(traced_times)
     plain_rate = TRACE_LENGTH / plain_seconds
     traced_rate = TRACE_LENGTH / traced_seconds
     paper_report(

@@ -17,6 +17,7 @@ from repro.isa.instructions import OpClass
 from repro.uarch.config import PredictorConfig
 from repro.uarch.depend import NO_PRODUCER, dependence_info
 from repro.uarch.predictor import GshareBranchPredictor
+from repro.workloads.registry import get_workload
 
 
 def dependence_distance_histogram(trace: Trace) -> dict[int, int]:
@@ -249,3 +250,30 @@ def profile_trace(trace: Trace) -> TraceProfile:
         memory=memory_profile(trace),
         mean_basic_block=sum(blocks) / len(blocks) if blocks else 0.0,
     )
+
+
+def characterize(name: str, max_instructions: int = 5_000) -> dict:
+    """A compact characterization of one workload (JSON-ready).
+
+    This is what ``/v1/workloads?workload=...`` and the ``repro
+    workloads`` listing serve: dynamic instruction mix, branch/load
+    fractions, mean dependence distance, and memory footprint.
+    """
+    workload = get_workload(name)
+    trace = workload.trace(max_instructions)
+    mix = {op_class.value: count
+           for op_class, count in sorted(trace.class_counts().items(),
+                                         key=lambda item: item[0].value)}
+    memory = memory_profile(trace)
+    return {
+        "name": name,
+        "kind": workload.kind,
+        "instructions": len(trace),
+        "halted": trace.halted,
+        "class_mix": mix,
+        "branch_fraction": round(trace.branch_fraction(), 4),
+        "load_fraction": round(trace.load_fraction(), 4),
+        "mean_dependence_distance": round(
+            mean_dependence_distance(trace), 3),
+        "memory_words": memory.unique_words,
+    }

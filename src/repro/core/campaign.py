@@ -22,16 +22,17 @@ Determinism is the contract everything else hangs on:
 
 Cache layout: one ``<sha256>.json`` file per cell under the cache
 root, where the key hashes the canonicalised machine config, the
-workload name *and content identity* (fingerprint + workload-layer
-version), the instruction budget, and the stats format version.
-Unreadable, truncated, or version-mismatched files are discarded and
-recomputed, never trusted and never fatal.
+workload name *and content fingerprint*, the instruction budget, the
+stats format version, and the :func:`model_fingerprint` of the
+simulator source.  Unreadable, truncated, or version-mismatched files
+are discarded and recomputed, never trusted and never fatal.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -45,17 +46,27 @@ from repro.core.experiments import DEFAULT_INSTRUCTIONS, ExperimentResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import CampaignProfile, record_simulation_metrics
 from repro.obs.progress import Heartbeat
-from repro.uarch.compile import COMPILE_VERSION
 from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import simulate
-from repro.uarch.preanalysis import PREANALYSIS_VERSION
-from repro.uarch.scheduler import strategy_identity
 from repro.uarch.stats import SimStats
 from repro.workloads import WORKLOAD_NAMES, get_trace
 from repro.workloads.registry import workload_identity
 
 #: Default bounded retry count for failed or timed-out cells.
 DEFAULT_RETRIES = 1
+
+#: The packages whose source determines every ``SimStats``: the timing
+#: model and its code generator, the ISA and emulator, the Mini
+#: compiler, and the workload generators.  Their only import from
+#: outside this set is :mod:`repro.obs.events`, which shapes traces,
+#: not timing (``tests/test_model_fingerprint.py`` pins that).  Clock
+#: periods (:mod:`repro.delay`) are attached after a cache load, so
+#: they stay out.
+MODEL_PACKAGES = ("repro.uarch", "repro.isa", "repro.lang", "repro.workloads")
+
+#: The directory holding the ``repro`` package (``MODEL_PACKAGES``
+#: resolve under it).
+_REPRO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -106,6 +117,36 @@ def config_fingerprint(config: MachineConfig) -> dict:
     return _canonical(config)
 
 
+@functools.cache
+def model_fingerprint() -> str:
+    """sha256 over the source of every module in :data:`MODEL_PACKAGES`.
+
+    Each ``.py`` file contributes its path relative to the ``repro``
+    package and its bytes, in sorted path order, so any edit to the
+    timing model -- a latency, a stage, the code generator, a kernel
+    generator -- changes every derived cache key, while edits
+    elsewhere (reports, the service, the CLI) change none.  Computed
+    once per process: one process cannot hold two code revisions.
+
+    Raises:
+        OSError: if a model source file cannot be read.  There is no
+            fallback identity; a key that cannot see the code must not
+            be trusted.
+    """
+    digest = hashlib.sha256()
+    for package in MODEL_PACKAGES:
+        directory = _REPRO_ROOT.joinpath(*package.split(".")[1:])
+        paths = sorted(directory.rglob("*.py"))
+        if not paths:
+            raise FileNotFoundError(f"no model source under {directory}")
+        for path in paths:
+            data = path.read_bytes()
+            relative = path.relative_to(_REPRO_ROOT).as_posix()
+            digest.update(f"{relative}\0{len(data)}\0".encode("utf-8"))
+            digest.update(data)
+    return digest.hexdigest()
+
+
 def cache_key(
     config: MachineConfig,
     workload: str,
@@ -115,18 +156,14 @@ def cache_key(
     """Content address of one cell's result.
 
     The key covers everything that determines the simulation output:
-    the full machine configuration, the workload, the instruction
-    budget, the stats serialisation version (so a format bump
-    invalidates old entries instead of misreading them), the trace
-    pre-analysis version (so a change to the derived arrays the
-    optimized simulator consumes invalidates old entries too), the
-    scheduler/regfile strategy identity with behaviour versions
-    (so two configs differing only in strategy -- or a strategy whose
-    timing behaviour changed -- can never collide), and the
-    workload's *content identity* -- its fingerprint, kind, and
-    :data:`~repro.workloads.registry.WORKLOAD_VERSION` -- so editing
-    a kernel's source (or a zoo scenario's parameters) can never
-    silently reuse stats cached under the same name.
+    the full machine configuration (scheduler and register-file
+    strategy included), the workload, the instruction budget, the
+    stats serialisation version (so a format bump invalidates old
+    entries instead of misreading them), the workload's *content
+    identity* -- its kind and fingerprint -- so editing a kernel's
+    source (or a zoo scenario's parameters) can never silently reuse
+    stats cached under the same name, and :func:`model_fingerprint`,
+    so editing the simulator's source can never either.
     """
     payload = {
         "config": config_fingerprint(config),
@@ -134,9 +171,7 @@ def cache_key(
         "workload_identity": workload_identity(workload),
         "max_instructions": max_instructions,
         "stats_format": stats_format,
-        "preanalysis": PREANALYSIS_VERSION,
-        "compile": COMPILE_VERSION,
-        "strategies": strategy_identity(config),
+        "model": model_fingerprint(),
     }
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -153,7 +188,8 @@ def grid_fingerprint(
 
     The run ledger stores this as the campaign's ``config_hash``: two
     invocations share it exactly when they sweep the same machines,
-    workloads, and budget under the same serialisation versions.
+    workloads, and budget under the same serialisation version and
+    the same :func:`model_fingerprint`.
     """
     payload = {
         "configs": {
@@ -166,12 +202,7 @@ def grid_fingerprint(
         },
         "max_instructions": max_instructions,
         "stats_format": results_io.FORMAT_VERSION,
-        "preanalysis": PREANALYSIS_VERSION,
-        "compile": COMPILE_VERSION,
-        "strategies": {
-            name: strategy_identity(config)
-            for name, config in configs.items()
-        },
+        "model": model_fingerprint(),
     }
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")

@@ -22,6 +22,7 @@ versioned, atomic temp-file + rename).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -56,8 +57,14 @@ def ledger_root(root: str | Path | None = None) -> Path:
     return DEFAULT_LEDGER_ROOT
 
 
+@functools.cache
 def git_sha() -> str:
-    """The current git commit SHA, or ``"unknown"`` outside a repo."""
+    """The current git commit SHA, or ``"unknown"`` outside a repo.
+
+    Memoized per process: the ``git rev-parse`` subprocess costs a few
+    milliseconds, and every recorded run (each simulated service cell
+    included) asks for it.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

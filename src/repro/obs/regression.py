@@ -3,8 +3,9 @@
 Compares the *current* measurements against two references:
 
 * the committed floors in the repo-root ``BENCH_*.json`` records --
-  ``min_rate_floor`` / ``seed_min_rate_floor`` for simulator
-  throughput, ``min_warm_speedup_floor`` for the campaign cache,
+  ``compiled_min_rate_floor`` / ``compiled_row_floors`` /
+  ``seed_min_rate_floor`` for simulator throughput,
+  ``min_warm_speedup_floor`` for the campaign cache,
   ``min_warm_qps_floor`` for warm service throughput,
   ``min_gen_inst_per_s_floor`` for workload trace generation --
   which are hard gates (a measurement below its floor is a

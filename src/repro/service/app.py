@@ -41,9 +41,16 @@ from collections import OrderedDict
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
+from repro.analysis.traces import characterize
 from repro.core import results_io
 from repro.core.aggregate import mean_ipc
-from repro.core.campaign import CampaignCell, ResultCache, cache_key, simulate_cell
+from repro.core.campaign import (
+    CampaignCell,
+    ResultCache,
+    cache_key,
+    model_fingerprint,
+    simulate_cell,
+)
 from repro.core.design import DesignPoint
 from repro.core.experiments import DEFAULT_INSTRUCTIONS
 from repro.core.machines import machine_registry
@@ -53,14 +60,11 @@ from repro.service.coalescer import Coalescer
 from repro.service.schema import ROUTES, envelope, error_body
 from repro.technology import TECHNOLOGIES, technology_by_feature_size
 from repro.uarch.config import MachineConfig
-from repro.uarch.scheduler import strategy_identity
 from repro.uarch.stats import SimStats
 from repro.workloads import WORKLOAD_NAMES
 from repro.workloads.registry import (
     WORKLOAD_KINDS,
     WORKLOAD_REGISTRY,
-    WORKLOAD_VERSION,
-    characterize,
     workload_names,
 )
 
@@ -476,7 +480,8 @@ class DesignSpaceService:
                 "clusters": len(config.clusters),
                 "total_capacity": config.total_capacity,
                 "steering": config.steering.value,
-                "strategy": strategy_identity(config),
+                "strategy": (f"sched:{config.scheduler}"
+                             f"+regfile:{config.regfile}"),
             })
         return envelope({
             "machines": entries,
@@ -511,7 +516,7 @@ class DesignSpaceService:
         data = {
             "workloads": entries,
             "count": len(entries),
-            "workload_version": WORKLOAD_VERSION,
+            "model_fingerprint": model_fingerprint(),
         }
         if "workload" in params:
             name = self._require_workload(params["workload"])

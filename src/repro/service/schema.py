@@ -16,7 +16,7 @@ single source of truth:
 
 Errors are structured, never bare strings::
 
-    {"schema": 1, "stats_format": 3,
+    {"schema": 2, "stats_format": 3,
      "error": {"status": 404, "code": "not_found",
                "message": "unknown machine 'quantum'",
                "detail": {"known": ["baseline", ...]}}}
@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.core import results_io
 
 #: Response envelope version (bumped on incompatible layout changes).
-SERVICE_SCHEMA = 1
+SERVICE_SCHEMA = 2
 
 #: The closed list of endpoint patterns the service answers.  The
 #: docs-sync suite asserts docs/service.md documents exactly these.

@@ -1,8 +1,8 @@
 """Per-config compiled pipelines: the one production cycle loop.
 
-Given a frozen :class:`~repro.uarch.config.MachineConfig` (plus its
-scheduler/regfile strategy identity), :func:`generate_source` emits
-one flat Python function that runs the *entire* cycle loop with
+Given a frozen :class:`~repro.uarch.config.MachineConfig`,
+:func:`generate_source` emits one flat Python function that runs the
+*entire* cycle loop with
 
 * every machine constant folded to a literal (widths, latencies, FU
   counts, window capacities, FIFO depths, cache geometry, predictor
@@ -36,12 +36,10 @@ accepts, so there is no fallback path.
 
 The generated function is ``exec``-compiled and memoized in
 :data:`_COMPILE_CACHE`, keyed by the config itself (frozen, hashable)
-plus :func:`~repro.uarch.scheduler.strategy_identity`,
-:data:`COMPILE_VERSION`, and the traced / cycle-skip / profiled
-variant flags.  :data:`COMPILE_VERSION` is also folded into the
-campaign result-cache key (:func:`repro.core.campaign.cache_key`),
-exactly like ``PREANALYSIS_VERSION``: a compiler change invalidates
-cached cells instead of silently mixing semantics.
+and the traced / cycle-skip / profiled variant flags.  This module's
+source is part of :func:`repro.core.campaign.model_fingerprint`, so a
+compiler change invalidates cached cells instead of silently mixing
+semantics.
 
 **Golden-identical rule.** The compiled function replicates the
 frozen reference model (:mod:`repro.uarch.pipeline_reference`)
@@ -71,18 +69,18 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 from repro.obs.events import EventKind
-from repro.uarch.config import MachineConfig, SelectionPolicy, SteeringPolicy
-from repro.uarch.scheduler import strategy_identity
+from repro.uarch.config import (
+    REGFILE_NAMES,
+    SCHEDULER_NAMES,
+    MachineConfig,
+    SelectionPolicy,
+    SteeringPolicy,
+)
 from repro.uarch.stats import StallCause
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.uarch.pipeline import PipelineSimulator
     from repro.uarch.stats import SimStats
-
-#: Version of the pipeline-compilation scheme.  Bump whenever the
-#: generated code's timing behaviour could change; the campaign cache
-#: key includes it (see :func:`repro.core.campaign.cache_key`).
-COMPILE_VERSION = 1
 
 #: Deliberate miscompilation knob for the fuzzer self-test
 #: (:func:`repro.verify.selftest.run_compile_selftest`).  ``None`` in
@@ -103,12 +101,6 @@ _RULES = {
     SteeringPolicy.LEAST_LOADED: "least_loaded",
 }
 
-#: The scheduler and register-file strategies the generator emits
-#: code for (see :mod:`repro.uarch.scheduler` and
-#: :mod:`repro.uarch.regfile_model` for what each one models).
-_SCHEDULERS = ("conventional", "fifo_steering", "load_delay_tracking")
-_REGFILES = ("unlimited", "ports_limited")
-
 #: Stable cause-code order for the flat stall counters; codegen folds
 #: list indices from this tuple and the epilogue converts nonzero
 #: slots back to ``SimStats``' ``{StallCause: count}`` dicts.
@@ -116,9 +108,9 @@ _CAUSES: tuple[StallCause, ...] = tuple(StallCause)
 _CODE = {cause: index for index, cause in enumerate(_CAUSES)}
 
 #: The in-memory compile cache: variant key -> entry dict with
-#: ``version`` / ``source`` / ``runner``.  Entries with a stale
-#: version or a corrupted (non-callable) runner are discarded on
-#: lookup, mirroring the campaign ``ResultCache`` discipline.
+#: ``source`` / ``runner``.  Corrupted entries (not a dict, or a
+#: non-callable runner) are discarded on lookup, mirroring the
+#: campaign ``ResultCache`` discipline.
 _COMPILE_CACHE: dict[tuple, dict] = {}
 
 #: Compile-activity counters for metrics/ledger reporting.
@@ -143,8 +135,8 @@ def supports_compile(config: MachineConfig) -> bool:
     """
     return (
         len(config.clusters) in (1, 2)
-        and config.scheduler in _SCHEDULERS
-        and config.regfile in _REGFILES
+        and config.scheduler in SCHEDULER_NAMES
+        and config.regfile in REGFILE_NAMES
     )
 
 
@@ -155,8 +147,6 @@ def compile_cache_key(
     """The variant key one compiled runner is memoized under."""
     return (
         config,
-        strategy_identity(config),
-        COMPILE_VERSION,
         bool(traced),
         bool(cycle_skip),
         bool(profiled),
@@ -527,7 +517,7 @@ def generate_source(
     add("    in_ready = sim.in_ready")
     add("    prev_dest_phys = sim.prev_dest_phys")
     if ports:
-        add("    reads_of = sim.regfile_model.reads")
+        add("    reads_of = sim.regfile_reads")
     if clustered:
         add("    used_x_bypass = sim.used_x_bypass")
     if fifos or conceptual:
@@ -1277,10 +1267,10 @@ def compiled_runner(
 ) -> Callable:
     """The memoized compiled run function for one machine variant.
 
-    Looks the variant up in :data:`_COMPILE_CACHE`; stale (version
-    mismatch) and corrupted (non-callable runner) entries are
-    discarded and recompiled, mirroring the campaign result cache's
-    trust-nothing loads.
+    Looks the variant up in :data:`_COMPILE_CACHE`; corrupted entries
+    (not a dict, or a non-callable runner) are discarded and
+    recompiled, mirroring the campaign result cache's trust-nothing
+    loads.
 
     Raises:
         ValueError: for configs outside :func:`supports_compile`.
@@ -1288,9 +1278,7 @@ def compiled_runner(
     key = compile_cache_key(config, traced, cycle_skip, profiled)
     entry = _COMPILE_CACHE.get(key)
     if entry is not None:
-        if (isinstance(entry, dict)
-                and entry.get("version") == COMPILE_VERSION
-                and callable(entry.get("runner"))):
+        if isinstance(entry, dict) and callable(entry.get("runner")):
             _COUNTERS["cache_hits"] += 1
             return entry["runner"]
         _COMPILE_CACHE.pop(key, None)
@@ -1306,11 +1294,7 @@ def compiled_runner(
     runner = namespace["_compiled_run"]
     _COUNTERS["compiles"] += 1
     _COUNTERS["compile_seconds"] += time.perf_counter() - start
-    _COMPILE_CACHE[key] = {
-        "version": COMPILE_VERSION,
-        "source": source,
-        "runner": runner,
-    }
+    _COMPILE_CACHE[key] = {"source": source, "runner": runner}
     return runner
 
 

@@ -43,13 +43,32 @@ class SteeringPolicy(enum.Enum):
     LEAST_LOADED = "least_loaded"  #: emptiest-window cluster choice (ablation)
 
 
-#: Valid ``MachineConfig.scheduler`` values.  Kept as literals here
-#: (rather than importing :data:`repro.uarch.scheduler.SCHEDULER_REGISTRY`)
-#: so the config layer stays import-cycle free; a registry test pins
-#: the two lists together.
+#: Valid ``MachineConfig.scheduler`` values, the wakeup/select
+#: strategies:
+#:
+#: * ``conventional`` -- the paper's broadcast wakeup + select over a
+#:   flexible window (also drives the window-steered clustered shapes);
+#: * ``fifo_steering`` -- Section 5's dependence-based FIFOs, where only
+#:   FIFO heads are visible to select;
+#: * ``load_delay_tracking`` -- predicted ready-time issue with
+#:   real-time load-delay feedback (Diavastos & Carlson,
+#:   arXiv:2109.03112): each instruction carries a ready time predicted
+#:   from its producers (a load's from the last observed latency of the
+#:   same static load), and a candidate predicted not yet ready is held
+#:   out of select and charged to ``SCHED_WAIT``.  Holds expire at
+#:   cycles no event marks, so this strategy never skips idle cycles.
 SCHEDULER_NAMES = ("conventional", "fifo_steering", "load_delay_tracking")
 
-#: Valid ``MachineConfig.regfile`` values (see ``SCHEDULER_NAMES``).
+#: Valid ``MachineConfig.regfile`` values, the register-file port
+#: models:
+#:
+#: * ``unlimited`` -- the paper's file, ``2 x issue_width`` read ports
+#:   per cluster, never a structural hazard;
+#: * ``ports_limited`` -- reduced read ports in the spirit of Los
+#:   (arXiv:2502.00147): each cluster has ``regfile_read_ports`` read
+#:   ports per cycle, and a selected instruction whose operand reads
+#:   exceed the remaining budget is denied issue and charged to
+#:   ``REGFILE_PORT``.
 REGFILE_NAMES = ("unlimited", "ports_limited")
 
 

@@ -63,9 +63,7 @@ from repro.uarch.compile import run_compiled
 from repro.uarch.config import MachineConfig, SteeringPolicy
 from repro.uarch.preanalysis import preanalyze
 from repro.uarch.predictor import GshareBranchPredictor
-from repro.uarch.regfile_model import build_regfile
 from repro.uarch.rename import RegisterRenamer
-from repro.uarch.scheduler import SCHEDULER_REGISTRY
 from repro.uarch.stats import SimStats
 
 _INF = float("inf")
@@ -132,14 +130,24 @@ class PipelineSimulator:
         self.predictor = GshareBranchPredictor(config.predictor)
         self.cache = SetAssociativeCache(config.cache)
         self.stats = SimStats(machine=config.name, workload=trace.name)
-        # The register-file port model named by the config
-        # (repro.uarch.regfile_model): per-instruction read demand.
-        self.regfile_model = build_regfile(self)
-        # A scheduler that holds candidates until cycles the event
-        # machinery does not schedule cannot skip idle cycles.
+        # Read-port demand per instruction (at most 2 in this ISA) for
+        # the ports_limited register file; None for unlimited ports.
+        self.regfile_reads: list[int] | None = None
+        if config.regfile == "ports_limited":
+            read_ports = config.regfile_read_ports
+            self.regfile_reads = [len(inst.srcs) for inst in self.insts]
+            widest = max(self.regfile_reads, default=0)
+            if widest > read_ports:
+                raise ValueError(
+                    f"an instruction reads {widest} registers but the "
+                    f"ports_limited file has only {read_ports} read "
+                    f"ports per cluster; it could never issue"
+                )
+        # The load-delay-tracking scheduler holds candidates until
+        # cycles the event machinery does not schedule, so it cannot
+        # skip idle cycles.
         self.cycle_skip = (
-            cycle_skip
-            and SCHEDULER_REGISTRY[config.scheduler].supports_cycle_skip
+            cycle_skip and config.scheduler != "load_delay_tracking"
         )
         self.stage_times: list[float] | None = None
         self._reset_state()

@@ -117,8 +117,8 @@ class ReferencePipelineSimulator:
         self.cache = SetAssociativeCache(config.cache)
         self.stats = SimStats(machine=config.name, workload=trace.name)
         self._steering = self._build_steering()
-        # The two strategy hooks (repro.uarch.scheduler and
-        # repro.uarch.regfile_model name them), in their plain forms.
+        # The two strategy hooks (config.SCHEDULER_NAMES and
+        # REGFILE_NAMES describe them), in their plain forms.
         self.load_delay_tracking = config.scheduler == "load_delay_tracking"
         self.ports_limited = config.regfile == "ports_limited"
         self._reset_state()

@@ -13,13 +13,10 @@ C-speed ``list``/``bytearray`` indexing.
 
 The result is cached on the trace object (like
 :func:`repro.uarch.depend.dependence_info`) so a campaign sweeping
-many machines over one workload pays the pass once.
-
-:data:`PREANALYSIS_VERSION` names the shape of this derived data.  It
-participates in the campaign result-cache key
-(:func:`repro.core.campaign.cache_key`): if a future revision changes
-what the pre-analysis feeds the simulator, old cached cells are
-invalidated rather than silently mixed with new ones.
+many machines over one workload pays the pass once.  This module's
+source is part of :func:`repro.core.campaign.model_fingerprint`, so a
+change to what the pre-analysis feeds the simulator invalidates
+cached cells rather than silently mixing with them.
 """
 
 from __future__ import annotations
@@ -27,11 +24,6 @@ from __future__ import annotations
 from repro.isa.emulator import Trace
 from repro.isa.instructions import FP_REG_BASE, OpClass
 from repro.uarch.depend import NO_PRODUCER, dependence_info
-
-#: Version of the pre-analysis derivation.  Bump whenever the derived
-#: arrays (or how the simulator consumes them) change meaning; the
-#: campaign cache key includes it.
-PREANALYSIS_VERSION = 1
 
 #: ``dest_kind`` codes: no destination / integer dest / floating dest.
 DEST_NONE = 0
@@ -69,20 +61,18 @@ class TracePreAnalysis:
             :data:`~repro.isa.instructions.FP_REG_BASE` for FP), or
             ``-1`` without a destination.
         pc / taken: Fetch-stage facts for the branch predictor.
-        version: The :data:`PREANALYSIS_VERSION` this was built with.
     """
 
     __slots__ = (
         "producers", "real_producers", "is_load", "is_store", "is_mem",
         "is_branch", "mem_addr", "mem_word", "dest_kind", "dest",
-        "logical_dest", "pc", "taken", "version",
+        "logical_dest", "pc", "taken",
     )
 
     def __init__(self, trace: Trace):
         info = dependence_info(trace)
         insts = trace.insts
         n = len(insts)
-        self.version = PREANALYSIS_VERSION
         self.producers = info.producers
         self.real_producers = [
             tuple(p for p in producers if p != NO_PRODUCER)
@@ -126,14 +116,9 @@ class TracePreAnalysis:
 
 
 def preanalyze(trace: Trace) -> TracePreAnalysis:
-    """Compute (and cache on the trace) its pre-analysis arrays.
-
-    The cache is keyed by :data:`PREANALYSIS_VERSION`, so reloading a
-    new code revision against a long-lived trace object can never
-    serve stale-shaped data.
-    """
+    """Compute (and cache on the trace) its pre-analysis arrays."""
     cached = getattr(trace, _CACHE_ATTR, None)
-    if cached is not None and cached.version == PREANALYSIS_VERSION:
+    if cached is not None:
         return cached
     analysis = TracePreAnalysis(trace)
     try:

@@ -56,7 +56,6 @@ from repro.workloads.extra import (
 )
 from repro.workloads.registry import (
     WORKLOAD_REGISTRY,
-    WORKLOAD_VERSION,
     Workload,
     get_workload,
     register_external_trace,
@@ -139,7 +138,6 @@ __all__ = [
     "build_extra_program",
     "get_extra_trace",
     "WORKLOAD_REGISTRY",
-    "WORKLOAD_VERSION",
     "Workload",
     "ZOO_NAMES",
     "get_workload",

@@ -4,12 +4,14 @@ Machines got a real registry in :mod:`repro.core.machines`; this is
 the workload-side mirror.  A :class:`Workload` bundles a *name*, a
 *kind* (kernel / synthetic / external trace), a human description, a
 trace loader, and -- critically -- a **content fingerprint**.  The
-fingerprint plus :data:`WORKLOAD_VERSION` form the workload's
-*identity*, which the campaign cache key, the grid fingerprint, and
-the service cell keys all hash (see
-:func:`repro.core.campaign.cache_key`).  That closes the latent
-staleness hole where editing a kernel's source silently reused cached
-``SimStats`` keyed only by its name.
+kind plus fingerprint form the workload's *identity*, which the
+campaign cache key, the grid fingerprint, and the service cell keys
+all hash (see :func:`repro.core.campaign.cache_key`).  That closes the
+latent staleness hole where editing a kernel's source silently reused
+cached ``SimStats`` keyed only by its name.  Changes to how traces are
+generated are covered by the same keys' model fingerprint
+(:func:`repro.core.campaign.model_fingerprint`), which hashes this
+package's source.
 
 Fingerprints are computed **at call time** from the workload's
 current content (a kernel's source text read through its module
@@ -32,12 +34,6 @@ from pathlib import Path
 from typing import Callable
 
 from repro.isa import Trace, assemble, run_to_trace
-
-#: Behaviour version of the workload layer itself.  Bump when trace
-#: generation semantics change in a way that alters simulation inputs
-#: without changing any workload's content (every derived cache key
-#: changes with it).
-WORKLOAD_VERSION = 1
 
 #: The closed set of workload kinds.
 KIND_KERNEL = "kernel"
@@ -81,11 +77,7 @@ class Workload:
 
     def identity(self) -> dict:
         """The identity dict hashed into campaign/service cache keys."""
-        return {
-            "kind": self.kind,
-            "fingerprint": self.fingerprint(),
-            "version": WORKLOAD_VERSION,
-        }
+        return {"kind": self.kind, "fingerprint": self.fingerprint()}
 
     def trace(self, max_instructions: int = 30_000) -> Trace:
         """The workload's dynamic trace, cached per (name, budget)."""
@@ -136,14 +128,11 @@ def workload_identity(name: str) -> dict:
     """The cache-key identity of ``name`` -- total, never raising.
 
     Unregistered names (tests inject fake workloads with stub
-    runners) fall back to a name-only identity, which preserves the
-    old keying behaviour for them while still folding
-    :data:`WORKLOAD_VERSION` in.
+    runners) fall back to a name-only identity.
     """
     workload = WORKLOAD_REGISTRY.get(name)
     if workload is None:
-        return {"kind": "unregistered", "fingerprint": name,
-                "version": WORKLOAD_VERSION}
+        return {"kind": "unregistered", "fingerprint": name}
     return workload.identity()
 
 
@@ -231,38 +220,6 @@ def register_external_trace(path: str | Path,
         f"external trace ({len(full)} insts from {path.name})",
         loader, content=lambda: digest,
     ), replace=replace)
-
-
-def characterize(name: str, max_instructions: int = 5_000) -> dict:
-    """A compact characterization of one workload (JSON-ready).
-
-    This is what ``/v1/workloads?workload=...`` and the ``repro
-    workloads`` listing serve: dynamic instruction mix, branch/load
-    fractions, mean dependence distance, and memory footprint.
-    """
-    from repro.analysis.traces import (
-        mean_dependence_distance,
-        memory_profile,
-    )
-
-    workload = get_workload(name)
-    trace = workload.trace(max_instructions)
-    mix = {op_class.value: count
-           for op_class, count in sorted(trace.class_counts().items(),
-                                         key=lambda item: item[0].value)}
-    memory = memory_profile(trace)
-    return {
-        "name": name,
-        "kind": workload.kind,
-        "instructions": len(trace),
-        "halted": trace.halted,
-        "class_mix": mix,
-        "branch_fraction": round(trace.branch_fraction(), 4),
-        "load_fraction": round(trace.load_fraction(), 4),
-        "mean_dependence_distance": round(
-            mean_dependence_distance(trace), 3),
-        "memory_words": memory.unique_words,
-    }
 
 
 def _register_paper_kernels() -> None:

@@ -7,6 +7,7 @@ parallelism and caching are pure speed, never a result change.
 
 import json
 import multiprocessing
+import shutil
 import time
 
 import pytest
@@ -37,6 +38,44 @@ N = 1_000
 def serialise(result: ExperimentResult) -> str:
     """Canonical bytes of a result (what ``save_result`` writes)."""
     return json.dumps(result_to_dict(result), sort_keys=True)
+
+
+@pytest.fixture
+def edited_model(tmp_path, monkeypatch):
+    """Key a cell against a copy of the model source with one file edited.
+
+    Returns ``key_after_edit(relative)``: it copies every package of
+    ``MODEL_PACKAGES``, checks the untouched copy keys like the real
+    tree, appends a comment to ``repro/<relative>``, points
+    :func:`model_fingerprint` at the copy and returns the baseline/li
+    cache key.  The memo is cleared on both sides, so the rest of the
+    suite sees the real source's fingerprint.
+    """
+    from repro.core import campaign as campaign_mod
+
+    def key_after_edit(relative: str) -> str:
+        original = cache_key(baseline_8way(), "li", N)
+        root = tmp_path / "repro"
+        for package in campaign_mod.MODEL_PACKAGES:
+            part = package.split(".", 1)[1]
+            shutil.copytree(
+                campaign_mod._REPRO_ROOT / part, root / part,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        monkeypatch.setattr(campaign_mod, "_REPRO_ROOT", root)
+        campaign_mod.model_fingerprint.cache_clear()
+        assert cache_key(baseline_8way(), "li", N) == original
+        edited = root / relative
+        edited.write_text(
+            edited.read_text(encoding="utf-8") + "\n# edited\n",
+            encoding="utf-8",
+        )
+        campaign_mod.model_fingerprint.cache_clear()
+        return cache_key(baseline_8way(), "li", N)
+
+    yield key_after_edit
+    monkeypatch.undo()
+    campaign_mod.model_fingerprint.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -207,30 +246,18 @@ class TestCacheKey:
             ports_limited_8way(read_ports=16), "li", N
         )
 
-    def test_key_changes_with_strategy_version(self, monkeypatch):
-        from repro.uarch.scheduler import ConventionalScheduler, strategy_identity
-
+    def test_key_changes_with_strategy_version(self, edited_model):
+        # Strategy behaviour lives in the model source: editing the
+        # scheduler module must invalidate every cached cell.
         before = cache_key(baseline_8way(), "li", N)
-        identity = strategy_identity(baseline_8way())
-        assert identity == "sched:conventional@1+regfile:unlimited@1"
-        monkeypatch.setattr(ConventionalScheduler, "version", 2)
-        assert strategy_identity(baseline_8way()).startswith(
-            "sched:conventional@2"
-        )
-        assert cache_key(baseline_8way(), "li", N) != before
+        assert edited_model("uarch/scheduler.py") != before
 
-    def test_key_changes_with_compile_version(self, monkeypatch):
-        # Workers simulate with mode="compiled"; a codegen change
-        # bumps COMPILE_VERSION and must invalidate every cached cell,
-        # exactly like PREANALYSIS_VERSION before it.
-        import repro.core.campaign as campaign_mod
-
+    def test_key_changes_with_compile_version(self, edited_model):
+        # Workers simulate with mode="compiled"; a codegen edit must
+        # invalidate every cached cell, exactly like a pre-analysis
+        # edit.
         before = cache_key(baseline_8way(), "li", N)
-        monkeypatch.setattr(
-            campaign_mod, "COMPILE_VERSION",
-            campaign_mod.COMPILE_VERSION + 1,
-        )
-        assert cache_key(baseline_8way(), "li", N) != before
+        assert edited_model("uarch/compile.py") != before
 
     def test_key_changes_when_kernel_source_is_edited(self, monkeypatch):
         # THE staleness fix this PR exists for: the key hashes the
@@ -248,15 +275,11 @@ class TestCacheKey:
             baseline_8way(), "gcc", N
         )
 
-    def test_key_changes_with_workload_version(self, monkeypatch):
-        import repro.workloads.registry as registry_mod
-
+    def test_key_changes_with_workload_version(self, edited_model):
+        # Trace generation is fingerprinted too: editing the workload
+        # registry misses every cached cell.
         before = cache_key(baseline_8way(), "li", N)
-        monkeypatch.setattr(
-            registry_mod, "WORKLOAD_VERSION",
-            registry_mod.WORKLOAD_VERSION + 1,
-        )
-        assert cache_key(baseline_8way(), "li", N) != before
+        assert edited_model("workloads/registry.py") != before
 
     def test_grid_fingerprint_changes_when_kernel_source_is_edited(
         self, monkeypatch
@@ -449,19 +472,13 @@ class TestCampaignProfile:
 
 
 class TestCounterCacheAudit:
-    """Cycle-skip attribution and pre-analysis versioning survive the
-    cache: warm hits return byte-identical counters, and bumping the
-    derived-data version invalidates every key."""
+    """Cycle-skip attribution and pre-analysis identity survive the
+    cache: warm hits return byte-identical counters, and editing the
+    derived-data code invalidates every key."""
 
-    def test_key_changes_with_preanalysis_version(self, monkeypatch):
-        from repro.core import campaign as campaign_mod
-
+    def test_key_changes_with_preanalysis_version(self, edited_model):
         before = cache_key(baseline_8way(), "li", N)
-        monkeypatch.setattr(
-            campaign_mod, "PREANALYSIS_VERSION",
-            campaign_mod.PREANALYSIS_VERSION + 1,
-        )
-        assert cache_key(baseline_8way(), "li", N) != before
+        assert edited_model("uarch/preanalysis.py") != before
 
     def test_warm_hit_preserves_cycle_skip_attribution(self, tmp_path):
         """The optimized simulator folds skipped idle cycles into the

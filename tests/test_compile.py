@@ -16,7 +16,6 @@ import pytest
 from repro.core.machines import MACHINE_REGISTRY, baseline_8way, ports_limited_8way
 from repro.uarch import compile as compile_mod
 from repro.uarch.compile import (
-    COMPILE_VERSION,
     compile_cache_key,
     compile_cache_stats,
     compiled_runner,
@@ -110,23 +109,9 @@ class TestCompileCacheKey:
         assert compile_cache_key(baseline_8way(), True, True) != base
         assert compile_cache_key(baseline_8way(), False, False) != base
 
-    def test_key_changes_with_compile_version(self, monkeypatch):
-        before = compile_cache_key(baseline_8way(), False, True)
-        monkeypatch.setattr(
-            compile_mod, "COMPILE_VERSION", COMPILE_VERSION + 1
-        )
-        assert compile_cache_key(baseline_8way(), False, True) != before
-
     def test_key_changes_with_planted_bug(self, monkeypatch):
         before = compile_cache_key(baseline_8way(), False, True)
         monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "load_hit_fold")
-        assert compile_cache_key(baseline_8way(), False, True) != before
-
-    def test_key_changes_with_strategy_version(self, monkeypatch):
-        from repro.uarch.scheduler import ConventionalScheduler
-
-        before = compile_cache_key(baseline_8way(), False, True)
-        monkeypatch.setattr(ConventionalScheduler, "version", 2)
         assert compile_cache_key(baseline_8way(), False, True) != before
 
     def test_key_distinguishes_regfile_strategies(self):
@@ -166,15 +151,6 @@ class TestCompileCache:
         recompiled = compiled_runner(baseline_8way())
         assert callable(recompiled)
         assert recompiled is not runner
-        stats = compile_cache_stats()
-        assert stats["stale_discards"] == 1
-        assert stats["compiles"] == 2
-
-    def test_stale_version_is_discarded(self):
-        compiled_runner(baseline_8way())
-        key = compile_cache_key(baseline_8way(), False, True)
-        compile_mod._COMPILE_CACHE[key]["version"] = COMPILE_VERSION + 1
-        compiled_runner(baseline_8way())
         stats = compile_cache_stats()
         assert stats["stale_discards"] == 1
         assert stats["compiles"] == 2

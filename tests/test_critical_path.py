@@ -193,14 +193,6 @@ class TestStrategyShapePins:
         assert len(windows) == 1
         assert "ready-time" in windows[0].label
 
-    def test_strategy_name_tuples_match_registries(self):
-        from repro.uarch.config import REGFILE_NAMES, SCHEDULER_NAMES
-        from repro.uarch.regfile_model import REGFILE_REGISTRY
-        from repro.uarch.scheduler import SCHEDULER_REGISTRY
-
-        assert tuple(SCHEDULER_REGISTRY) == SCHEDULER_NAMES
-        assert tuple(REGFILE_REGISTRY) == REGFILE_NAMES
-
 
 class TestAccounting:
     def test_bypass_never_bounds_the_clock(self):

@@ -122,23 +122,22 @@ class TestPerformanceDoc:
 
     def test_floor_constants_are_real(self, performance_doc):
         from benchmarks.bench_simulator_throughput import (  # noqa: PLC0415
-            MIN_RATE,
+            COMPILED_MIN_RATE,
             SEED_MIN_RATE,
         )
-        assert "MIN_RATE" in performance_doc
-        assert MIN_RATE > SEED_MIN_RATE
+        assert (f"`COMPILED_MIN_RATE` ({COMPILED_MIN_RATE:,} inst/s)"
+                in performance_doc)
+        assert COMPILED_MIN_RATE > SEED_MIN_RATE
 
     def test_bench_record_matches_floors(self):
         import json
 
         from benchmarks.bench_simulator_throughput import (  # noqa: PLC0415
-            MIN_RATE,
             SEED_MIN_RATE,
         )
         payload = json.loads(
             (ROOT / "BENCH_simulator.json").read_text(encoding="utf-8"))
         recorded = payload["recorded"]
-        assert recorded["min_rate_floor"] == MIN_RATE
         assert recorded["seed_min_rate_floor"] == SEED_MIN_RATE
         baseline = recorded["baseline_8way"]
         assert baseline["after_inst_per_s"] >= 2 * recorded["seed_min_rate_floor"]
@@ -148,7 +147,7 @@ class TestPerformanceDoc:
         assert 'mode="compiled"' in performance_doc
         assert "repro.uarch.compile" in performance_doc
         assert "COMPILED_MIN_RATE" in performance_doc
-        assert "COMPILE_VERSION" in performance_doc
+        assert "model_fingerprint()" in performance_doc
         assert "tests/test_compile.py" in performance_doc
 
     def test_compiled_bench_record_matches_floors(self):
@@ -160,13 +159,11 @@ class TestPerformanceDoc:
 
         from benchmarks.bench_simulator_throughput import (  # noqa: PLC0415
             COMPILED_MIN_RATE,
-            MIN_RATE,
         )
         payload = json.loads(
             (ROOT / "BENCH_simulator.json").read_text(encoding="utf-8"))
         recorded = payload["recorded"]
         assert recorded["compiled_min_rate_floor"] == COMPILED_MIN_RATE
-        assert COMPILED_MIN_RATE == 2 * MIN_RATE
         compiled = recorded["baseline_8way_compiled"]
         assert compiled["before_inst_per_s"] == (
             recorded["baseline_8way"]["after_inst_per_s"]
@@ -347,7 +344,7 @@ class TestObservabilityDoc:
 
         assert f"(default {DEFAULT_WINDOW})" in observability_doc
         assert f"(default {DEFAULT_THRESHOLD})" in observability_doc
-        for floor in ("min_rate_floor", "seed_min_rate_floor",
+        for floor in ("compiled_min_rate_floor", "seed_min_rate_floor",
                       "min_warm_speedup_floor"):
             assert f"`{floor}`" in observability_doc
 
@@ -482,13 +479,11 @@ class TestWorkloadsDoc:
             assert f"`{kind}`" in workloads_doc, kind
 
     def test_version_constants_match_code(self, workloads_doc):
-        from repro.workloads.registry import WORKLOAD_VERSION
+        from repro.core.campaign import model_fingerprint  # noqa: F401
         from repro.workloads.trace_format import TRACE_FORMAT_VERSION
 
-        assert "WORKLOAD_VERSION" in workloads_doc
+        assert "model_fingerprint()" in workloads_doc
         assert "TRACE_FORMAT_VERSION" in workloads_doc
-        assert workloads_doc.count(
-            f"currently **{WORKLOAD_VERSION}**") >= 1
         assert f'"version": {TRACE_FORMAT_VERSION},' in workloads_doc
 
     def test_trace_format_fields_documented(self, workloads_doc):
@@ -652,13 +647,11 @@ class TestMicroarchDoc:
         assert "regfile_port" in values and "`regfile_port`" in microarch_doc
 
     def test_documented_symbols_exist(self, microarch_doc):
+        from repro.core.campaign import model_fingerprint  # noqa: F401
         from repro.delay.critical_path import ldt_window_logic_ps  # noqa: F401
-        from repro.uarch.scheduler import (  # noqa: F401
-            strategy_identity,
-            supports_reference,
-        )
+        from repro.uarch.scheduler import supports_reference  # noqa: F401
 
-        for symbol in ("strategy_identity", "supports_reference",
+        for symbol in ("model_fingerprint", "supports_reference",
                        "ldt_window_logic_ps",
                        "_normalize_strategies"):
             assert symbol in microarch_doc, symbol

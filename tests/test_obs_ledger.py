@@ -151,6 +151,22 @@ class TestRecordHelpers:
         sha = git_sha()
         assert sha == "unknown" or len(sha) == 40
 
+    def test_git_sha_spawns_one_subprocess_per_process(self, monkeypatch):
+        from repro.obs import ledger
+
+        real_run = ledger.subprocess.run
+        calls = []
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(ledger.subprocess, "run", counting_run)
+        git_sha.cache_clear()
+        first = git_sha()
+        assert git_sha() == first
+        assert len(calls) == 1
+
 
 class TestRecordBench:
     def test_fresh_file(self, tmp_path):

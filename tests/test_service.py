@@ -203,13 +203,14 @@ class TestRouting:
         assert status == 200
         names = [m["name"] for m in payload["machines"]]
         assert "baseline" in names and names == sorted(names)
-        assert all("strategy" in m for m in payload["machines"])
+        strategies = {m["name"]: m["strategy"] for m in payload["machines"]}
+        assert strategies["baseline"] == "sched:conventional+regfile:unlimited"
+        assert strategies["ports_limited"] == (
+            "sched:conventional+regfile:ports_limited")
 
     def test_workloads_lists_the_registry(self, tmp_path):
-        from repro.workloads.registry import (
-            WORKLOAD_VERSION,
-            workload_names,
-        )
+        from repro.core.campaign import model_fingerprint
+        from repro.workloads.registry import workload_names
 
         service = make_service(tmp_path)
         status, _, payload = run(get(service, "/v1/workloads"))
@@ -218,7 +219,8 @@ class TestRouting:
         assert tuple(names) == workload_names()  # registration order
         assert names[: len(WORKLOAD_NAMES)] == list(WORKLOAD_NAMES)
         assert payload["count"] == len(names)
-        assert payload["workload_version"] == WORKLOAD_VERSION
+        assert payload["model_fingerprint"] == model_fingerprint()
+        assert "workload_version" not in payload
         for entry in payload["workloads"]:
             assert entry["kind"] in ("kernel", "synthetic", "external")
             assert entry["description"]

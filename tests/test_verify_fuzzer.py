@@ -188,10 +188,5 @@ class TestPlantedPortArbiterBug:
 
     def test_registry_is_restored(self, selftest):
         from repro.uarch import compile as compile_mod
-        from repro.uarch.regfile_model import (
-            REGFILE_REGISTRY,
-            PortsLimitedRegfile,
-        )
 
-        assert REGFILE_REGISTRY["ports_limited"] is PortsLimitedRegfile
         assert compile_mod._PLANTED_BUG is None

@@ -86,9 +86,8 @@ class TestFingerprints:
 
     def test_identity_shape(self):
         identity = get_workload("zoo_br_coin").identity()
-        assert set(identity) == {"kind", "fingerprint", "version"}
+        assert set(identity) == {"kind", "fingerprint"}
         assert identity["kind"] == "synthetic"
-        assert identity["version"] >= 1
 
     def test_workload_identity_is_total(self):
         fallback = workload_identity("not-registered")
