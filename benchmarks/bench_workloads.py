@@ -3,15 +3,18 @@
 The workload registry fronts every simulation, so trace generation
 must stay cheap relative to the timing simulation it feeds.  This
 bench measures dynamic-instructions-per-second of trace *generation*
-for one representative of each built-in kind -- an assembled paper
-kernel (emulator-executed) and a ``zoo_*`` synthetic scenario
-(generator-driven) -- plus the external-trace ingestion path
-(JSONL export + strict validating reload).
+for representatives of each built-in kind -- an assembled paper
+kernel and a Mini-compiled kernel (emulator-executed), two ``zoo_*``
+synthetic scenarios (generator-driven; ``zoo_ilp_wide`` draws the
+most random numbers per instruction) -- plus the external-trace
+ingestion path (JSONL export + strict validating reload).
 
-The numbers fold into ``BENCH_workloads.json`` (repo root) next to
-the checked-in ``min_gen_inst_per_s_floor``, which the ``repro bench
---check`` regression gate enforces against every measured generation
-rate.
+The numbers fold into ``BENCH_workloads.json`` (repo root).  The
+``repro bench --check`` regression gate
+(:func:`repro.obs.regression.check_workloads_bench`) holds every
+measured row to the checked-in ``min_gen_inst_per_s_floor`` and to
+the row's own ``gen_row_floors`` entry: half its recorded median over
+interleaved rounds, so a 2x regression of any one row fails.
 """
 
 import os
@@ -26,15 +29,20 @@ BENCH_WORKLOADS_PATH = os.path.join(
 )
 
 #: Every measured generation path must produce at least this many
-#: dynamic instructions per second.  Deliberately far below observed
-#: rates (CI machines are slow and shared); the trailing-window gate
-#: catches slow erosion.  Also checked in as
-#: ``recorded.min_gen_inst_per_s_floor``.
+#: dynamic instructions per second, whatever its row floor.  Also
+#: checked in as ``recorded.min_gen_inst_per_s_floor``; the per-row
+#: ``recorded.gen_row_floors`` sit well above it.
 MIN_GEN_RATE = 20_000.0
 
-#: One representative per built-in kind.
-KERNEL = "li"
-ZOO = "zoo_br_coin"
+#: Generation rows: label -> the workload whose loader is timed.
+GENERATION_ROWS = {
+    "li (kernel)": "li",
+    "dct (mini)": "dct",
+    "zoo_br_coin (synthetic)": "zoo_br_coin",
+    "zoo_ilp_wide (synthetic)": "zoo_ilp_wide",
+}
+#: The ingestion row: li's trace exported and strictly reloaded.
+INGESTION_ROW = "external round-trip"
 
 #: Instructions per generation pass (uncached budgets each round).
 LENGTH = 30_000
@@ -56,7 +64,7 @@ def _ingestion_rate(tmp_path, rounds: int = 5) -> float:
     """External-trace round-trip rate: JSONL export + strict reload."""
     from repro.workloads.trace_format import load_trace, save_trace
 
-    trace = get_workload(KERNEL).trace(LENGTH)
+    trace = get_workload("li").trace(LENGTH)
     instructions = 0
     started = time.perf_counter()
     for round_index in range(rounds):
@@ -71,17 +79,22 @@ def _record_workloads(measured: dict) -> None:
     record_bench(BENCH_WORKLOADS_PATH, "repro-workloads-bench", measured)
 
 
+def measure(tmp_path) -> dict:
+    """One rate per row (inst/s), keyed by the recorded labels."""
+    measured = {label: round(_generation_rate(name), 1)
+                for label, name in GENERATION_ROWS.items()}
+    measured[INGESTION_ROW] = round(_ingestion_rate(tmp_path), 1)
+    return measured
+
+
 def test_workload_generation_throughput(benchmark, paper_report, tmp_path):
-    """Measure generation + ingestion rates and enforce the floor."""
+    """Measure generation + ingestion rates and enforce the floors."""
+    import json
 
-    def measure() -> dict:
-        return {
-            f"{KERNEL} (kernel)": round(_generation_rate(KERNEL), 1),
-            f"{ZOO} (synthetic)": round(_generation_rate(ZOO), 1),
-            "external round-trip": round(_ingestion_rate(tmp_path), 1),
-        }
+    from repro.obs.regression import check_workloads_bench
 
-    measured = benchmark.pedantic(measure, rounds=1, iterations=1)
+    measured = benchmark.pedantic(measure, args=(tmp_path,), rounds=1,
+                                  iterations=1)
     paper_report(
         "Workload-layer throughput (trace generation, inst/s)",
         "\n".join(f"  {label}: {rate:,.0f} inst/s"
@@ -90,3 +103,8 @@ def test_workload_generation_throughput(benchmark, paper_report, tmp_path):
     _record_workloads(measured)
     for label, rate in measured.items():
         assert rate >= MIN_GEN_RATE, (label, rate)
+    with open(BENCH_WORKLOADS_PATH, encoding="utf-8") as handle:
+        recorded = json.load(handle)["recorded"]
+    findings = check_workloads_bench(
+        {"measured": measured, "recorded": recorded})
+    assert not findings, [finding.format_row() for finding in findings]

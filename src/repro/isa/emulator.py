@@ -21,18 +21,10 @@ Semantics notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.isa.assembler import Program
-from repro.isa.instructions import FP_REG_BASE, Instruction, OpClass
-
-_MASK32 = 0xFFFFFFFF
-
-
-def _wrap32(value: int) -> int:
-    """Wrap to signed 32-bit."""
-    value &= _MASK32
-    return value - 0x1_0000_0000 if value >= 0x8000_0000 else value
-
+from repro.isa.instructions import FP_REG_BASE, OPCODES, Instruction, OpClass
 
 class EmulationError(RuntimeError):
     """Raised for runtime errors: bad PC, bad jump target, etc."""
@@ -125,8 +117,186 @@ class Trace:
         return sum(1 for i in self.insts if i.is_load) / len(self.insts)
 
 
+# ---- predecoding -----------------------------------------------------------
+#
+# Each static instruction is decoded once, on an emulator's first run,
+# into a *step handler*: a closure that executes the instruction and
+# returns its DynInst (or None for ``halt``).  Handlers are built from
+# source templates -- one per opcode and register-file shape -- that
+# are compiled on first use and then shared by every program in the
+# process, so decoding a program costs one closure per instruction.
+
+#: Value written by each register-writing opcode, over its register
+#: operands ``{a}``/``{b}``, its immediate ``IMM`` and, for loads, the
+#: temporary ``x`` the load's read leaves (see :data:`_READ`).
+_VALUES = {
+    "addu": "{a} + {b}", "subu": "{a} - {b}", "and": "{a} & {b}",
+    "or": "{a} | {b}", "xor": "{a} ^ {b}", "nor": "~({a} | {b})",
+    "slt": "int({a} < {b})",
+    "sltu": "int(({a} & 0xFFFFFFFF) < ({b} & 0xFFFFFFFF))",
+    "sllv": "{a} << ({b} & 31)", "srlv": "({a} & 0xFFFFFFFF) >> ({b} & 31)",
+    "srav": "{a} >> ({b} & 31)",
+    "addiu": "{a} + IMM", "andi": "{a} & IMM", "ori": "{a} | IMM",
+    "xori": "{a} ^ IMM", "slti": "int({a} < IMM)",
+    "sltiu": "int(({a} & 0xFFFFFFFF) < (IMM & 0xFFFFFFFF))",
+    "sll": "{a} << (IMM & 31)", "srl": "({a} & 0xFFFFFFFF) >> (IMM & 31)",
+    "sra": "{a} >> (IMM & 31)", "lui": "IMM << 16", "li": "IMM",
+    "move": "{a}",
+    "mult": "{a} * {b}",
+    "div": "0 if {b} == 0 else int({a} / {b})",  # truncate toward zero
+    "rem": "0 if {b} == 0 else {a} - int({a} / {b}) * {b}",
+    "add.s": "{a} + {b}", "sub.s": "{a} - {b}", "mul.s": "{a} * {b}",
+    "div.s": "0.0 if {b} == 0 else {a} / {b}",
+    "mov.s": "float({a})", "cvt.s.w": "float({a})", "cvt.w.s": "int({a})",
+    "lw": "(x + 0x80000000 & 0xFFFFFFFF) - 0x80000000",
+    "lb": "x - ((x & 0x80) << 1)", "lbu": "x",
+    "lh": "x - ((x & 0x8000) << 1)", "lhu": "x",
+    # l.s: fp bits stored as a scaled integer, for simplicity
+    "l.s": "(x - ((x & 0x80000000) << 1)) / 65536.0",
+}
+
+#: Little-endian reads of 1, 2 and 4 bytes at ``addr``; missing bytes
+#: read as 0.
+_READ = {
+    1: "get(addr, 0)",
+    2: "get(addr, 0) | get(addr + 1, 0) << 8",
+    4: "get(addr, 0) | get(addr + 1, 0) << 8 | get(addr + 2, 0) << 16"
+       " | get(addr + 3, 0) << 24",
+}
+_LOAD_SIZES = {"lw": 4, "lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "l.s": 4}
+
+#: Stores: (value masked to the store width, bytes written).
+_STORES = {
+    "sw": ("{a} & 0xFFFFFFFF", 4),
+    "sh": ("{a} & 0xFFFF", 2),
+    "sb": ("{a} & 0xFF", 1),
+    "s.s": ("int({a} * 65536.0) & 0xFFFFFFFF", 4),
+}
+
+#: Taken condition of each conditional branch.
+_CONDITIONS = {
+    "beq": "{a} == {b}", "bne": "{a} != {b}", "blez": "{a} <= 0",
+    "bgtz": "{a} > 0", "bltz": "{a} < 0", "bgez": "{a} >= 0",
+    "blt": "{a} < {b}", "bge": "{a} >= {b}", "ble": "{a} <= {b}",
+    "bgt": "{a} > {b}",
+}
+
+#: Opcodes whose value may be a float even when every source is an
+#: integer register (an integer destination then truncates it).
+_FLOAT_VALUES = frozenset({"div.s", "mov.s", "cvt.s.w", "l.s"})
+
+#: An integer wrapped to signed 32 bits (integer register writes).
+_WRAP = "({} + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
+
+#: What a handler closes over: the register files, memory and its
+#: ``get``, then one instruction's pc, fall-through pc, op class, trace
+#: ``srcs`` and ``dest``, operand indices within their files, immediate,
+#: destination index, target and the text-segment length.
+_FACTORY_PARAMS = ("ir, fr, mem, get, PC, NEXT, CLS, SRCS, DEST, "
+                   "A, B, IMM, D, TARGET, N")
+
+#: Handler factories, keyed by instruction shape (see :func:`_shape`);
+#: filled on first use.
+_FACTORIES: dict[tuple, Callable] = {}
+
+
+def _shape(inst: Instruction) -> tuple:
+    """What a handler's source depends on: the opcode, the register
+    file of each source, and the destination's file (``"zero"`` for
+    register 0, whose writes vanish)."""
+    dest = inst.dest
+    dest_file = None
+    if dest is not None:
+        dest_file = "fp" if dest >= FP_REG_BASE else "int" if dest else "zero"
+    return (inst.opcode, tuple(reg >= FP_REG_BASE for reg in inst.srcs),
+            dest_file)
+
+
+def _handler_source(op: str, fp_srcs: tuple[bool, ...],
+                    dest: str | None) -> str:
+    """Body of the step handler for one instruction shape."""
+    info = OPCODES[op]
+    cls = info.op_class
+    files = ["fr" if fp else "ir" for fp in fp_srcs]
+    operands = dict(zip("ab", (f"{f}[{n}]" for f, n in zip(files, "AB"))))
+    body: list[str] = []
+    mem_addr, taken, next_pc = "None", "False", "NEXT"
+    if cls is OpClass.LOAD:
+        body.append("addr = ({a} + IMM) & 0xFFFFFFFF".format(**operands))
+        body.append("x = " + _READ[_LOAD_SIZES[op]])
+        mem_addr = "addr"
+    elif cls is OpClass.STORE:
+        body.append("addr = ({b} + IMM) & 0xFFFFFFFF".format(**operands))
+        value, size = _STORES[op]
+        body.append("x = " + value.format(**operands))
+        body.append("mem[addr] = x & 0xFF")
+        body.extend(f"mem[addr + {i}] = x >> {8 * i} & 0xFF"
+                    for i in range(1, size))
+        mem_addr = "addr"
+    elif cls is OpClass.BRANCH:
+        body.append("if " + _CONDITIONS[op].format(**operands) + ":")
+        body.append("    " + _record(op, info, "None", "True", "TARGET"))
+    elif cls is OpClass.JUMP:
+        taken = "True"
+        if op in ("jr", "jalr"):
+            body.append("t = " + operands["a"])
+            next_pc = "t"
+        if op in ("jal", "jalr"):
+            body.append("ir[31] = NEXT")
+        if op in ("jr", "jalr"):
+            body.append("if not 0 <= t < N:")
+            body.append("    raise EmulationError(f'jump register target "
+                        "{t} outside text segment (pc={PC})')")
+        else:
+            next_pc = "TARGET"
+    elif op == "halt":
+        return "return None"
+    if op in _VALUES:
+        value = _VALUES[op].format(**operands)
+        if dest == "fp":
+            body.append(f"fr[D] = float({value})")
+        elif dest == "zero":
+            body.append(value)  # evaluated, then discarded like the write
+        elif "fr" in files or op in _FLOAT_VALUES:
+            body.append("ir[D] = " + _WRAP.format(f"int({value})"))
+        else:
+            body.append("ir[D] = " + _WRAP.format(f"({value})"))
+    body.append(_record(op, info, mem_addr, taken, next_pc))
+    return "\n".join(body)
+
+
+def _record(op: str, info, mem_addr: str, taken: str, next_pc: str) -> str:
+    """The ``return DynInst(...)`` statement of a handler."""
+    return (f"return DynInst(seq, PC, {op!r}, CLS, SRCS, DEST, {mem_addr}, "
+            f"{info.writes_memory}, {info.reads_memory}, "
+            f"{info.is_conditional}, {info.op_class is OpClass.JUMP}, "
+            f"{taken}, {next_pc})")
+
+
+def _factory(shape: tuple) -> Callable:
+    """The (memoized) factory binding one shape's handler to operands."""
+    factory = _FACTORIES.get(shape)
+    if factory is None:
+        body = "\n".join("        " + line
+                         for line in _handler_source(*shape).split("\n"))
+        text = (f"def factory({_FACTORY_PARAMS}):\n"
+                f"    def step(seq):\n{body}\n"
+                f"    return step\n")
+        namespace = {"DynInst": DynInst, "EmulationError": EmulationError}
+        exec(compile(text, "<emulator handler>", "exec"), namespace)
+        factory = _FACTORIES[shape] = namespace["factory"]
+    return factory
+
+
 class Emulator:
-    """Functional executor for an assembled :class:`Program`."""
+    """Functional executor for an assembled :class:`Program`.
+
+    The architectural state -- ``int_regs``, ``fp_regs``, ``memory``,
+    ``pc``, ``halted`` and ``executed`` (instructions run, ``halt``
+    included) -- is public.  The step handlers bound on the first
+    :meth:`run` mutate the register lists and the memory dict in place,
+    so those objects are never replaced.
+    """
 
     def __init__(self, program: Program):
         self.program = program
@@ -136,22 +306,7 @@ class Emulator:
         self.pc = program.entry_point
         self.halted = False
         self.executed = 0
-
-    # ---- register/memory access helpers -----------------------------------
-
-    def read_reg(self, index: int):
-        """Read a flat register (int or fp)."""
-        if index < FP_REG_BASE:
-            return self.int_regs[index] if index != 0 else 0
-        return self.fp_regs[index - FP_REG_BASE]
-
-    def write_reg(self, index: int, value) -> None:
-        """Write a flat register; writes to integer register 0 vanish."""
-        if index < FP_REG_BASE:
-            if index != 0:
-                self.int_regs[index] = _wrap32(int(value))
-        else:
-            self.fp_regs[index - FP_REG_BASE] = float(value)
+        self._handlers: list | None = None
 
     def load(self, address: int, size: int, signed: bool) -> int:
         """Read ``size`` little-endian bytes; missing bytes read as 0."""
@@ -164,230 +319,35 @@ class Emulator:
                 value -= 1 << (8 * size)
         return value
 
-    def store(self, address: int, value: int, size: int) -> None:
-        """Write ``size`` little-endian bytes."""
-        value &= (1 << (8 * size)) - 1
-        for i in range(size):
-            self.memory[address + i] = (value >> (8 * i)) & 0xFF
-
-    # ---- execution ----------------------------------------------------------
-
-    def step(self, seq: int) -> DynInst:
-        """Execute one instruction and return its trace record.
+    def _decode(self) -> list:
+        """One step handler per static instruction, indexed by pc.
 
         Raises:
-            EmulationError: if the PC runs off the text segment or a
-                register-indirect jump targets a bad index.
+            EmulationError: for a negative branch/jump target (a target
+                past the end faults when it is reached, as falling off
+                the end does).
         """
-        if not 0 <= self.pc < len(self.program.instructions):
-            raise EmulationError(f"PC {self.pc} outside text segment")
-        inst = self.program.instructions[self.pc]
-        pc = self.pc
-        next_pc = pc + 1
-        mem_addr = None
-        taken = False
-        op = inst.opcode
-        cls = inst.op_class
-        read = self.read_reg
-
-        if cls is OpClass.IALU:
-            self._exec_ialu(inst)
-        elif cls is OpClass.IMUL:
-            self._exec_imul(inst)
-        elif cls is OpClass.LOAD:
-            mem_addr = _wrap32(read(inst.srcs[0]) + inst.imm) & _MASK32
-            self._exec_load(inst, mem_addr)
-        elif cls is OpClass.STORE:
-            mem_addr = _wrap32(read(inst.srcs[1]) + inst.imm) & _MASK32
-            self._exec_store(inst, mem_addr)
-        elif cls is OpClass.BRANCH:
-            taken = self._branch_taken(inst)
-            if taken:
-                next_pc = inst.target
-        elif cls is OpClass.JUMP:
-            taken = True
-            if op in ("j", "jal", "b"):
-                if op == "jal":
-                    self.write_reg(31, pc + 1)
-                next_pc = inst.target
-            else:  # jr / jalr
-                target = read(inst.srcs[0])
-                if op == "jalr":
-                    self.write_reg(31, pc + 1)
-                if not 0 <= target < len(self.program.instructions):
-                    raise EmulationError(
-                        f"jump register target {target} outside text segment "
-                        f"(pc={pc})"
-                    )
-                next_pc = target
-        elif cls is OpClass.FPU:
-            self._exec_fpu(inst)
-        else:  # NOP / HALT
-            if op == "halt":
-                self.halted = True
-                next_pc = pc
-
-        self.pc = next_pc
-        self.executed += 1
-
-        dest = inst.dest
-        if dest == 0:
-            dest = None  # writes to r0 are architectural no-ops
-        srcs = tuple(s for s in inst.srcs if s != 0)
-        info = inst.info
-        return DynInst(
-            seq=seq,
-            pc=pc,
-            opcode=op,
-            op_class=cls,
-            srcs=srcs,
-            dest=dest if info.writes_dest else None,
-            mem_addr=mem_addr,
-            is_store=info.writes_memory,
-            is_load=info.reads_memory,
-            is_branch=info.is_conditional,
-            is_uncond=cls is OpClass.JUMP,
-            taken=taken,
-            next_pc=next_pc,
-        )
-
-    def _exec_ialu(self, inst: Instruction) -> None:
-        read = self.read_reg
-        op = inst.opcode
-        if op == "addu":
-            value = read(inst.srcs[0]) + read(inst.srcs[1])
-        elif op == "subu":
-            value = read(inst.srcs[0]) - read(inst.srcs[1])
-        elif op == "and":
-            value = read(inst.srcs[0]) & read(inst.srcs[1])
-        elif op == "or":
-            value = read(inst.srcs[0]) | read(inst.srcs[1])
-        elif op == "xor":
-            value = read(inst.srcs[0]) ^ read(inst.srcs[1])
-        elif op == "nor":
-            value = ~(read(inst.srcs[0]) | read(inst.srcs[1]))
-        elif op == "slt":
-            value = int(read(inst.srcs[0]) < read(inst.srcs[1]))
-        elif op == "sltu":
-            value = int((read(inst.srcs[0]) & _MASK32) < (read(inst.srcs[1]) & _MASK32))
-        elif op == "sllv":
-            value = read(inst.srcs[0]) << (read(inst.srcs[1]) & 31)
-        elif op == "srlv":
-            value = (read(inst.srcs[0]) & _MASK32) >> (read(inst.srcs[1]) & 31)
-        elif op == "srav":
-            value = read(inst.srcs[0]) >> (read(inst.srcs[1]) & 31)
-        elif op == "addiu":
-            value = read(inst.srcs[0]) + inst.imm
-        elif op == "andi":
-            value = read(inst.srcs[0]) & inst.imm
-        elif op == "ori":
-            value = read(inst.srcs[0]) | inst.imm
-        elif op == "xori":
-            value = read(inst.srcs[0]) ^ inst.imm
-        elif op == "slti":
-            value = int(read(inst.srcs[0]) < inst.imm)
-        elif op == "sltiu":
-            value = int((read(inst.srcs[0]) & _MASK32) < (inst.imm & _MASK32))
-        elif op == "sll":
-            value = read(inst.srcs[0]) << (inst.imm & 31)
-        elif op == "srl":
-            value = (read(inst.srcs[0]) & _MASK32) >> (inst.imm & 31)
-        elif op == "sra":
-            value = read(inst.srcs[0]) >> (inst.imm & 31)
-        elif op == "lui":
-            value = inst.imm << 16
-        elif op == "li":
-            value = inst.imm
-        elif op == "move":
-            value = read(inst.srcs[0])
-        else:  # pragma: no cover - opcode table is static
-            raise EmulationError(f"unhandled IALU opcode {op}")
-        self.write_reg(inst.dest, value)
-
-    def _exec_imul(self, inst: Instruction) -> None:
-        a = self.read_reg(inst.srcs[0])
-        b = self.read_reg(inst.srcs[1])
-        if inst.opcode == "mult":
-            value = a * b
-        elif inst.opcode == "div":
-            value = 0 if b == 0 else int(a / b)  # truncate toward zero
-        else:  # rem
-            value = 0 if b == 0 else a - int(a / b) * b
-        self.write_reg(inst.dest, value)
-
-    def _exec_load(self, inst: Instruction, address: int) -> None:
-        op = inst.opcode
-        if op == "lw":
-            value = _wrap32(self.load(address, 4, signed=False))
-        elif op == "lb":
-            value = self.load(address, 1, signed=True)
-        elif op == "lbu":
-            value = self.load(address, 1, signed=False)
-        elif op == "lh":
-            value = self.load(address, 2, signed=True)
-        elif op == "lhu":
-            value = self.load(address, 2, signed=False)
-        else:  # l.s -- fp bits stored as scaled integer for simplicity
-            self.write_reg(inst.dest, self.load(address, 4, signed=True) / 65536.0)
-            return
-        self.write_reg(inst.dest, value)
-
-    def _exec_store(self, inst: Instruction, address: int) -> None:
-        op = inst.opcode
-        value_reg = inst.srcs[0]
-        if op == "sw":
-            self.store(address, self.read_reg(value_reg) & _MASK32, 4)
-        elif op == "sb":
-            self.store(address, self.read_reg(value_reg) & 0xFF, 1)
-        elif op == "sh":
-            self.store(address, self.read_reg(value_reg) & 0xFFFF, 2)
-        else:  # s.s
-            self.store(address, int(self.read_reg(value_reg) * 65536.0) & _MASK32, 4)
-
-    def _exec_fpu(self, inst: Instruction) -> None:
-        read = self.read_reg
-        op = inst.opcode
-        if op == "add.s":
-            value = read(inst.srcs[0]) + read(inst.srcs[1])
-        elif op == "sub.s":
-            value = read(inst.srcs[0]) - read(inst.srcs[1])
-        elif op == "mul.s":
-            value = read(inst.srcs[0]) * read(inst.srcs[1])
-        elif op == "div.s":
-            divisor = read(inst.srcs[1])
-            value = 0.0 if divisor == 0 else read(inst.srcs[0]) / divisor
-        elif op in ("mov.s", "cvt.s.w"):
-            value = float(read(inst.srcs[0]))
-        elif op == "cvt.w.s":
-            value = int(read(inst.srcs[0]))
-        else:  # pragma: no cover - opcode table is static
-            raise EmulationError(f"unhandled FPU opcode {op}")
-        self.write_reg(inst.dest, value)
-
-    def _branch_taken(self, inst: Instruction) -> bool:
-        read = self.read_reg
-        op = inst.opcode
-        if op == "beq":
-            return read(inst.srcs[0]) == read(inst.srcs[1])
-        if op == "bne":
-            return read(inst.srcs[0]) != read(inst.srcs[1])
-        if op == "blez":
-            return read(inst.srcs[0]) <= 0
-        if op == "bgtz":
-            return read(inst.srcs[0]) > 0
-        if op == "bltz":
-            return read(inst.srcs[0]) < 0
-        if op == "bgez":
-            return read(inst.srcs[0]) >= 0
-        if op == "blt":
-            return read(inst.srcs[0]) < read(inst.srcs[1])
-        if op == "bge":
-            return read(inst.srcs[0]) >= read(inst.srcs[1])
-        if op == "ble":
-            return read(inst.srcs[0]) <= read(inst.srcs[1])
-        if op == "bgt":
-            return read(inst.srcs[0]) > read(inst.srcs[1])
-        raise EmulationError(f"unhandled branch opcode {op}")  # pragma: no cover
+        instructions = self.program.instructions
+        count = len(instructions)
+        memory = self.memory
+        handlers = []
+        for pc, inst in enumerate(instructions):
+            if inst.target is not None and inst.target < 0:
+                raise EmulationError(
+                    f"target {inst.target} outside text segment (pc={pc})")
+            info = OPCODES[inst.opcode]
+            srcs, dest = inst.srcs, inst.dest
+            # Register operands index their own file (int or fp).
+            a, b = (*(reg % FP_REG_BASE for reg in srcs), None, None)[:2]
+            handlers.append(_factory(_shape(inst))(
+                self.int_regs, self.fp_regs, memory, memory.get,
+                pc, pc + 1, info.op_class,
+                tuple(reg for reg in srcs if reg != 0),
+                dest if dest != 0 and info.writes_dest else None,
+                a, b, inst.imm, None if dest is None else dest % FP_REG_BASE,
+                inst.target, count,
+            ))
+        return handlers
 
     def run(self, max_instructions: int = 1_000_000) -> Trace:
         """Execute until ``halt`` or the instruction cap.
@@ -398,15 +358,39 @@ class Emulator:
 
         Returns:
             The committed dynamic :class:`Trace`.
+
+        Raises:
+            EmulationError: if the PC runs off the text segment or a
+                register-indirect jump targets a bad index.
         """
         if max_instructions < 0:
             raise ValueError(f"max_instructions must be >= 0, got {max_instructions}")
         insts: list[DynInst] = []
-        while not self.halted and len(insts) < max_instructions:
-            record = self.step(len(insts))
-            if record.opcode == "halt":
-                break
-            insts.append(record)
+        if self.halted or max_instructions == 0:
+            return Trace(insts=insts, halted=self.halted, program=self.program)
+        if self._handlers is None:
+            self._handlers = self._decode()
+        handlers = self._handlers
+        append = insts.append
+        pc = self.pc
+        seq = 0
+        try:
+            if pc < 0:
+                raise IndexError
+            while seq < max_instructions:
+                record = handlers[pc](seq)
+                if record is None:  # halt: counted, not committed
+                    self.halted = True
+                    self.executed += 1
+                    break
+                append(record)
+                pc = record.next_pc
+                seq += 1
+        except IndexError:
+            raise EmulationError(f"PC {pc} outside text segment") from None
+        finally:
+            self.pc = pc
+            self.executed += seq
         return Trace(insts=insts, halted=self.halted, program=self.program)
 
 

@@ -7,7 +7,8 @@ Compares the *current* measurements against two references:
   ``seed_min_rate_floor`` for simulator throughput,
   ``min_warm_speedup_floor`` for the campaign cache,
   ``min_warm_qps_floor`` for warm service throughput,
-  ``min_gen_inst_per_s_floor`` for workload trace generation --
+  ``min_gen_inst_per_s_floor`` / ``gen_row_floors`` for workload
+  trace generation --
   which are hard gates (a measurement below its floor is a
   regression, full stop); and
 * the run ledger's trailing window -- the newest entry of each kind
@@ -129,17 +130,24 @@ def check_service_bench(payload: dict) -> list[RegressionFinding]:
 
 
 def check_workloads_bench(payload: dict) -> list[RegressionFinding]:
-    """Measured trace-generation rates against the committed floor.
+    """Measured trace-generation rates against the committed floors.
 
-    Every ``measured`` entry (kernel generation, synthetic generation,
-    external-trace round-trip) must clear
-    ``recorded.min_gen_inst_per_s_floor``.
+    Every ``measured`` entry (kernel and Mini generation, synthetic
+    generation, external-trace round-trip) must clear
+    ``recorded.min_gen_inst_per_s_floor`` and, when the row has one,
+    its own ``recorded.gen_row_floors`` entry (half its recorded
+    median, so a 2x regression of that row fails).
     """
     findings: list[RegressionFinding] = []
-    floor = payload.get("recorded", {}).get("min_gen_inst_per_s_floor")
-    if floor is None:
-        return findings
+    recorded = payload.get("recorded", {})
+    shared_floor = recorded.get("min_gen_inst_per_s_floor")
+    row_floors = recorded.get("gen_row_floors", {})
     for label, rate in sorted(payload.get("measured", {}).items()):
+        floors = [f for f in (shared_floor, row_floors.get(label))
+                  if f is not None]
+        if not floors:
+            continue
+        floor = max(floors)
         if rate < floor:
             findings.append(RegressionFinding(
                 subject=f"workload generation {label}",

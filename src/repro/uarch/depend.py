@@ -3,12 +3,11 @@
 The trace is the committed instruction stream, so each source
 operand's producer is simply the most recent earlier instruction that
 wrote the register.  Producers and consumer lists are machine
-independent; they are computed once per trace and cached on it.
+independent; they are computed once per trace and cached on it
+(consumer lists only when first read).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.isa.emulator import Trace
 
@@ -16,7 +15,6 @@ from repro.isa.emulator import Trace
 NO_PRODUCER = -1
 
 
-@dataclass
 class DependenceInfo:
     """Per-instruction dependence structure of a trace.
 
@@ -28,11 +26,25 @@ class DependenceInfo:
             still has one wakeup event per operand.
         consumers: For instruction ``i``, the seqs of later
             instructions with ``i`` as a producer (each consumer
-            listed once per dependent operand).
+            listed once per dependent operand).  Built on first
+            access: the simulators never read it.
     """
 
-    producers: list[tuple[int, ...]]
-    consumers: list[list[int]]
+    def __init__(self, insts: list, producers: list[tuple[int, ...]]):
+        self.producers = producers
+        self._insts = insts
+        self._consumers: list[list[int]] | None = None
+
+    @property
+    def consumers(self) -> list[list[int]]:
+        if self._consumers is None:
+            consumers: list[list[int]] = [[] for _ in self.producers]
+            for inst, inst_producers in zip(self._insts, self.producers):
+                for producer in inst_producers:
+                    if producer != NO_PRODUCER:
+                        consumers[producer].append(inst.seq)
+            self._consumers = consumers
+        return self._consumers
 
 
 def dependence_info(trace: Trace) -> DependenceInfo:
@@ -41,16 +53,23 @@ def dependence_info(trace: Trace) -> DependenceInfo:
     if cached is not None:
         return cached
     last_writer: dict[int, int] = {}
+    writer = last_writer.get
     producers: list[tuple[int, ...]] = []
-    consumers: list[list[int]] = [[] for _ in range(len(trace.insts))]
+    append = producers.append
     for inst in trace.insts:
-        inst_producers = tuple(last_writer.get(src, NO_PRODUCER) for src in inst.srcs)
-        producers.append(inst_producers)
-        for producer in inst_producers:
-            if producer != NO_PRODUCER:
-                consumers[producer].append(inst.seq)
-        if inst.dest is not None:
-            last_writer[inst.dest] = inst.seq
-    info = DependenceInfo(producers=producers, consumers=consumers)
+        srcs = inst.srcs
+        count = len(srcs)  # ISA instructions read at most two registers
+        if count == 2:
+            append((writer(srcs[0], NO_PRODUCER), writer(srcs[1], NO_PRODUCER)))
+        elif count == 1:
+            append((writer(srcs[0], NO_PRODUCER),))
+        elif count == 0:
+            append(())
+        else:
+            append(tuple(writer(src, NO_PRODUCER) for src in srcs))
+        dest = inst.dest
+        if dest is not None:
+            last_writer[dest] = inst.seq
+    info = DependenceInfo(trace.insts, producers)
     trace._dependence_info = info  # cache for reuse across machines
     return info

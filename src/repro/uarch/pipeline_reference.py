@@ -107,7 +107,6 @@ class ReferencePipelineSimulator:
         self.insts = trace.insts
         info = dependence_info(trace)
         self.producers = info.producers
-        self.consumers = info.consumers
         self.n_clusters = len(config.clusters)
         self.extra_bypass = config.extra_bypass_latency
         # Figure 10: a wakeup+select loop pipelined over N stages

@@ -38,7 +38,7 @@ identity (see :mod:`repro.workloads.registry`).
 
 from __future__ import annotations
 
-from repro.isa import Program, Trace, assemble, run_to_trace
+from repro.isa import Program, Trace
 from repro.workloads import (
     compress,
     gcc,
@@ -57,6 +57,7 @@ from repro.workloads.extra import (
 from repro.workloads.registry import (
     WORKLOAD_REGISTRY,
     Workload,
+    build_source,
     get_workload,
     register_external_trace,
     register_workload,
@@ -87,11 +88,9 @@ _SOURCES = {
     "vortex": vortex.source,
 }
 
-_PROGRAM_CACHE: dict[str, Program] = {}
-
 
 def build_program(name: str) -> Program:
-    """Assemble (and cache) a paper workload kernel by name.
+    """Assemble (once per source text) a paper workload kernel by name.
 
     Raises:
         KeyError: for an unknown workload name.
@@ -99,9 +98,7 @@ def build_program(name: str) -> Program:
     if name not in _SOURCES:
         known = ", ".join(WORKLOAD_NAMES)
         raise KeyError(f"unknown workload {name!r} (known: {known})")
-    if name not in _PROGRAM_CACHE:
-        _PROGRAM_CACHE[name] = assemble(_SOURCES[name]())
-    return _PROGRAM_CACHE[name]
+    return build_source(_SOURCES[name]())
 
 
 def get_trace(name: str, max_instructions: int = 30_000) -> Trace:

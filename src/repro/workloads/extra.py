@@ -14,8 +14,8 @@ written in the Mini language and compiled to the ISA at load time.
 
 from __future__ import annotations
 
-from repro.isa import Program, Trace, run_to_trace
-from repro.lang import compile_source
+from repro.isa import Program, Trace
+from repro.workloads.registry import build_source, get_workload
 
 #: Names of the extra (non-paper) workloads.
 EXTRA_WORKLOAD_NAMES: tuple[str, ...] = ("dct", "qsort")
@@ -135,29 +135,29 @@ func partition(lo, hi) {
 """
 
 _SOURCES = {"dct": _DCT, "qsort": _QSORT}
-_PROGRAM_CACHE: dict[str, Program] = {}
-_TRACE_CACHE: dict[tuple[str, int], Trace] = {}
+
+
+def _source(name: str) -> str:
+    if name not in _SOURCES:
+        known = ", ".join(EXTRA_WORKLOAD_NAMES)
+        raise KeyError(f"unknown extra workload {name!r} (known: {known})")
+    return _SOURCES[name]
 
 
 def build_extra_program(name: str) -> Program:
-    """Compile (and cache) an extra workload by name.
+    """Compile (once per source text) an extra workload by name.
 
     Raises:
         KeyError: for an unknown extra-workload name.
     """
-    if name not in _SOURCES:
-        known = ", ".join(EXTRA_WORKLOAD_NAMES)
-        raise KeyError(f"unknown extra workload {name!r} (known: {known})")
-    if name not in _PROGRAM_CACHE:
-        _PROGRAM_CACHE[name] = compile_source(_SOURCES[name])
-    return _PROGRAM_CACHE[name]
+    return build_source(_source(name), "mini")
 
 
 def get_extra_trace(name: str, max_instructions: int = 30_000) -> Trace:
-    """Execute (and cache) an extra workload to its dynamic trace."""
-    key = (name, max_instructions)
-    if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = run_to_trace(
-            build_extra_program(name), max_instructions=max_instructions, name=name
-        )
-    return _TRACE_CACHE[key]
+    """Execute (and cache) an extra workload to its dynamic trace.
+
+    Raises:
+        KeyError: for an unknown extra-workload name.
+    """
+    _source(name)
+    return get_workload(name).trace(max_instructions)

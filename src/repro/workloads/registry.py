@@ -33,7 +33,7 @@ import json
 from pathlib import Path
 from typing import Callable
 
-from repro.isa import Trace, assemble, run_to_trace
+from repro.isa import Program, Trace, assemble, run_to_trace
 
 #: The closed set of workload kinds.
 KIND_KERNEL = "kernel"
@@ -41,7 +41,38 @@ KIND_SYNTHETIC = "synthetic"
 KIND_EXTERNAL = "external"
 WORKLOAD_KINDS = (KIND_KERNEL, KIND_SYNTHETIC, KIND_EXTERNAL)
 
+#: Traces, per (workload name, budget).  Registering a name drops its
+#: entries, so a replaced workload never serves its predecessor's
+#: stream.
 _TRACE_CACHE: dict[tuple[str, int], Trace] = {}
+
+#: Built programs, keyed by (language, source text): each kernel is
+#: assembled or compiled once per process whatever the budget, and an
+#: edited (or monkeypatched) source builds afresh.
+_PROGRAM_CACHE: dict[tuple[str, str], Program] = {}
+
+
+def build_source(source: str, language: str = "asm") -> Program:
+    """The program for ``source``, built once per process.
+
+    Args:
+        source: Program text.
+        language: ``"asm"`` (the :mod:`repro.isa` assembler) or
+            ``"mini"`` (the :mod:`repro.lang` compiler).
+    """
+    key = (language, source)
+    program = _PROGRAM_CACHE.get(key)
+    if program is None:
+        if language == "mini":
+            from repro.lang import compile_source
+
+            program = compile_source(source)
+        elif language == "asm":
+            program = assemble(source)
+        else:
+            raise ValueError(f"unknown program language {language!r}")
+        _PROGRAM_CACHE[key] = program
+    return program
 
 
 class Workload:
@@ -95,10 +126,17 @@ WORKLOAD_REGISTRY: dict[str, Workload] = {}
 
 
 def register_workload(workload: Workload, replace: bool = False) -> Workload:
-    """Add a workload to the registry (its name must be unique)."""
-    if not replace and workload.name in WORKLOAD_REGISTRY:
-        raise ValueError(f"workload {workload.name!r} already registered")
-    WORKLOAD_REGISTRY[workload.name] = workload
+    """Add a workload to the registry (its name must be unique).
+
+    Traces cached under the name are dropped, whether it replaces a
+    registered workload or reuses the name of one removed earlier.
+    """
+    name = workload.name
+    if not replace and name in WORKLOAD_REGISTRY:
+        raise ValueError(f"workload {name!r} already registered")
+    for key in [key for key in _TRACE_CACHE if key[0] == name]:
+        del _TRACE_CACHE[key]
+    WORKLOAD_REGISTRY[name] = workload
     return workload
 
 
@@ -150,7 +188,7 @@ def _register_kernel(name: str, module, description: str) -> None:
     campaign cache key -- immediately.
     """
     def loader(max_instructions: int) -> Trace:
-        return run_to_trace(assemble(module.source()),
+        return run_to_trace(build_source(module.source()),
                             max_instructions=max_instructions, name=name)
 
     register_workload(Workload(
@@ -164,11 +202,8 @@ def _register_mini_kernel(name: str, description: str) -> None:
     from repro.workloads import extra
 
     def loader(max_instructions: int) -> Trace:
-        from repro.isa import run_to_trace as _run
-        from repro.lang import compile_source
-
-        return _run(compile_source(extra._SOURCES[name]),
-                    max_instructions=max_instructions, name=name)
+        return run_to_trace(build_source(extra._SOURCES[name], "mini"),
+                            max_instructions=max_instructions, name=name)
 
     register_workload(Workload(
         name, KIND_KERNEL, description, loader,

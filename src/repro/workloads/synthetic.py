@@ -20,6 +20,14 @@ from repro.workloads._datagen import Lcg
 #: Registers the generator cycles through for destinations.
 _DEST_REGS = tuple(range(1, 25))
 
+#: The opcode each generated class is spelled with.
+_OPCODES = {
+    OpClass.IALU: "addu",
+    OpClass.LOAD: "lw",
+    OpClass.STORE: "sw",
+    OpClass.BRANCH: "bne",
+}
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -82,15 +90,22 @@ def _pick_class(rng: Lcg, config: SyntheticConfig) -> OpClass:
     return OpClass.IALU
 
 
-def _geometric(rng: Lcg, mean: float) -> int:
-    """Geometric-ish positive distance with the given mean."""
-    if mean <= 1.0:
-        return 1
-    success = 1.0 / mean
-    distance = 1
-    while rng.next_below(10_000) / 10_000.0 > success and distance < 64:
-        distance += 1
-    return distance
+def _prefix_length(scale: int, holds) -> int:
+    """How many of the draws ``0 .. scale-1`` satisfy ``holds``.
+
+    ``holds`` must be true on a prefix of the draws (a test such as
+    ``k / scale < p`` is, because ``k / scale`` never decreases in
+    ``k``), so a float test on a draw equals the integer test
+    ``k < _prefix_length(scale, holds)``.
+    """
+    low, high = 0, scale
+    while low < high:
+        mid = (low + high) // 2
+        if holds(mid):
+            low = mid + 1
+        else:
+            high = mid
+    return low
 
 
 def synthetic_trace(config: SyntheticConfig) -> Trace:
@@ -101,78 +116,92 @@ def synthetic_trace(config: SyntheticConfig) -> Trace:
     classes[-1] = OpClass.BRANCH  # loop-closing backward branch
     # Per-slot branch bias: individual branches lean taken or not, so a
     # history predictor has something to learn when the global
-    # probability is not extreme.
-    biases = []
+    # probability is not extreme.  Everything static about a slot is
+    # hoisted into one tuple: (opcode, class, source operands, writes a
+    # destination, touches memory, is_store, is_load, is_branch, and
+    # the draw below which its branch is taken).
+    slots = []
     for op_class in classes:
+        taken_below = 0
         if op_class is OpClass.BRANCH:
             base = config.branch_taken_probability
             lean = (rng.next_below(400) - 200) / 1000.0  # +-0.2
-            biases.append(min(0.98, max(0.02, base + lean)))
-        else:
-            biases.append(0.0)
+            bias = min(0.98, max(0.02, base + lean))
+            taken_below = _prefix_length(
+                10_000, lambda k, bias=bias: k / 10_000.0 < bias)
+        is_load = op_class is OpClass.LOAD
+        is_store = op_class is OpClass.STORE
+        slots.append((
+            _OPCODES[op_class], op_class, 1 if is_load else 2,
+            is_load or op_class is OpClass.IALU, is_load or is_store,
+            is_store, is_load, op_class is OpClass.BRANCH, taken_below,
+        ))
     # ---- dynamic unroll --------------------------------------------------
+    # Source operands reference recent producers at geometric distances
+    # (this is what sets the trace's ILP): each operand draws until a
+    # draw falls at or below 1/mean, or the distance reaches 64 (a mean
+    # of 1 draws nothing).
+    mean = config.mean_dependence_distance
+    distances = range(1, 65) if mean > 1.0 else ()
+    success = 1.0 / mean
+    stop_below = _prefix_length(10_000, lambda k: k / 10_000.0 <= success)
+    # Destinations cycle through _DEST_REGS, so the producer `distance`
+    # destinations back is a function of how many were written; the
+    # 64-entry recent-producer window never needs to be held.
+    dest_regs = _DEST_REGS
+    n_dest = len(dest_regs)
+    memory_words = config.memory_words
+    last = config.body_size - 1
+    state = rng.state  # the Lcg step, inlined below
     insts: list[DynInst] = []
-    recent_dests: list[int] = []  # architectural dests, most recent last
-    dest_cursor = 0
+    append = insts.append
+    written = 0  # destinations written so far
     pc = 0
     for seq in range(config.length):
-        op_class = classes[pc]
-        # Source operands: reference recent producers at geometric
-        # distances (this is what sets the trace's ILP).
-        srcs = []
-        for _operand in range(2 if op_class is not OpClass.LOAD else 1):
-            if recent_dests:
-                distance = _geometric(rng, config.mean_dependence_distance)
-                index = max(0, len(recent_dests) - distance)
-                srcs.append(recent_dests[index])
+        (opcode, op_class, operands, has_dest, has_mem, is_store, is_load,
+         is_branch, taken_below) = slots[pc]
+        srcs: tuple[int, ...] = ()
+        if written:
+            distance = 1
+            for distance in distances:
+                state = (state * 1664525 + 1013904223) & 0xFFFFFFFF
+                if (state >> 8) % 10_000 < stop_below:
+                    break
+            first = dest_regs[max(0, written - distance) % n_dest]
+            if operands == 2:
+                distance = 1
+                for distance in distances:
+                    state = (state * 1664525 + 1013904223) & 0xFFFFFFFF
+                    if (state >> 8) % 10_000 < stop_below:
+                        break
+                srcs = (first, dest_regs[max(0, written - distance) % n_dest])
+            else:
+                srcs = (first,)
         dest = None
-        if op_class in (OpClass.IALU, OpClass.LOAD):
-            dest = _DEST_REGS[dest_cursor % len(_DEST_REGS)]
-            dest_cursor += 1
+        if has_dest:
+            dest = dest_regs[written % n_dest]
+            written += 1
         mem_addr = None
-        if op_class in (OpClass.LOAD, OpClass.STORE):
-            mem_addr = 4 * rng.next_below(config.memory_words)
+        if has_mem:
+            state = (state * 1664525 + 1013904223) & 0xFFFFFFFF
+            mem_addr = 4 * ((state >> 8) % memory_words)
         taken = False
         next_pc = pc + 1
-        is_branch = op_class is OpClass.BRANCH
         if is_branch:
-            taken = rng.next_below(10_000) / 10_000.0 < biases[pc]
-            if pc == config.body_size - 1:
+            state = (state * 1664525 + 1013904223) & 0xFFFFFFFF
+            taken = (state >> 8) % 10_000 < taken_below
+            if pc == last:
                 taken = True  # the loop branch always closes the loop
                 next_pc = 0
             elif taken:
                 # Mid-body branches skip forward a couple of slots
                 # (if-shaped control flow), keeping the dynamic class
                 # mix close to the configured static mix.
-                next_pc = pc + 2 + rng.next_below(3)
-        if next_pc >= config.body_size:
+                state = (state * 1664525 + 1013904223) & 0xFFFFFFFF
+                next_pc = pc + 2 + (state >> 8) % 3
+        if next_pc > last:
             next_pc = 0
-        opcode = {
-            OpClass.IALU: "addu",
-            OpClass.LOAD: "lw",
-            OpClass.STORE: "sw",
-            OpClass.BRANCH: "bne",
-        }[op_class]
-        insts.append(
-            DynInst(
-                seq=seq,
-                pc=pc,
-                opcode=opcode,
-                op_class=op_class,
-                srcs=tuple(srcs),
-                dest=dest,
-                mem_addr=mem_addr,
-                is_store=op_class is OpClass.STORE,
-                is_load=op_class is OpClass.LOAD,
-                is_branch=is_branch,
-                is_uncond=False,
-                taken=taken,
-                next_pc=next_pc,
-            )
-        )
-        if dest is not None:
-            recent_dests.append(dest)
-            if len(recent_dests) > 64:
-                recent_dests.pop(0)
+        append(DynInst(seq, pc, opcode, op_class, srcs, dest, mem_addr,
+                       is_store, is_load, is_branch, False, taken, next_pc))
         pc = next_pc
     return Trace(insts=insts, halted=False, name=f"synthetic(seed={config.seed})")

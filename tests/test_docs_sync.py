@@ -345,7 +345,7 @@ class TestObservabilityDoc:
         assert f"(default {DEFAULT_WINDOW})" in observability_doc
         assert f"(default {DEFAULT_THRESHOLD})" in observability_doc
         for floor in ("compiled_min_rate_floor", "seed_min_rate_floor",
-                      "min_warm_speedup_floor"):
+                      "min_warm_speedup_floor", "gen_row_floors"):
             assert f"`{floor}`" in observability_doc
 
     def test_bench_files_documented_and_present(self, observability_doc):
@@ -552,6 +552,26 @@ class TestWorkloadsDoc:
         assert recorded["min_gen_inst_per_s_floor"] == MIN_GEN_RATE
         for label, rate in payload["measured"].items():
             assert rate >= MIN_GEN_RATE, (label, rate)
+
+    def test_gen_row_floors_are_half_the_recorded_medians(self):
+        # Every benchmark row has its own floor at half its recorded
+        # interleaved median (so a 2x regression of that row fails),
+        # never below the shared MIN_GEN_RATE floor.
+        import json
+
+        from benchmarks import bench_workloads  # noqa: PLC0415
+
+        payload = json.loads(
+            (ROOT / "BENCH_workloads.json").read_text(encoding="utf-8"))
+        recorded = payload["recorded"]
+        floors = recorded["gen_row_floors"]
+        medians = recorded["gen_row_medians"]
+        rows = {*bench_workloads.GENERATION_ROWS,
+                bench_workloads.INGESTION_ROW}
+        assert set(floors) == set(medians) == set(payload["measured"]) == rows
+        for label, floor in floors.items():
+            assert floor == max(bench_workloads.MIN_GEN_RATE,
+                                medians[label]["median"] // 2), label
 
     def test_cross_links(self, workloads_doc, architecture_doc, readme,
                          service_doc):

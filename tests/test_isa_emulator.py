@@ -276,6 +276,18 @@ class TestControlFlow:
         with pytest.raises(EmulationError, match="outside text segment"):
             emulator.run()
 
+    def test_negative_static_target_rejected(self):
+        # Predecoding indexes handlers by pc, so a hand-built program
+        # with a negative target is refused before anything runs.
+        from repro.isa import Instruction, Program
+
+        program = Program(instructions=[
+            Instruction(opcode="b", target=-1), Instruction(opcode="halt")])
+        emulator = Emulator(program)
+        with pytest.raises(EmulationError, match="target -1 outside"):
+            emulator.run()
+        assert emulator.executed == 0
+
     def test_instruction_cap(self):
         _, trace = run("main: b main\n", max_instructions=50)
         assert len(trace) == 50

@@ -14,6 +14,7 @@ from repro.obs.regression import (
     check_frontier_bench,
     check_simulator_bench,
     check_trailing_window,
+    check_workloads_bench,
     format_findings,
     load_bench,
 )
@@ -86,6 +87,45 @@ class TestSimulatorFloor:
         payload = sim_payload()
         payload["recorded"] = {}
         assert check_simulator_bench(payload) == []
+
+
+def gen_payload(kernel=600_000, synthetic=250_000, shared_floor=20_000):
+    return {
+        "kind": "repro-workloads-bench",
+        "measured": {
+            "li (kernel)": kernel,
+            "zoo_br_coin (synthetic)": synthetic,
+        },
+        "recorded": {"min_gen_inst_per_s_floor": shared_floor},
+    }
+
+
+class TestWorkloadsFloor:
+    def test_shared_floor_applies_to_every_row(self):
+        assert check_workloads_bench(gen_payload()) == []
+        (finding,) = check_workloads_bench(gen_payload(synthetic=10_000))
+        assert finding.subject == "workload generation zoo_br_coin (synthetic)"
+        assert finding.reference == 20_000.0
+
+    def test_row_floor_gates_its_own_row(self):
+        payload = gen_payload(kernel=250_000)
+        payload["recorded"]["gen_row_floors"] = {"li (kernel)": 300_000}
+        (finding,) = check_workloads_bench(payload)
+        assert finding.subject == "workload generation li (kernel)"
+        assert finding.reference == 300_000.0
+        payload["measured"]["li (kernel)"] = 310_000
+        assert check_workloads_bench(payload) == []
+
+    def test_row_floor_never_undercuts_shared_floor(self):
+        payload = gen_payload(kernel=15_000)
+        payload["recorded"]["gen_row_floors"] = {"li (kernel)": 10_000}
+        (finding,) = check_workloads_bench(payload)
+        assert finding.reference == 20_000.0
+
+    def test_missing_floors_are_not_findings(self):
+        payload = gen_payload(kernel=1)
+        payload["recorded"] = {}
+        assert check_workloads_bench(payload) == []
 
 
 class TestFrontierFloor:

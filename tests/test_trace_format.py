@@ -268,3 +268,21 @@ class TestRegisterExternalTrace:
         with pytest.raises(ValueError, match="already registered"):
             register_external_trace(path)
         register_external_trace(path, replace=True)
+
+    def test_reregistering_a_name_drops_its_cached_traces(self, tmp_path):
+        # Traces are cached per (name, budget) while every cache key
+        # hashes the new fingerprint, so a replaced workload must not
+        # keep serving its predecessor's stream -- nor may a name
+        # registered again after removal.
+        def records(trace):
+            return list(trace_lines(trace))[1:]  # the header names it
+
+        li_path = save_trace(get_trace("li", 300), tmp_path / "li.jsonl")
+        gcc_path = save_trace(get_trace("gcc", 300), tmp_path / "gcc.jsonl")
+        register_external_trace(li_path, name="ext")
+        assert records(get_trace("ext", 300)) == records(get_trace("li", 300))
+        register_external_trace(gcc_path, name="ext", replace=True)
+        assert records(get_trace("ext", 300)) == records(get_trace("gcc", 300))
+        del WORKLOAD_REGISTRY["ext"]
+        register_external_trace(li_path, name="ext")
+        assert records(get_trace("ext", 300)) == records(get_trace("li", 300))

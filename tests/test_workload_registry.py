@@ -15,7 +15,12 @@ import pytest
 
 from repro.core.machines import baseline_8way, clustered_dependence_8way
 from repro.uarch.pipeline import simulate
-from repro.workloads import WORKLOAD_NAMES, get_trace
+from repro.workloads import (
+    WORKLOAD_NAMES,
+    build_extra_program,
+    build_program,
+    get_trace,
+)
 from repro.workloads.registry import (
     WORKLOAD_KINDS,
     WORKLOAD_REGISTRY,
@@ -121,6 +126,25 @@ class TestRegistryWideSmoke:
         # get_trace and Workload.trace share one cache.
         assert get_trace("zoo_tiny_body", 500) is get_workload(
             "zoo_tiny_body").trace(500)
+
+    @pytest.mark.parametrize("name, build", [
+        ("li", build_program), ("dct", build_extra_program)])
+    def test_programs_built_once_per_source(self, monkeypatch, name, build):
+        # Every budget's loader and the build_* helpers share one
+        # program per source text; an edited source builds afresh.
+        from repro.workloads import extra, li
+
+        loader = get_workload(name)._loader
+        program = loader(100).program
+        assert loader(200).program is program
+        assert build(name) is program
+        if name == "li":
+            original = li.source()
+            monkeypatch.setattr(li, "source", lambda: original + "\n# x\n")
+        else:
+            monkeypatch.setitem(extra._SOURCES, name,
+                                extra._SOURCES[name] + "\n# x\n")
+        assert loader(100).program is not program
 
 
 class TestZooScenarios:
