@@ -3,9 +3,10 @@
 The paper's Figures 13-17 each sweep a (machine x workload) grid; the
 seed drove every cell serially in one process.  This module turns a
 grid into a *campaign*: independent simulation cells fanned out across
-a ``multiprocessing`` pool, backed by a content-addressed on-disk
-result cache, with per-cell timeouts, bounded retry, and graceful
-degradation to in-process serial execution when workers misbehave.
+the shared worker pool (:mod:`repro.core.pool`), backed by a
+content-addressed on-disk result cache, with per-cell timeouts, bounded
+retry, pool rebuilds, and graceful degradation to in-process serial
+execution when workers misbehave.
 
 Determinism is the contract everything else hangs on:
 
@@ -35,14 +36,15 @@ import enum
 import functools
 import hashlib
 import json
-import multiprocessing
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.core import results_io
 from repro.core.experiments import DEFAULT_INSTRUCTIONS, ExperimentResult
+from repro.core.pool import DEFAULT_RETRIES, run_cells
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import CampaignProfile, record_simulation_metrics
 from repro.obs.progress import Heartbeat
@@ -51,9 +53,6 @@ from repro.uarch.pipeline import simulate
 from repro.uarch.stats import SimStats
 from repro.workloads import WORKLOAD_NAMES, get_trace
 from repro.workloads.registry import workload_identity
-
-#: Default bounded retry count for failed or timed-out cells.
-DEFAULT_RETRIES = 1
 
 #: The packages whose source determines every ``SimStats``: the timing
 #: model and its code generator, the ISA and emulator, the Mini
@@ -151,15 +150,17 @@ def cache_key(
     config: MachineConfig,
     workload: str,
     max_instructions: int,
-    stats_format: int = results_io.FORMAT_VERSION,
+    stats_format: int | None = None,
 ) -> str:
     """Content address of one cell's result.
 
     The key covers everything that determines the simulation output:
     the full machine configuration (scheduler and register-file
     strategy included), the workload, the instruction budget, the
-    stats serialisation version (so a format bump invalidates old
-    entries instead of misreading them), the workload's *content
+    stats serialisation version (``stats_format``, by default
+    :data:`~repro.core.results_io.FORMAT_VERSION` read at call time,
+    so a format bump invalidates old entries instead of misreading
+    them), the workload's *content
     identity* -- its kind and fingerprint -- so editing a kernel's
     source (or a zoo scenario's parameters) can never silently reuse
     stats cached under the same name, and :func:`model_fingerprint`,
@@ -170,7 +171,8 @@ def cache_key(
         "workload": workload,
         "workload_identity": workload_identity(workload),
         "max_instructions": max_instructions,
-        "stats_format": stats_format,
+        "stats_format": (results_io.FORMAT_VERSION if stats_format is None
+                         else stats_format),
         "model": model_fingerprint(),
     }
     digest = hashlib.sha256(
@@ -214,8 +216,10 @@ class ResultCache:
     """Content-addressed on-disk cache of per-cell ``SimStats``.
 
     Entries are written atomically (temp file + rename) so a killed
-    worker can never leave a half-written entry that a later run
-    trusts; anything unreadable is deleted and recomputed.
+    writer can never leave a half-written entry that a later run
+    trusts; anything unreadable is deleted and recomputed.  Each
+    writer fills its own temp file, so concurrent writers of one key
+    never rename each other's file away.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -246,15 +250,18 @@ class ResultCache:
 
     def store(self, key: str, stats: SimStats) -> None:
         """Atomically persist one cell's stats under ``key``."""
-        path = self.path(key)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(
-                results_io.stats_payload(stats), indent=1, sort_keys=True
-            ),
-            encoding="utf-8",
-        )
-        tmp.replace(path)
+        tmp = self.root / f"{key}.{uuid.uuid4().hex}.tmp"
+        try:
+            tmp.write_text(
+                json.dumps(
+                    results_io.stats_payload(stats), indent=1, sort_keys=True
+                ),
+                encoding="utf-8",
+            )
+            tmp.replace(self.path(key))
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -292,102 +299,6 @@ def simulate_cell(cell: CampaignCell) -> dict:
     }
 
 
-def _run_serially(
-    cell: CampaignCell,
-    runner: Callable[[CampaignCell], dict],
-    retries: int,
-    profile: CampaignProfile,
-) -> dict:
-    """Run one cell in-process, retrying on failure."""
-    attempts = retries + 1
-    for attempt in range(attempts):
-        try:
-            return runner(cell)
-        except Exception:
-            if attempt + 1 >= attempts:
-                raise
-            profile.retries += 1
-    raise AssertionError("unreachable")
-
-
-def _collect_parallel(
-    cells: list[Any],
-    jobs: int,
-    runner: Callable[[Any], dict],
-    timeout: float | None,
-    retries: int,
-    profile: Any,
-    progress: Callable[[str], None] | None,
-    heartbeat: Callable[[Any, dict], None] | None = None,
-) -> dict[int, dict]:
-    """Fan cells out over a process pool; returns index -> payload.
-
-    Failure handling, per cell: up to ``retries`` resubmissions on a
-    worker error or timeout, then graceful degradation -- the cell is
-    simulated serially in this process, which cannot time out and
-    surfaces any real error directly.
-
-    ``heartbeat(cell, payload)``, when given, fires once per completed
-    cell *as it completes* (completion order, unlike the deterministic
-    result merge) -- this is the live-telemetry tap the ``--progress``
-    meter drinks from.
-    """
-    payloads: dict[int, dict] = {}
-
-    def completed(cell: Any, payload: dict) -> None:
-        if heartbeat:
-            heartbeat(cell, payload)
-
-    try:
-        pool_cm = multiprocessing.get_context().Pool(processes=jobs)
-    except (OSError, ValueError):
-        # No usable worker pool on this host (e.g. missing semaphore
-        # support): degrade the whole campaign to serial.
-        for index, cell in enumerate(cells):
-            profile.serial_fallbacks += 1
-            payloads[index] = _run_serially(cell, runner, retries, profile)
-            completed(cell, payloads[index])
-        return payloads
-    with pool_cm as pool:
-        pending = {
-            index: pool.apply_async(runner, (cell,))
-            for index, cell in enumerate(cells)
-        }
-        attempts = {index: 1 for index in pending}
-        while pending:
-            index, handle = next(iter(pending.items()))
-            cell = cells[index]
-            try:
-                payloads[index] = handle.get(timeout)
-                del pending[index]
-                if progress:
-                    progress(f"{cell.label}: simulated "
-                             f"({payloads[index]['seconds']:.2f}s)")
-                completed(cell, payloads[index])
-                continue
-            except multiprocessing.TimeoutError:
-                profile.timeouts += 1
-                failure = f"timed out after {timeout}s"
-            except Exception as error:
-                failure = f"failed: {error}"
-            if attempts[index] <= retries:
-                attempts[index] += 1
-                profile.retries += 1
-                if progress:
-                    progress(f"{cell.label}: {failure}; retrying "
-                             f"({attempts[index] - 1}/{retries})")
-                pending[index] = pool.apply_async(runner, (cell,))
-            else:
-                del pending[index]
-                profile.serial_fallbacks += 1
-                if progress:
-                    progress(f"{cell.label}: {failure}; falling back to "
-                             "serial execution")
-                payloads[index] = _run_serially(cell, runner, 0, profile)
-                completed(cell, payloads[index])
-    return payloads
-
-
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
@@ -416,10 +327,11 @@ def run_campaign(
         jobs: Worker processes; 1 means in-process serial execution.
         cache: Optional :class:`ResultCache`; hits skip simulation.
         timeout: Per-cell seconds before a parallel attempt is
-            abandoned (None = wait forever).  Serial execution never
-            times out.
-        retries: Bounded resubmissions per cell before degrading to
-            serial execution.
+            abandoned and its pool replaced (None = wait forever).
+            Serial execution never times out.
+        retries: Bounded resubmissions per cell (after a failure, a
+            timeout or a lost worker) before degrading to serial
+            execution.
         progress: Optional per-cell callback (human-readable lines).
         runner: Cell executor override (tests inject failures here);
             defaults to :func:`simulate_cell`.
@@ -485,29 +397,16 @@ def run_campaign(
 
     # Execute the misses.
     if misses:
-        miss_cells = [cell for _, cell in misses]
-        if jobs > 1:
-            payloads = _collect_parallel(
-                miss_cells, jobs, runner, timeout, retries, profile,
-                progress, heartbeat=beat,
-            )
-        else:
-            payloads = {}
-            for position, cell in enumerate(miss_cells):
-                payloads[position] = _run_serially(
-                    cell, runner, retries, profile
-                )
-                if progress:
-                    progress(f"{cell.label}: simulated "
-                             f"({payloads[position]['seconds']:.2f}s)")
-                beat(cell, payloads[position])
+        payloads = run_cells(
+            [cell for _, cell in misses], runner, jobs, timeout, retries,
+            profile.registry, progress, on_done=beat,
+        )
         # Fold worker metrics in *presentation* order -- the misses
         # list is already sorted by cell index, so the merged snapshot
         # is byte-identical for jobs=1, jobs=N, and any completion
         # order (MetricsSnapshot.merge_all makes even adversarial
         # orderings equal; this keeps the live registry exact too).
-        for position, (index, cell) in enumerate(misses):
-            payload = payloads[position]
+        for (index, cell), payload in zip(misses, payloads):
             stats = SimStats.from_dict(payload["stats"])
             stats_by_index[index] = stats
             profile.note_cell(cell.label, payload["seconds"],

@@ -43,7 +43,20 @@ CAMPAIGN_METRIC_NAMES = (
     "pool_retries_total",
     "pool_timeouts_total",
     "pool_serial_fallbacks_total",
+    "pool_restarts_total",
 )
+
+#: Help text of the ``pool_*`` counters :mod:`repro.core.pool` keeps
+#: in its caller's registry (a campaign or fuzz profile's, or the
+#: service's).
+POOL_METRIC_HELP = {
+    "pool_retries_total": "Cell/case resubmissions after failure",
+    "pool_timeouts_total": "Per-cell timeouts in the worker pool",
+    "pool_serial_fallbacks_total":
+        "Cells degraded to in-process serial execution",
+    "pool_restarts_total":
+        "Worker pools replaced after a lost worker or a timeout",
+}
 
 #: Registry metric names the fuzz profile maintains.
 FUZZ_METRIC_NAMES = (
@@ -131,20 +144,13 @@ def record_compile_metrics(registry) -> None:
 class _PoolCountersView:
     """Shared pool-degradation accounting over a registry.
 
-    ``retries`` / ``timeouts`` / ``serial_fallbacks`` are registry
-    counters exposed as int properties with ``+=``-compatible setters,
-    so the campaign pool accounts identically into either profile
-    type (this was previously duplicated field plumbing)."""
-
-    _POOL_COUNTER_HELP = {
-        "pool_retries_total": "Cell/case resubmissions after failure",
-        "pool_timeouts_total": "Per-cell timeouts in the worker pool",
-        "pool_serial_fallbacks_total":
-            "Cells degraded to in-process serial execution",
-    }
+    ``retries`` / ``timeouts`` / ``serial_fallbacks`` / ``restarts``
+    are registry counters exposed as int properties with
+    ``+=``-compatible setters, so the worker pool accounts identically
+    into either profile type."""
 
     def _pool_counter(self, name: str):
-        return self.registry.counter(name, self._POOL_COUNTER_HELP[name])
+        return self.registry.counter(name, POOL_METRIC_HELP[name])
 
     def _get_pool(self, name: str) -> int:
         return int(self._pool_counter(name).value())
@@ -176,6 +182,14 @@ class _PoolCountersView:
     @serial_fallbacks.setter
     def serial_fallbacks(self, value: int) -> None:
         self._set_pool("pool_serial_fallbacks_total", value)
+
+    @property
+    def restarts(self) -> int:
+        return self._get_pool("pool_restarts_total")
+
+    @restarts.setter
+    def restarts(self, value: int) -> None:
+        self._set_pool("pool_restarts_total", value)
 
     def snapshot(self) -> MetricsSnapshot:
         """The profile's registry state, frozen for merge/export."""
@@ -421,6 +435,7 @@ class CampaignProfile(_PoolCountersView):
             "retries": self.retries,
             "timeouts": self.timeouts,
             "serial_fallbacks": self.serial_fallbacks,
+            "restarts": self.restarts,
             "cells": [
                 {
                     "label": cell.label,
@@ -443,11 +458,13 @@ class CampaignProfile(_PoolCountersView):
             f"  {self.simulated_instructions:,} simulated instructions "
             f"({self.instructions_per_second:,.0f}/s)",
         ]
-        if self.retries or self.timeouts or self.serial_fallbacks:
+        if (self.retries or self.timeouts or self.serial_fallbacks
+                or self.restarts):
             lines.append(
                 f"  degradation: {self.timeouts} timeouts, "
                 f"{self.retries} retries, "
-                f"{self.serial_fallbacks} serial fallbacks"
+                f"{self.serial_fallbacks} serial fallbacks, "
+                f"{self.restarts} pool restarts"
             )
         slowest = sorted(
             (c for c in self.cells if c.source != "cache"),
@@ -466,9 +483,10 @@ class FuzzProfile(_PoolCountersView):
     which machine shape and workload kind it sampled, how long it
     took, and whether any check failed.  Counts live in
     :attr:`registry`; the pool-degradation counters (``retries`` /
-    ``timeouts`` / ``serial_fallbacks``) are the same registry series
-    :class:`CampaignProfile` uses, so the shared campaign worker pool
-    accounts into either profile type identically.
+    ``timeouts`` / ``serial_fallbacks`` / ``restarts``) are the same
+    registry series :class:`CampaignProfile` uses, so the shared
+    worker pool (:mod:`repro.core.pool`) accounts into either profile
+    type identically.
     """
 
     jobs: int = 1
@@ -549,6 +567,7 @@ class FuzzProfile(_PoolCountersView):
             "retries": self.retries,
             "timeouts": self.timeouts,
             "serial_fallbacks": self.serial_fallbacks,
+            "restarts": self.restarts,
             "metrics": self.snapshot().to_dict(),
         }
 
@@ -574,11 +593,13 @@ class FuzzProfile(_PoolCountersView):
         )
         lines.append(f"  shapes: {shapes or '(none)'}")
         lines.append(f"  workloads: {kinds or '(none)'}")
-        if self.retries or self.timeouts or self.serial_fallbacks:
+        if (self.retries or self.timeouts or self.serial_fallbacks
+                or self.restarts):
             lines.append(
                 f"  degradation: {self.timeouts} timeouts, "
                 f"{self.retries} retries, "
-                f"{self.serial_fallbacks} serial fallbacks"
+                f"{self.serial_fallbacks} serial fallbacks, "
+                f"{self.restarts} pool restarts"
             )
         return "\n".join(lines)
 

@@ -7,9 +7,11 @@ critical paths -- into HTTP endpoints.  The serving story:
 * **Hot path**: a request whose cell is in the in-memory memo or the
   on-disk campaign cache is answered directly on the event loop --
   no worker, no queue, sub-millisecond.
-* **Miss path**: uncached cells are simulated on a process pool
-  (``run_in_executor`` over the campaign's picklable
-  :func:`~repro.core.campaign.simulate_cell` worker).  Concurrent
+* **Miss path**: uncached cells are simulated on the shared
+  :class:`~repro.core.pool.WorkerPool` (the campaign's picklable
+  :func:`~repro.core.campaign.simulate_cell` worker).  A worker that
+  dies breaks the pool; it is rebuilt and the cell retried once, and
+  a second loss answers ``503`` + ``Retry-After``.  Concurrent
   requests for the *same* cell coalesce onto one simulation
   (:mod:`repro.service.coalescer`); requests for *distinct* cells
   are admitted only while the number of in-flight simulations is
@@ -38,11 +40,11 @@ import concurrent.futures
 import json
 import time
 from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.analysis.traces import characterize
-from repro.core import results_io
 from repro.core.aggregate import mean_ipc
 from repro.core.campaign import (
     CampaignCell,
@@ -54,6 +56,7 @@ from repro.core.campaign import (
 from repro.core.design import DesignPoint
 from repro.core.experiments import DEFAULT_INSTRUCTIONS
 from repro.core.machines import machine_registry
+from repro.core.pool import DEFAULT_RETRIES, WorkerPool
 from repro.delay.critical_path import critical_path
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.service.coalescer import Coalescer
@@ -109,20 +112,6 @@ _STATUS_PHRASES = {
 }
 
 
-def cell_cache_key(config: MachineConfig, workload: str,
-                   max_instructions: int) -> str:
-    """The campaign cache key of one service cell.
-
-    Reads :data:`repro.core.results_io.FORMAT_VERSION` at *call time*
-    (the campaign function's default is bound at import time), so a
-    stats-format bump immediately invalidates every service key --
-    the schema-sensitivity test pins that a bumped server can never
-    serve cells cached under the previous format.
-    """
-    return cache_key(config, workload, max_instructions,
-                     stats_format=results_io.FORMAT_VERSION)
-
-
 class ServiceError(Exception):
     """A client-visible failure, rendered as a structured error body."""
 
@@ -159,8 +148,9 @@ class DesignSpaceService:
         runner: cell executor override (tests inject slow/failing
             cells); defaults to the campaign's ``simulate_cell``.
         executor: pre-built executor override (tests pass a thread
-            pool so non-picklable runners work); defaults to a lazy
-            ``ProcessPoolExecutor(jobs)``.
+            pool so non-picklable runners work; it is never rebuilt);
+            defaults to a :class:`~repro.core.pool.WorkerPool` of
+            ``jobs`` processes, built on the first miss.
     """
 
     def __init__(
@@ -193,8 +183,7 @@ class DesignSpaceService:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.ledger_root = ledger_root
         self.runner = runner or simulate_cell
-        self._executor = executor
-        self._owns_executor = executor is None
+        self.pool = WorkerPool(jobs, self.registry, executor)
         self.coalescer = Coalescer()
         self._memo: OrderedDict[str, SimStats] = OrderedDict()
         self._started = time.time()
@@ -203,18 +192,9 @@ class DesignSpaceService:
 
     # -- lifecycle -------------------------------------------------------
 
-    def _ensure_executor(self) -> concurrent.futures.Executor:
-        if self._executor is None:
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.jobs
-            )
-        return self._executor
-
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._executor is not None and self._owns_executor:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """Stop the worker pool's processes (idempotent)."""
+        self.pool.close()
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> asyncio.AbstractServer:
@@ -265,25 +245,27 @@ class DesignSpaceService:
             self._memo.popitem(last=False)
 
     async def cell_stats(self, machine: str, workload: str,
-                         max_instructions: int) -> tuple[SimStats, str]:
-        """Resolve one cell; returns ``(stats, source)``.
+                         max_instructions: int
+                         ) -> tuple[SimStats, str, str]:
+        """Resolve one cell; returns ``(stats, source, cache_key)``.
 
         ``source`` is ``"memory"``, ``"cache"``, or ``"simulated"``
         (coalesced joiners also report ``"simulated"``).
 
         Raises:
             ServiceError: 503 when the cell is uncached and the
-                simulation queue is full; 504 when this waiter's
+                simulation queue is full, or when its simulation lost
+                its worker on the retry too; 504 when this waiter's
                 ``request_timeout`` elapses first.
         """
         config = self.machines[machine]
-        key = cell_cache_key(config, workload, max_instructions)
+        key = cache_key(config, workload, max_instructions)
         stats = self._memo_get(key)
         if stats is not None:
             self.registry.counter(
                 "service_cache_hits_total", "Cells served from cache"
             ).inc(1, {"tier": "memory"})
-            return stats, "memory"
+            return stats, "memory", key
         if self.cache is not None:
             stats = self.cache.load(key)
             if stats is not None:
@@ -291,7 +273,7 @@ class DesignSpaceService:
                 self.registry.counter(
                     "service_cache_hits_total", "Cells served from cache"
                 ).inc(1, {"tier": "disk"})
-                return stats, "cache"
+                return stats, "cache", key
         self.registry.counter(
             "service_cache_misses_total", "Cells that required simulation"
         ).inc()
@@ -334,17 +316,25 @@ class DesignSpaceService:
                 "service_coalesced_total",
                 "Requests that joined an in-flight simulation",
             ).inc()
-        return stats, "simulated"
+        return stats, "simulated", key
 
     async def _simulate(self, cell: CampaignCell, key: str) -> SimStats:
         """Leader path: run one cell on the pool, cache and ledger it."""
-        loop = asyncio.get_running_loop()
         self.registry.gauge(
             "service_pending_simulations", "In-flight simulations"
         ).set(self.coalescer.inflight)
-        payload = await loop.run_in_executor(
-            self._ensure_executor(), self.runner, cell
-        )
+        try:
+            payload = await self.pool.run(self.runner, cell,
+                                          DEFAULT_RETRIES)
+        except BrokenProcessPool:
+            raise ServiceError(
+                503,
+                "the simulation lost its worker process on every "
+                f"attempt ({DEFAULT_RETRIES + 1}); retry later",
+                detail={"machine": cell.machine, "workload": cell.workload,
+                        "instructions": cell.max_instructions},
+                retry_after=self._retry_after_hint(),
+            ) from None
         stats = SimStats.from_dict(payload["stats"])
         seconds = float(payload.get("seconds", 0.0))
         self._sim_seconds_total += seconds
@@ -533,7 +523,7 @@ class DesignSpaceService:
         config = self._require_machine(params["machine"])
         workload = self._require_workload(params["workload"])
         budget = self._int_param(params, "n", self.default_instructions)
-        stats, source = await self.cell_stats(
+        stats, source, key = await self.cell_stats(
             params["machine"], workload, budget
         )
         data = {
@@ -541,7 +531,7 @@ class DesignSpaceService:
             "workload": workload,
             "instructions": budget,
             "source": source,
-            "cache_key": cell_cache_key(config, workload, budget),
+            "cache_key": key,
         }
         if "tech" in params:
             techs = self._techs_param(params["tech"])
@@ -590,7 +580,7 @@ class DesignSpaceService:
         ])
         per_machine: dict[str, dict[str, SimStats]] = {}
         sources: dict[str, int] = {}
-        for (name, workload), (stats, source) in zip(cells, resolved):
+        for (name, workload), (stats, source, _) in zip(cells, resolved):
             per_machine.setdefault(name, {})[workload] = stats
             sources[source] = sources.get(source, 0) + 1
         points = []

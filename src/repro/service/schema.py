@@ -12,7 +12,7 @@ single source of truth:
   so a stats-format bump is visible in every payload and can never be
   silently mixed with cached cells of the previous format (the cell
   cache key hashes the same version; see
-  :func:`repro.service.app.cell_cache_key`).
+  :func:`repro.core.campaign.cache_key`).
 
 Errors are structured, never bare strings::
 

@@ -10,8 +10,8 @@ trace (timing-only) -- and run the full check stack from
 2. compiled vs reference ``SimStats`` byte equality,
 3. timing invariants on the compiled simulator.
 
-Cases fan out over the existing campaign worker pool
-(:func:`repro.core.campaign._collect_parallel`); a case is fully
+Cases fan out over the shared worker pool
+(:func:`repro.core.pool.run_cells`); a case is fully
 described by picklable integers, and workers rebuild everything
 deterministically from the seed.  Failures are shrunk by the
 delta-debugging minimizer and emitted as standalone reproducers under
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.core.campaign import _collect_parallel
+from repro.core.pool import run_cells
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.emulator import EmulationError, Emulator
 from repro.obs.profiling import FuzzProfile
@@ -295,7 +295,7 @@ def run_fuzz(
         cases: Number of cases to attempt.
         seed: Campaign seed; together with a case id it fully
             determines the case (see :func:`derive_case_seed`).
-        jobs: Worker processes; >1 reuses the campaign pool.
+        jobs: Worker processes; >1 runs cases on the shared pool.
         time_budget: Optional wall-clock cap in seconds, checked
             between batches; remaining cases are counted as skipped.
         max_instructions: Dynamic-instruction cap per case.
@@ -366,18 +366,8 @@ def run_fuzz(
             break
         batch = queue[position:position + batch_size]
         position += len(batch)
-        if jobs > 1:
-            payloads = _collect_parallel(
-                batch, jobs, run_fuzz_case, None, 0, profile, progress,
-                heartbeat=beat,
-            )
-            ordered = [payloads[i] for i in range(len(batch))]
-        else:
-            ordered = []
-            for case in batch:
-                payload = run_fuzz_case(case)
-                ordered.append(payload)
-                beat(case, payload)
+        ordered = run_cells(batch, run_fuzz_case, jobs, None, 0,
+                            profile.registry, progress, on_done=beat)
         for case, payload in zip(batch, ordered):
             profile.note_case(
                 payload["shape"], payload["kind"], payload["seconds"],

@@ -14,6 +14,8 @@ computation.
 
 from __future__ import annotations
 
+import functools
+
 from repro.workloads._datagen import skewed_bytes, words_directive
 
 #: Number of input symbols (the kernel loops over them indefinitely).
@@ -22,6 +24,7 @@ INPUT_SYMBOLS = 256
 TABLE_SIZE = 1024
 
 
+@functools.cache
 def source() -> str:
     """Assembly source text for the compress kernel."""
     symbols = skewed_bytes(INPUT_SYMBOLS, seed=0xC0DE, alphabet=48)

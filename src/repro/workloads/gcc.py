@@ -13,6 +13,8 @@ short dependence chains with moderate ILP.
 
 from __future__ import annotations
 
+import functools
+
 from repro.workloads._datagen import Lcg, words_directive
 
 #: Token stream length.
@@ -55,6 +57,7 @@ def _token_stream() -> list[int]:
     return tokens
 
 
+@functools.cache
 def source() -> str:
     """Assembly source text for the gcc kernel."""
     tokens = _token_stream()

@@ -13,6 +13,8 @@ neighbour tests, 2D index arithmetic, dense loads.
 
 from __future__ import annotations
 
+import functools
+
 from repro.workloads._datagen import Lcg, words_directive
 
 #: Board edge length (standard Go board).
@@ -36,6 +38,7 @@ def _board() -> list[int]:
     return cells
 
 
+@functools.cache
 def source() -> str:
     """Assembly source text for the go kernel."""
     cells = _board()

@@ -14,6 +14,8 @@ most sensitive to FIFO steering (8% degradation in Figure 13).
 
 from __future__ import annotations
 
+import functools
+
 from repro.workloads._datagen import Lcg, words_directive
 
 #: Number of cons cells in the heap (cell 0 is reserved as nil).
@@ -52,6 +54,7 @@ def _heap_and_heads() -> tuple[list[int], list[int]]:
     return heap, heads
 
 
+@functools.cache
 def source() -> str:
     """Assembly source text for the li kernel."""
     heap, heads = _heap_and_heads()

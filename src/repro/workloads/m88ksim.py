@@ -14,6 +14,8 @@ loads/stores with good locality.
 
 from __future__ import annotations
 
+import functools
+
 from repro.workloads._datagen import Lcg, words_directive
 
 #: Number of guest instructions.
@@ -39,6 +41,7 @@ def _guest_program() -> list[int]:
     return words
 
 
+@functools.cache
 def source() -> str:
     """Assembly source text for the m88ksim kernel."""
     program_words = _guest_program()

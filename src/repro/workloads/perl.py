@@ -14,6 +14,8 @@ with data-dependent exits.
 
 from __future__ import annotations
 
+import functools
+
 from repro.workloads._datagen import Lcg
 
 #: Number of distinct words interned.
@@ -38,6 +40,7 @@ def _words() -> list[str]:
     return words
 
 
+@functools.cache
 def source() -> str:
     """Assembly source text for the perl kernel."""
     words = _words()

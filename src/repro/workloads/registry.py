@@ -17,7 +17,10 @@ Fingerprints are computed **at call time** from the workload's
 current content (a kernel's source text read through its module
 attribute, a synthetic scenario's canonical config, an external trace
 file's bytes), so an edit -- or a test monkeypatching a kernel's
-``source`` -- changes every derived cache key immediately.
+``source`` -- changes every derived cache key, and the trace cache's
+key, immediately.  Each paper kernel's ``source()`` is memoized per
+process, so a fingerprint costs one sha256 of its text; a
+monkeypatched ``source`` is a new function and is seen at once.
 
 Registration order is presentation order: the seven paper kernels
 first (Figure 13/15/17 order), then the Mini-compiled extras, then
@@ -41,10 +44,10 @@ KIND_SYNTHETIC = "synthetic"
 KIND_EXTERNAL = "external"
 WORKLOAD_KINDS = (KIND_KERNEL, KIND_SYNTHETIC, KIND_EXTERNAL)
 
-#: Traces, per (workload name, budget).  Registering a name drops its
-#: entries, so a replaced workload never serves its predecessor's
-#: stream.
-_TRACE_CACHE: dict[tuple[str, int], Trace] = {}
+#: Traces, per (workload name, content fingerprint, budget): an edited
+#: (or monkeypatched, or re-registered) workload builds afresh, never
+#: serving its predecessor's stream.
+_TRACE_CACHE: dict[tuple[str, str, int], Trace] = {}
 
 #: Built programs, keyed by (language, source text): each kernel is
 #: assembled or compiled once per process whatever the budget, and an
@@ -111,8 +114,9 @@ class Workload:
         return {"kind": self.kind, "fingerprint": self.fingerprint()}
 
     def trace(self, max_instructions: int = 30_000) -> Trace:
-        """The workload's dynamic trace, cached per (name, budget)."""
-        key = (self.name, max_instructions)
+        """The workload's dynamic trace, cached per (name, content
+        fingerprint, budget)."""
+        key = (self.name, self.fingerprint(), max_instructions)
         if key not in _TRACE_CACHE:
             _TRACE_CACHE[key] = self._loader(max_instructions)
         return _TRACE_CACHE[key]
@@ -126,16 +130,10 @@ WORKLOAD_REGISTRY: dict[str, Workload] = {}
 
 
 def register_workload(workload: Workload, replace: bool = False) -> Workload:
-    """Add a workload to the registry (its name must be unique).
-
-    Traces cached under the name are dropped, whether it replaces a
-    registered workload or reuses the name of one removed earlier.
-    """
+    """Add a workload to the registry (its name must be unique)."""
     name = workload.name
     if not replace and name in WORKLOAD_REGISTRY:
         raise ValueError(f"workload {name!r} already registered")
-    for key in [key for key in _TRACE_CACHE if key[0] == name]:
-        del _TRACE_CACHE[key]
     WORKLOAD_REGISTRY[name] = workload
     return workload
 

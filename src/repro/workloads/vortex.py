@@ -14,6 +14,8 @@ store-heavy updates.
 
 from __future__ import annotations
 
+import functools
+
 from repro.workloads._datagen import Lcg, words_directive
 
 #: Number of records (power of two so ids can be masked).
@@ -40,6 +42,7 @@ def _records_and_index() -> tuple[list[int], list[int]]:
     return words, index
 
 
+@functools.cache
 def source() -> str:
     """Assembly source text for the vortex kernel."""
     record_words, index = _records_and_index()

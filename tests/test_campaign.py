@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -356,6 +357,30 @@ class TestResultCache:
         payload["format_version"] = 999
         cache.path(key).write_text(json.dumps(payload), encoding="utf-8")
         assert cache.load(key) is None
+
+    def test_concurrent_writers_of_one_key_both_land(
+            self, entry, monkeypatch):
+        # A second writer of the same key finishes inside the first
+        # one's write window; the first writer's rename must still
+        # find its own temp file.
+        cache, key, stats = entry
+        cache.path(key).unlink()
+        write_text = Path.write_text
+        inner = []
+
+        def interleaved(path, *args, **kwargs):
+            written = write_text(path, *args, **kwargs)
+            if not inner:
+                inner.append(path)
+                cache.store(key, stats)
+            return written
+
+        monkeypatch.setattr(Path, "write_text", interleaved)
+        cache.store(key, stats)
+        monkeypatch.undo()
+        assert inner
+        assert cache.load(key).to_dict() == stats.to_dict()
+        assert [p.name for p in cache.root.iterdir()] == [f"{key}.json"]
 
     def test_campaign_recomputes_corrupted_cells(self, tmp_path):
         configs = {"baseline": baseline_8way()}

@@ -29,18 +29,27 @@ from repro.core.campaign import MODEL_PACKAGES, model_fingerprint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Prints the three cache keys of one cell as JSON.
+#: Prints the three cache keys of one cell as JSON; the service cell
+#: key is the one a ``/v1/cell`` answer reports.
 _KEYS_SCRIPT = """
+import asyncio
+import concurrent.futures
 import json
 from repro.core.campaign import cache_key, grid_fingerprint
 from repro.core.machines import baseline_8way
-from repro.service.app import cell_cache_key
+from repro.service import DesignSpaceService
 
 config = baseline_8way()
+service = DesignSpaceService(
+    {"baseline": config}, cache_dir=None,
+    executor=concurrent.futures.ThreadPoolExecutor(max_workers=1))
+status, _, body = asyncio.run(service.handle_http(
+    "GET", "/v1/cell?machine=baseline&workload=li&n=2000"))
+assert status == 200, body
 print(json.dumps({
     "cache_key": cache_key(config, "li", 2000),
     "grid_fingerprint": grid_fingerprint({"baseline": config}, ("li",), 2000),
-    "cell_cache_key": cell_cache_key(config, "li", 2000),
+    "service_cell_key": json.loads(body)["cache_key"],
 }))
 """
 

@@ -22,6 +22,7 @@ import threading
 import pytest
 
 from repro.core import results_io
+from repro.core.campaign import cache_key
 from repro.obs.ledger import Ledger
 from repro.service import (
     ERROR_CODES,
@@ -31,7 +32,6 @@ from repro.service import (
     envelope,
     error_body,
 )
-from repro.service.app import cell_cache_key
 from repro.service.coalescer import Coalescer
 from repro.service.loadgen import get_json, run_burst
 from repro.uarch.stats import SimStats
@@ -399,8 +399,8 @@ class TestFailureModes:
             assert payload["error"]["code"] == "internal_error"
             # A failed simulation is never memoised; the key is free.
             assert not service.coalescer.is_inflight(
-                cell_cache_key(service.machines["baseline"], "gcc",
-                               service.default_instructions))
+                cache_key(service.machines["baseline"], "gcc",
+                          service.default_instructions))
 
         run(scenario())
 
@@ -491,12 +491,12 @@ class TestSchemaSensitivity:
         _, _, before = run(get(service, target))
         assert before["stats_format"] == results_io.FORMAT_VERSION
         assert runner.calls == 1
-        key_before = cell_cache_key(service.machines["baseline"], "gcc",
-                                    service.default_instructions)
+        key_before = cache_key(service.machines["baseline"], "gcc",
+                               service.default_instructions)
         monkeypatch.setattr(results_io, "FORMAT_VERSION",
                             results_io.FORMAT_VERSION + 1)
-        key_after = cell_cache_key(service.machines["baseline"], "gcc",
-                                   service.default_instructions)
+        key_after = cache_key(service.machines["baseline"], "gcc",
+                              service.default_instructions)
         assert key_after != key_before
         # A bumped server re-simulates rather than serving the cell
         # cached under the previous stats format.

@@ -89,6 +89,20 @@ class TestFingerprints:
         monkeypatch.setattr(li, "source", lambda: original + "\n# x\n")
         assert get_workload("li").fingerprint() != before
 
+    def test_trace_tracks_source_edits(self, monkeypatch):
+        from repro.workloads import compress, li
+
+        def stream(name):
+            return [(inst.pc, inst.opcode)
+                    for inst in get_trace(name, 500).insts]
+
+        before = stream("li")
+        assert before != stream("compress")
+        monkeypatch.setattr(li, "source", compress.source)
+        assert stream("li") == stream("compress")
+        monkeypatch.undo()
+        assert stream("li") == before
+
     def test_identity_shape(self):
         identity = get_workload("zoo_br_coin").identity()
         assert set(identity) == {"kind", "fingerprint"}
