@@ -18,7 +18,7 @@ pattern applied to the campaign cache.
 import os
 import time
 
-from conftest import bench_instructions
+from conftest import assert_clears_floors, bench_instructions
 
 from repro.core.campaign import ResultCache
 from repro.core.frontier import (
@@ -36,11 +36,6 @@ WORKLOADS = ("compress", "gcc", "li", "m88ksim", "vortex")
 BENCH_FRONTIER_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_frontier.json"
 )
-
-#: A warm (all-cache) sweep must beat the cold sweep by at least this
-#: factor; cache reads are orders of magnitude cheaper than simulating,
-#: so 2x catches a broken cache path without inviting CI flakiness.
-MIN_WARM_SPEEDUP = 2.0
 
 
 def _record_sweep(measured: dict) -> None:
@@ -156,4 +151,8 @@ def test_design_space_sweep_cold_vs_warm(benchmark, paper_report, tmp_path):
             "warm_speedup": round(cold_seconds / warm_seconds, 1),
         }
     )
-    assert warm_seconds * MIN_WARM_SPEEDUP < cold_seconds
+    # recorded.floors holds the warm/cold speedup at 2x: cache reads are
+    # orders of magnitude cheaper than simulating, so 2x catches a broken
+    # cache path without inviting CI flakiness.
+    assert_clears_floors("frontier",
+                         {"warm_speedup": cold_seconds / warm_seconds})

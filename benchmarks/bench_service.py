@@ -8,8 +8,8 @@ event loop (warm) at thousands of queries per second.
 This bench measures both against a real listening server over real
 sockets -- the same :mod:`repro.service.loadgen` client the CI smoke
 burst uses -- and folds the numbers into ``BENCH_service.json``
-(repo root) next to the checked-in ``min_warm_qps_floor``, which the
-``repro bench --check`` regression gate enforces.
+(repo root), whose ``recorded.floors`` holds ``warm_qps`` to the
+floor that ``repro bench --check`` and the CI burst also enforce.
 
 * **cold**: one request per uncached cell, sequentially, over a small
   machine subset (each one simulates on the worker pool);
@@ -21,6 +21,8 @@ import asyncio
 import os
 import time
 
+from conftest import assert_clears_floors, bench_instructions
+
 from repro.service.app import DesignSpaceService
 from repro.service.loadgen import get_json, run_burst
 
@@ -28,12 +30,6 @@ from repro.service.loadgen import get_json, run_burst
 BENCH_SERVICE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_service.json"
 )
-
-#: A warm cache must serve at least this many queries per second --
-#: the acceptance floor for "the simulator became the slow backing
-#: store behind a hot path".  Also checked in as
-#: ``recorded.min_warm_qps_floor`` for the regression gate.
-MIN_WARM_QPS = 1000.0
 
 #: Machines x workloads served during the bench (small on purpose:
 #: the cold phase simulates each cell once).
@@ -53,10 +49,6 @@ def _record_service(measured: dict) -> None:
 
 
 async def _measure(tmp_path) -> dict:
-    # Imported lazily so the docs-sync suite can import this module
-    # for its constants without the benchmarks/ conftest on sys.path.
-    from conftest import bench_instructions
-
     budget = bench_instructions()
     service = DesignSpaceService(
         cache_dir=str(tmp_path / "cache"),
@@ -120,5 +112,5 @@ def test_service_cold_vs_warm_throughput(benchmark, paper_report, tmp_path):
         f"{measured['warm_speedup']}x cold)",
     )
     _record_service(measured)
-    assert measured["warm_qps"] >= MIN_WARM_QPS
+    assert_clears_floors("service", measured)
     assert measured["warm_qps"] > measured["cold_qps"]

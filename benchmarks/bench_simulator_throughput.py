@@ -10,25 +10,23 @@ emulator's execution rate, a per-stage host-time profile (via
 ``repro.obs.profiling``) showing where simulation time itself goes,
 and the event-tracing overhead.
 
-``COMPILED_MIN_RATE`` is the floor every compiled row must clear, so a
-compiled path that silently degrades to interpreter speed fails.  On
-top of it each compiled row has its
-own floor in ``BENCH_simulator.json`` (``compiled_row_floors``: half
-the row's recorded interleaved median), so a 2x regression of any one
-shape fails; both are applied by
-:func:`repro.obs.regression.check_simulator_bench`, the same gate
-``repro bench --check`` runs.  ``SEED_MIN_RATE`` holds the reference
-model.  The tracing-disabled overhead guard keeps the untraced
-runner (which carries no probe code at all) at or above the compiled
-floor; it takes no ``benchmark`` fixture, so ``--benchmark-only``
-skips it and CI runs it in a separate step.
+Every measured row must clear its floor in ``BENCH_simulator.json``'s
+``recorded.floors``: half the recorded interleaved median for each
+compiled row, so a 2x regression of any one shape fails, and fixed
+floors for the reference model and the emulator.
+:func:`conftest.assert_clears_floors` applies them through
+:func:`repro.obs.regression.check_bench`, the same gate
+``repro bench --check`` runs.  The tracing-disabled overhead guard
+keeps the untraced runner (which carries no probe code at all) at or
+above baseline's compiled floor; it takes no ``benchmark`` fixture,
+so ``--benchmark-only`` skips it and CI runs it in a separate step.
 
 Measured rates are folded into ``BENCH_simulator.json`` (repo root)
 by the ``sim_bench_record`` fixture, next to the checked-in
 before/after record of the optimization passes.
 """
 
-from pathlib import Path
+from conftest import assert_clears_floors
 
 from repro.core.machines import (
     baseline_8way,
@@ -41,26 +39,10 @@ from repro.core.machines import (
 from repro.isa import Emulator
 from repro.obs import EventTracer, profile_simulation
 from repro.obs.profiling import profile_run
-from repro.obs.regression import (
-    check_simulator_bench,
-    format_findings,
-    load_bench,
-)
 from repro.uarch.pipeline import simulate
 from repro.workloads import build_program, get_trace
 
 TRACE_LENGTH = 8_000
-
-#: The checked-in record whose ``recorded`` block holds the floors.
-BENCH_SIMULATOR = Path(__file__).resolve().parent.parent / "BENCH_simulator.json"
-
-#: The seed revision's floor, now held by the frozen reference model.
-SEED_MIN_RATE = 10_000
-
-#: Floor for every compiled row, in simulated instructions per second
-#: (the retired hand-inlined interpreter sustained ~135k on baseline;
-#: the compiled rows measure 250k-400k, see BENCH_simulator.json).
-COMPILED_MIN_RATE = 60_000
 
 #: Interleaved runs per side in the tracing-overhead guard; each side
 #: is timed as its fastest run, so one slow phase of the host cannot
@@ -83,12 +65,7 @@ def _compiled_rate(benchmark, config, label, sim_bench_record):
     rate = TRACE_LENGTH / benchmark.stats.stats.mean
     row = f"{label}/gcc (compiled)"
     sim_bench_record(row, rate)
-    assert rate > COMPILED_MIN_RATE
-    recorded = load_bench(BENCH_SIMULATOR).get("recorded", {})
-    findings = check_simulator_bench(
-        {"measured": {row: rate}, "recorded": recorded}
-    )
-    assert not findings, format_findings(findings)
+    assert_clears_floors("simulator", {row: rate})
     return stats, rate
 
 
@@ -147,8 +124,8 @@ def test_throughput_compiled_load_tracking_machine(
 ):
     """The load-delay-tracking scheduler opts out of cycle skipping
     (held candidates expire at cycles no completion event marks); its
-    hold is a branch of the generated loop, so the compiled floor
-    still applies."""
+    hold is a branch of the generated loop, so it is held to a
+    compiled floor like every other shape."""
     _compiled_rate(
         benchmark, load_tracking_8way(), "load_tracking_8way",
         sim_bench_record,
@@ -171,11 +148,12 @@ def test_throughput_reference_model(benchmark, sim_bench_record):
     trace = get_trace("gcc", TRACE_LENGTH)
     benchmark(simulate, baseline_8way(), trace, mode="reference")
     rate = TRACE_LENGTH / benchmark.stats.stats.mean
-    sim_bench_record("baseline_8way/gcc (reference)", rate)
-    assert rate > SEED_MIN_RATE
+    row = "baseline_8way/gcc (reference)"
+    sim_bench_record(row, rate)
+    assert_clears_floors("simulator", {row: rate})
 
 
-def test_throughput_functional_emulator(benchmark):
+def test_throughput_functional_emulator(benchmark, sim_bench_record):
     program = build_program("gcc")
 
     def run():
@@ -184,7 +162,9 @@ def test_throughput_functional_emulator(benchmark):
     trace = benchmark(run)
     assert len(trace) == TRACE_LENGTH
     rate = TRACE_LENGTH / benchmark.stats.stats.mean
-    assert rate > 50_000
+    row = "emulator/gcc (functional)"
+    sim_bench_record(row, rate)
+    assert_clears_floors("simulator", {row: rate})
 
 
 def test_stage_profile(benchmark, paper_report, metrics_record):
@@ -204,7 +184,7 @@ def test_stage_profile(benchmark, paper_report, metrics_record):
 
 
 def test_tracing_disabled_overhead_guard(paper_report):
-    """Tracing off must not cost throughput: stay at/above the
+    """Tracing off must not cost throughput: stay at/above baseline's
     compiled floor, and full tracing must stay within a sane
     multiple."""
     trace = get_trace("gcc", TRACE_LENGTH)
@@ -228,8 +208,9 @@ def test_tracing_disabled_overhead_guard(paper_report):
         f"({traced_seconds / plain_seconds:.2f}x, "
         f"{tracer.emitted:,} events)",
     )
-    # The disabled path must clear the compiled floor outright (the
-    # untraced runner contains no probe code).
-    assert plain_rate > COMPILED_MIN_RATE
+    # The disabled path must clear baseline's compiled floor outright
+    # (the untraced runner contains no probe code).
+    assert_clears_floors("simulator",
+                         {"baseline_8way/gcc (compiled)": plain_rate})
     # Full event emission is allowed to cost, but not explode.
     assert traced_seconds < 10 * plain_seconds

@@ -12,6 +12,10 @@ environment variable (default
 ``repro.core.experiments.DEFAULT_INSTRUCTIONS`` dynamic instructions
 per benchmark program; the paper ran up to 0.5 B on real SPEC'95).
 
+Every gated measurement goes through :func:`assert_clears_floors`,
+which holds it to the row's floor in the repo-root ``BENCH_*.json``
+record -- the same check ``repro bench --check`` runs.
+
 Machine-readable output: set ``REPRO_BENCH_METRICS=/path/to.json``
 and every run registered through the ``metrics_record`` fixture is
 written there as one JSON document (each entry is a
@@ -30,6 +34,7 @@ from repro.core.experiments import (
     run_fig15,
     run_fig17,
 )
+from repro.obs.regression import check_bench, format_findings, load_bench
 
 #: (title, text) report blocks, in registration order.
 _REPORTS: list[tuple[str, str]] = []
@@ -40,10 +45,11 @@ _METRICS: list[dict] = []
 #: label -> measured simulator rate (inst/s) for BENCH_simulator.json.
 _SIM_RATES: dict[str, float] = {}
 
-#: The checked-in simulator throughput record (repo root).
-BENCH_SIMULATOR_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_simulator.json"
-)
+#: The repo root, where the checked-in ``BENCH_*.json`` records live.
+REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+#: The checked-in simulator throughput record.
+BENCH_SIMULATOR_PATH = os.path.join(REPO_ROOT, "BENCH_simulator.json")
 
 
 def bench_instructions() -> int:
@@ -55,6 +61,16 @@ def bench_instructions() -> int:
     return int(
         os.environ.get("REPRO_BENCH_INSTRUCTIONS", str(DEFAULT_INSTRUCTIONS))
     )
+
+
+def assert_clears_floors(name: str, measured: dict) -> None:
+    """Fail unless every ``measured`` row clears its floor in the
+    ``recorded.floors`` table of ``BENCH_<name>.json``."""
+    recorded = load_bench(
+        os.path.join(REPO_ROOT, f"BENCH_{name}.json")).get("recorded", {})
+    findings = check_bench(name, {"measured": measured,
+                                  "recorded": recorded})
+    assert not findings, format_findings(findings)
 
 
 @pytest.fixture

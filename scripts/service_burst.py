@@ -7,8 +7,9 @@ serving-tier contract end to end:
 
 1. ``/v1/healthz`` answers and reports the expected machine count;
 2. a keep-alive burst over every machine's cell endpoints answers
-   all-200 at or above the committed warm-throughput floor
-   (``recorded.min_warm_qps_floor`` in ``BENCH_service.json``);
+   all-200 at or above the committed ``warm_qps`` floor in
+   ``BENCH_service.json``'s ``recorded.floors``, checked by
+   :func:`repro.obs.regression.check_bench`;
 3. the burst triggered **zero** simulations -- proven by diffing
    ``service_simulations_total`` from ``/v1/metrics`` before/after.
 
@@ -17,17 +18,16 @@ Exits nonzero (with a reason on stderr) when any of these fail.
 Usage:
     python scripts/service_burst.py [--host H] [--port P]
         [--requests N] [--concurrency C] [-n INSTRUCTIONS]
-        [--qps-floor QPS]
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 from pathlib import Path
 
+from repro.obs.regression import check_bench, load_bench
 from repro.service.loadgen import get_json, run_burst
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -41,13 +41,6 @@ def _metric_value(exposition: str, name: str) -> float:
         if line.startswith(name) and not line.startswith("#"):
             total += float(line.rsplit(None, 1)[-1])
     return total
-
-
-def _committed_floor() -> float:
-    """The warm-qps floor checked into BENCH_service.json."""
-    payload = json.loads(
-        (REPO_ROOT / "BENCH_service.json").read_text(encoding="utf-8"))
-    return float(payload["recorded"]["min_warm_qps_floor"])
 
 
 async def burst(args) -> int:
@@ -78,22 +71,21 @@ async def burst(args) -> int:
     _, after = await get_json(args.host, args.port, "/v1/metrics")
     sims_after = _metric_value(after["raw"], "service_simulations_total")
 
-    floor = args.qps_floor if args.qps_floor is not None else _committed_floor()
-    failures = []
+    recorded = load_bench(REPO_ROOT / "BENCH_service.json")["recorded"]
+    below = check_bench("service", {"measured": {"warm_qps": result.qps},
+                                    "recorded": recorded})
+    failures = [finding.format_row().strip() for finding in below]
     if not result.all_ok:
         failures.append(f"non-200 responses: {result.statuses}")
     if sims_after != sims_before:
         failures.append(
             f"warm burst simulated {sims_after - sims_before:.0f} cells "
             "(expected zero: is the cache warm for this -n budget?)")
-    if result.qps < floor:
-        failures.append(
-            f"warm throughput {result.qps:.0f} qps is below the "
-            f"committed floor {floor:.0f}")
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if not failures:
-        print(f"OK {result.qps:.0f} qps warm (floor {floor:.0f}), "
+        print(f"OK {result.qps:.0f} qps warm "
+              f"(floor {recorded['floors']['warm_qps']:.0f}), "
               f"zero simulations across {result.requests} requests")
     return 1 if failures else 0
 
@@ -109,8 +101,6 @@ def main() -> int:
     parser.add_argument("-n", "--instructions", type=int, default=None,
                         help="per-cell budget in the requests (default: "
                              "the server's default budget)")
-    parser.add_argument("--qps-floor", type=float, default=None,
-                        help="override the BENCH_service.json floor")
     return asyncio.run(burst(parser.parse_args()))
 
 

@@ -501,10 +501,14 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.core.machines import machine_registry
     from repro.service.app import DesignSpaceService
 
+    # SIGTERM stops the server the way Ctrl-C does, so the finally
+    # below kills the worker pool instead of orphaning its processes.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     if args.warm:
         from repro.core.campaign import ResultCache, run_campaign
 

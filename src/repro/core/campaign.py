@@ -44,7 +44,7 @@ from typing import Any, Callable
 
 from repro.core import results_io
 from repro.core.experiments import DEFAULT_INSTRUCTIONS, ExperimentResult
-from repro.core.pool import DEFAULT_RETRIES, run_cells
+from repro.core.pool import DEFAULT_RETRIES, run_cells, worker_pool
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import CampaignProfile, record_simulation_metrics
 from repro.obs.progress import Heartbeat
@@ -397,10 +397,11 @@ def run_campaign(
 
     # Execute the misses.
     if misses:
-        payloads = run_cells(
-            [cell for _, cell in misses], runner, jobs, timeout, retries,
-            profile.registry, progress, on_done=beat,
-        )
+        with worker_pool(jobs, profile.registry) as pool:
+            payloads = run_cells(
+                [cell for _, cell in misses], runner, pool, timeout,
+                retries, profile.registry, progress, on_done=beat,
+            )
         # Fold worker metrics in *presentation* order -- the misses
         # list is already sorted by cell index, so the merged snapshot
         # is byte-identical for jobs=1, jobs=N, and any completion

@@ -28,8 +28,9 @@ so a cold miss does not pay a fresh interpreter start.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import POOL_METRIC_HELP
@@ -143,6 +144,21 @@ class WorkerPool:
         raise AssertionError("unreachable")
 
 
+@contextlib.contextmanager
+def worker_pool(jobs: int,
+                registry: MetricsRegistry) -> Iterator[WorkerPool | None]:
+    """A :class:`WorkerPool` of ``jobs`` workers, closed on exit.
+
+    Yields None for ``jobs=1``: :func:`run_cells` then runs every cell
+    in this process and no pool is ever built.
+    """
+    if jobs == 1:
+        yield None
+    else:
+        with contextlib.closing(WorkerPool(jobs, registry)) as pool:
+            yield pool
+
+
 def _lost(future: concurrent.futures.Future) -> bool:
     """True when a replaced pool dropped ``future`` without running it
     to an answer (its runner's own exceptions are answers)."""
@@ -166,7 +182,7 @@ def _run_here(cell: Any, runner: Callable[[Any], dict], retries: int,
 def run_cells(
     cells: Sequence[Any],
     runner: Callable[[Any], dict],
-    jobs: int,
+    pool: WorkerPool | None,
     timeout: float | None,
     retries: int,
     registry: MetricsRegistry,
@@ -175,18 +191,19 @@ def run_cells(
 ) -> list[dict]:
     """``runner(cell)`` for every cell; payloads in cell order.
 
-    ``jobs=1`` runs every cell in this process with no pool.  More
-    jobs fan the cells out over a :class:`WorkerPool` and wait for
-    them in cell order, each for at most ``timeout`` seconds (None
-    waits forever).  A cell that fails, times out or loses its worker
-    is resubmitted up to ``retries`` times, then run in this process.
+    With no pool every cell runs in this process.  Otherwise the cells
+    fan out over the caller's :class:`WorkerPool` (one pool can serve
+    many calls, see :func:`worker_pool`) and are awaited in cell order,
+    each for at most ``timeout`` seconds (None waits forever).  A cell
+    that fails, times out or loses its worker is resubmitted up to
+    ``retries`` times, then run in this process.
     A host that cannot build a pool runs every cell in this process.
 
     Args:
         cells: Picklable work items with a ``label``.
         runner: Picklable ``runner(cell) -> payload``; a payload
             carries the cell's wall-clock under ``"seconds"``.
-        jobs: Worker processes.
+        pool: The open pool to run on, or None to run in this process.
         timeout: Per-cell seconds before a pooled attempt is
             abandoned; an in-process run never times out.
         retries: Bounded resubmissions per cell.
@@ -209,51 +226,47 @@ def run_cells(
             finish(index, _run_here(cell, runner, retries, registry))
         return [payloads[index] for index in range(len(cells))]
 
-    if jobs == 1:
+    if pool is None:
         return run_all_here()
-    pool = WorkerPool(jobs, registry)
     try:
+        pending = {index: pool.submit(runner, cell)
+                   for index, cell in enumerate(cells)}
+    except (OSError, ValueError):
+        # No usable worker pool on this host: run everything here.
+        for _ in cells:
+            _count(registry, "pool_serial_fallbacks_total")
+        return run_all_here()
+    attempts = dict.fromkeys(pending, 1)
+    while pending:
+        index = min(pending)
+        future, generation = pending.pop(index)
+        cell = cells[index]
         try:
-            pending = {index: pool.submit(runner, cell)
-                       for index, cell in enumerate(cells)}
-        except (OSError, ValueError):
-            # No usable worker pool on this host: run everything here.
-            for _ in cells:
-                _count(registry, "pool_serial_fallbacks_total")
-            return run_all_here()
-        attempts = dict.fromkeys(pending, 1)
-        while pending:
-            index = min(pending)
-            future, generation = pending.pop(index)
-            cell = cells[index]
-            try:
-                finish(index, future.result(timeout))
-                continue
-            except concurrent.futures.TimeoutError:
-                _count(registry, "pool_timeouts_total")
-                pool.restart(generation)
-                failure = f"timed out after {timeout}s"
-            except BrokenProcessPool:
-                pool.restart(generation)
-                failure = "lost its worker"
-            except Exception as error:
-                failure = f"failed: {error}"
-            for other, (held, held_generation) in pending.items():
-                if held_generation != pool.generation and _lost(held):
-                    pending[other] = pool.submit(runner, cells[other])
-            if attempts[index] <= retries:
-                attempts[index] += 1
-                _count(registry, "pool_retries_total")
-                if progress:
-                    progress(f"{cell.label}: {failure}; retrying "
-                             f"({attempts[index] - 1}/{retries})")
-                pending[index] = pool.submit(runner, cell)
-            else:
-                _count(registry, "pool_serial_fallbacks_total")
-                if progress:
-                    progress(f"{cell.label}: {failure}; falling back to "
-                             "serial execution")
-                finish(index, runner(cell))
-    finally:
-        pool.close()
+            finish(index, future.result(timeout))
+            continue
+        except concurrent.futures.TimeoutError:
+            _count(registry, "pool_timeouts_total")
+            pool.restart(generation)
+            failure = f"timed out after {timeout}s"
+        except BrokenProcessPool:
+            pool.restart(generation)
+            failure = "lost its worker"
+        except Exception as error:
+            failure = f"failed: {error}"
+        for other, (held, held_generation) in pending.items():
+            if held_generation != pool.generation and _lost(held):
+                pending[other] = pool.submit(runner, cells[other])
+        if attempts[index] <= retries:
+            attempts[index] += 1
+            _count(registry, "pool_retries_total")
+            if progress:
+                progress(f"{cell.label}: {failure}; retrying "
+                         f"({attempts[index] - 1}/{retries})")
+            pending[index] = pool.submit(runner, cell)
+        else:
+            _count(registry, "pool_serial_fallbacks_total")
+            if progress:
+                progress(f"{cell.label}: {failure}; falling back to "
+                         "serial execution")
+            finish(index, runner(cell))
     return [payloads[index] for index in range(len(cells))]

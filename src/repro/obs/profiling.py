@@ -145,51 +145,29 @@ class _PoolCountersView:
     """Shared pool-degradation accounting over a registry.
 
     ``retries`` / ``timeouts`` / ``serial_fallbacks`` / ``restarts``
-    are registry counters exposed as int properties with
-    ``+=``-compatible setters, so the worker pool accounts identically
-    into either profile type."""
-
-    def _pool_counter(self, name: str):
-        return self.registry.counter(name, POOL_METRIC_HELP[name])
+    read the ``pool_*`` registry counters that
+    :mod:`repro.core.pool` increments, so either profile type reports
+    them identically."""
 
     def _get_pool(self, name: str) -> int:
-        return int(self._pool_counter(name).value())
-
-    def _set_pool(self, name: str, value: int) -> None:
-        counter = self._pool_counter(name)
-        counter.inc(value - counter.value())
+        return int(self.registry.counter(
+            name, POOL_METRIC_HELP[name]).value())
 
     @property
     def retries(self) -> int:
         return self._get_pool("pool_retries_total")
 
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self._set_pool("pool_retries_total", value)
-
     @property
     def timeouts(self) -> int:
         return self._get_pool("pool_timeouts_total")
-
-    @timeouts.setter
-    def timeouts(self, value: int) -> None:
-        self._set_pool("pool_timeouts_total", value)
 
     @property
     def serial_fallbacks(self) -> int:
         return self._get_pool("pool_serial_fallbacks_total")
 
-    @serial_fallbacks.setter
-    def serial_fallbacks(self, value: int) -> None:
-        self._set_pool("pool_serial_fallbacks_total", value)
-
     @property
     def restarts(self) -> int:
         return self._get_pool("pool_restarts_total")
-
-    @restarts.setter
-    def restarts(self, value: int) -> None:
-        self._set_pool("pool_restarts_total", value)
 
     def snapshot(self) -> MetricsSnapshot:
         """The profile's registry state, frozen for merge/export."""

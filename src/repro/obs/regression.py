@@ -2,15 +2,10 @@
 
 Compares the *current* measurements against two references:
 
-* the committed floors in the repo-root ``BENCH_*.json`` records --
-  ``compiled_min_rate_floor`` / ``compiled_row_floors`` /
-  ``seed_min_rate_floor`` for simulator throughput,
-  ``min_warm_speedup_floor`` for the campaign cache,
-  ``min_warm_qps_floor`` for warm service throughput,
-  ``min_gen_inst_per_s_floor`` / ``gen_row_floors`` for workload
-  trace generation --
-  which are hard gates (a measurement below its floor is a
-  regression, full stop); and
+* the committed floors in the repo-root ``BENCH_*.json`` records:
+  each record's ``recorded.floors`` table maps a gated ``measured``
+  row to its floor, a hard gate (a measurement below its floor is a
+  regression, full stop) that :func:`check_bench` applies; and
 * the run ledger's trailing window -- the newest entry of each kind
   against the mean of the previous ones, failing when throughput or
   cache-hit rate drops by more than ``threshold`` (a *relative* gate
@@ -35,9 +30,8 @@ DEFAULT_THRESHOLD = 0.5
 #: Ledger entries (per kind) the trailing window averages over.
 DEFAULT_WINDOW = 5
 
-#: The repo-root bench records the tracker reads.
-BENCH_FILES = ("BENCH_simulator.json", "BENCH_frontier.json",
-               "BENCH_service.json", "BENCH_workloads.json")
+#: The repo-root ``BENCH_<name>.json`` records the tracker reads.
+BENCH_NAMES = ("simulator", "frontier", "service", "workloads")
 
 
 @dataclass(frozen=True)
@@ -57,107 +51,27 @@ class RegressionFinding:
                 f"({self.detail})")
 
 
-def check_simulator_bench(payload: dict) -> list[RegressionFinding]:
-    """Measured simulator rates against the committed floors.
+def check_bench(name: str, payload: dict) -> list[RegressionFinding]:
+    """Every measured row of ``BENCH_<name>.json`` below its floor.
 
-    The frozen reference model (labels containing ``"(reference)"``)
-    must clear ``recorded.seed_min_rate_floor``; every other row -- the
-    compiled pipeline, labelled ``"(compiled)"`` -- must clear
-    ``recorded.compiled_min_rate_floor`` and, when the row has one,
-    its own ``recorded.compiled_row_floors`` entry (half its recorded
-    median, so a 2x regression of that shape fails).
+    ``payload["recorded"]["floors"]`` maps each gated row of
+    ``payload["measured"]`` to its floor.  A measured row without a
+    floor gates nothing, and neither does a floor whose row this run
+    did not measure.
     """
-    findings: list[RegressionFinding] = []
-    recorded = payload.get("recorded", {})
-    seed_floor = recorded.get("seed_min_rate_floor")
-    compiled_floor = recorded.get("compiled_min_rate_floor")
-    row_floors = recorded.get("compiled_row_floors", {})
-    for label, rate in sorted(payload.get("measured", {}).items()):
-        if "(reference)" in label:
-            floor = seed_floor
-        else:
-            floors = [f for f in (compiled_floor, row_floors.get(label))
-                      if f is not None]
-            floor = max(floors) if floors else None
-        if floor is None:
-            continue
-        if rate < floor:
-            findings.append(RegressionFinding(
-                subject=f"simulator throughput {label}",
-                measured=float(rate),
-                reference=float(floor),
-                source="floor",
-                detail="inst/s below the committed BENCH_simulator.json "
-                       "floor",
-            ))
-    return findings
-
-
-def check_frontier_bench(payload: dict) -> list[RegressionFinding]:
-    """Measured warm-cache speedup against the committed floor."""
-    findings: list[RegressionFinding] = []
     measured = payload.get("measured", {})
-    floor = payload.get("recorded", {}).get("min_warm_speedup_floor")
-    speedup = measured.get("warm_speedup")
-    if floor is not None and speedup is not None and speedup < floor:
-        findings.append(RegressionFinding(
-            subject="frontier warm-cache speedup",
-            measured=float(speedup),
+    return [
+        RegressionFinding(
+            subject=f"{name} {row}",
+            measured=float(measured[row]),
             reference=float(floor),
             source="floor",
-            detail="warm/cold speedup below the committed "
-                   "BENCH_frontier.json floor",
-        ))
-    return findings
-
-
-def check_service_bench(payload: dict) -> list[RegressionFinding]:
-    """Measured warm-serving throughput against the committed floor."""
-    findings: list[RegressionFinding] = []
-    measured = payload.get("measured", {})
-    floor = payload.get("recorded", {}).get("min_warm_qps_floor")
-    qps = measured.get("warm_qps")
-    if floor is not None and qps is not None and qps < floor:
-        findings.append(RegressionFinding(
-            subject="service warm-cache throughput",
-            measured=float(qps),
-            reference=float(floor),
-            source="floor",
-            detail="warm queries/sec below the committed "
-                   "BENCH_service.json floor",
-        ))
-    return findings
-
-
-def check_workloads_bench(payload: dict) -> list[RegressionFinding]:
-    """Measured trace-generation rates against the committed floors.
-
-    Every ``measured`` entry (kernel and Mini generation, synthetic
-    generation, external-trace round-trip) must clear
-    ``recorded.min_gen_inst_per_s_floor`` and, when the row has one,
-    its own ``recorded.gen_row_floors`` entry (half its recorded
-    median, so a 2x regression of that row fails).
-    """
-    findings: list[RegressionFinding] = []
-    recorded = payload.get("recorded", {})
-    shared_floor = recorded.get("min_gen_inst_per_s_floor")
-    row_floors = recorded.get("gen_row_floors", {})
-    for label, rate in sorted(payload.get("measured", {}).items()):
-        floors = [f for f in (shared_floor, row_floors.get(label))
-                  if f is not None]
-        if not floors:
-            continue
-        floor = max(floors)
-        if rate < floor:
-            findings.append(RegressionFinding(
-                subject=f"workload generation {label}",
-                measured=float(rate),
-                reference=float(floor),
-                source="floor",
-                detail="inst/s below the committed BENCH_workloads.json "
-                       "floor",
-            ))
-    return findings
+            detail=f"below the committed BENCH_{name}.json floor",
+        )
+        for row, floor in sorted(
+            payload.get("recorded", {}).get("floors", {}).items())
+        if row in measured and measured[row] < floor
+    ]
 
 
 def check_trailing_window(
@@ -231,15 +145,10 @@ def check_all(
     window: int = DEFAULT_WINDOW,
 ) -> list[RegressionFinding]:
     """Every check the ``repro bench --check`` gate runs."""
-    bench_dir = Path(bench_dir)
-    findings = check_simulator_bench(
-        load_bench(bench_dir / "BENCH_simulator.json"))
-    findings.extend(check_frontier_bench(
-        load_bench(bench_dir / "BENCH_frontier.json")))
-    findings.extend(check_service_bench(
-        load_bench(bench_dir / "BENCH_service.json")))
-    findings.extend(check_workloads_bench(
-        load_bench(bench_dir / "BENCH_workloads.json")))
+    findings = []
+    for name in BENCH_NAMES:
+        payload = load_bench(Path(bench_dir) / f"BENCH_{name}.json")
+        findings.extend(check_bench(name, payload))
     if ledger is not None:
         findings.extend(check_trailing_window(
             ledger.entries(), threshold=threshold, window=window))

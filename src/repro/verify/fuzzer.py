@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.core.pool import run_cells
+from repro.core.pool import run_cells, worker_pool
 from repro.isa.assembler import AssemblerError, assemble
 from repro.isa.emulator import EmulationError, Emulator
 from repro.obs.profiling import FuzzProfile
@@ -356,43 +356,45 @@ def run_fuzz(
 
     batch_size = max(16, jobs * 4) if jobs > 1 else 1
     position = 0
-    while position < len(queue):
-        if (time_budget is not None
-                and time.perf_counter() - started >= time_budget):
-            profile.skipped = len(queue) - position
-            if progress:
-                progress(f"time budget reached; skipping "
-                         f"{profile.skipped} remaining cases")
-            break
-        batch = queue[position:position + batch_size]
-        position += len(batch)
-        ordered = run_cells(batch, run_fuzz_case, jobs, None, 0,
-                            profile.registry, progress, on_done=beat)
-        for case, payload in zip(batch, ordered):
-            profile.note_case(
-                payload["shape"], payload["kind"], payload["seconds"],
-                failed=bool(payload["failures"]),
-            )
-            if payload["failures"]:
-                if minimize and sum(
-                    1 for f in failures if f.reproducer is not None
-                ) < max_minimized:
-                    failures.append(
-                        _minimize_failure(case, payload, repro_dir)
-                    )
-                else:
-                    failures.append(FuzzFailure(
-                        case_id=payload["case_id"],
-                        case_seed=payload["case_seed"],
-                        shape=payload["shape"],
-                        kind=payload["kind"],
-                        failures=payload["failures"],
-                    ))
+    # One pool serves every batch; jobs=1 runs each case in this process.
+    with worker_pool(jobs, profile.registry) as pool:
+        while position < len(queue):
+            if (time_budget is not None
+                    and time.perf_counter() - started >= time_budget):
+                profile.skipped = len(queue) - position
                 if progress:
-                    progress(f"case {payload['case_id']}: FAIL "
-                             f"({payload['failures'][0][:80]})")
-            elif progress and payload["case_id"] % 50 == 0:
-                progress(f"case {payload['case_id']}: ok "
-                         f"({payload['shape']}/{payload['kind']})")
+                    progress(f"time budget reached; skipping "
+                             f"{profile.skipped} remaining cases")
+                break
+            batch = queue[position:position + batch_size]
+            position += len(batch)
+            ordered = run_cells(batch, run_fuzz_case, pool, None, 0,
+                                profile.registry, progress, on_done=beat)
+            for case, payload in zip(batch, ordered):
+                profile.note_case(
+                    payload["shape"], payload["kind"], payload["seconds"],
+                    failed=bool(payload["failures"]),
+                )
+                if payload["failures"]:
+                    if minimize and sum(
+                        1 for f in failures if f.reproducer is not None
+                    ) < max_minimized:
+                        failures.append(
+                            _minimize_failure(case, payload, repro_dir)
+                        )
+                    else:
+                        failures.append(FuzzFailure(
+                            case_id=payload["case_id"],
+                            case_seed=payload["case_seed"],
+                            shape=payload["shape"],
+                            kind=payload["kind"],
+                            failures=payload["failures"],
+                        ))
+                    if progress:
+                        progress(f"case {payload['case_id']}: FAIL "
+                                 f"({payload['failures'][0][:80]})")
+                elif progress and payload["case_id"] % 50 == 0:
+                    progress(f"case {payload['case_id']}: ok "
+                             f"({payload['shape']}/{payload['kind']})")
     profile.wall_seconds = time.perf_counter() - started
     return FuzzReport(profile=profile, failures=failures)

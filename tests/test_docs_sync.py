@@ -37,6 +37,24 @@ def architecture_doc():
     return (DOCS / "architecture.md").read_text(encoding="utf-8")
 
 
+def _check_floors_are_half_the_medians(name):
+    # Each row with a recorded median (over ``rounds`` runs) is a
+    # measured row whose floor sits at half that median, so a 2x
+    # regression of the row fails.  Returns the rows with a median.
+    import json
+
+    payload = json.loads(
+        (ROOT / f"BENCH_{name}.json").read_text(encoding="utf-8"))
+    recorded = payload["recorded"]
+    medians = recorded["medians"]
+    assert recorded["rounds"] >= 20, name
+    for row, spread in medians.items():
+        assert row in payload["measured"], (name, row)
+        assert spread["q1"] <= spread["median"] <= spread["q3"], row
+        assert recorded["floors"][row] == spread["median"] // 2, row
+    return set(medians)
+
+
 class TestIsaDoc:
     def test_every_opcode_documented(self, isa_doc):
         missing = [name for name in OPCODES if f"`{name}`" not in isa_doc]
@@ -121,49 +139,51 @@ class TestPerformanceDoc:
         assert "profile_simulation" in performance_doc
 
     def test_floor_constants_are_real(self, performance_doc):
-        from benchmarks.bench_simulator_throughput import (  # noqa: PLC0415
-            COMPILED_MIN_RATE,
-            SEED_MIN_RATE,
-        )
-        assert (f"`COMPILED_MIN_RATE` ({COMPILED_MIN_RATE:,} inst/s)"
-                in performance_doc)
-        assert COMPILED_MIN_RATE > SEED_MIN_RATE
+        # The fixed floors the doc quotes are the recorded ones.
+        import json
+
+        payload = json.loads(
+            (ROOT / "BENCH_simulator.json").read_text(encoding="utf-8"))
+        floors = payload["recorded"]["floors"]
+        for row in ("baseline_8way/gcc (reference)",
+                    "emulator/gcc (functional)"):
+            assert f"`{row}` at {floors[row]:,} inst/s" in performance_doc
+        assert (floors["baseline_8way/gcc (compiled)"]
+                > floors["baseline_8way/gcc (reference)"])
 
     def test_bench_record_matches_floors(self):
         import json
 
-        from benchmarks.bench_simulator_throughput import (  # noqa: PLC0415
-            SEED_MIN_RATE,
-        )
         payload = json.loads(
             (ROOT / "BENCH_simulator.json").read_text(encoding="utf-8"))
         recorded = payload["recorded"]
-        assert recorded["seed_min_rate_floor"] == SEED_MIN_RATE
+        seed_floor = recorded["floors"]["baseline_8way/gcc (reference)"]
         baseline = recorded["baseline_8way"]
-        assert baseline["after_inst_per_s"] >= 2 * recorded["seed_min_rate_floor"]
+        assert baseline["after_inst_per_s"] >= 2 * seed_floor
         assert baseline["after_inst_per_s"] >= 2 * baseline["before_inst_per_s"]
 
     def test_compiled_section_names_the_real_pieces(self, performance_doc):
         assert 'mode="compiled"' in performance_doc
         assert "repro.uarch.compile" in performance_doc
-        assert "COMPILED_MIN_RATE" in performance_doc
+        assert "recorded.floors" in performance_doc
         assert "model_fingerprint()" in performance_doc
         assert "tests/test_compile.py" in performance_doc
 
     def test_compiled_bench_record_matches_floors(self):
         # The compiled record must show the tentpole speedup (>= 2x
         # the interpreter it replaced, whose rate is its "before"),
-        # and the committed floor must match the benchmark constant
-        # the regression gate routes "(compiled)" labels to.
+        # and every measured "(compiled)" row must have its own floor
+        # for the regression gate to apply.
         import json
 
-        from benchmarks.bench_simulator_throughput import (  # noqa: PLC0415
-            COMPILED_MIN_RATE,
-        )
         payload = json.loads(
             (ROOT / "BENCH_simulator.json").read_text(encoding="utf-8"))
         recorded = payload["recorded"]
-        assert recorded["compiled_min_rate_floor"] == COMPILED_MIN_RATE
+        compiled_rows = {label for label in payload["measured"]
+                         if label.endswith("(compiled)")}
+        assert len(compiled_rows) == 6
+        assert compiled_rows == set(recorded["medians"])
+        assert compiled_rows <= set(recorded["floors"])
         compiled = recorded["baseline_8way_compiled"]
         assert compiled["before_inst_per_s"] == (
             recorded["baseline_8way"]["after_inst_per_s"]
@@ -171,24 +191,9 @@ class TestPerformanceDoc:
         assert compiled["after_inst_per_s"] >= 2 * compiled["before_inst_per_s"]
 
     def test_compiled_row_floors_are_half_the_recorded_medians(self):
-        # Each compiled row's own floor sits at half its recorded
-        # interleaved median (so a 2x regression of that shape fails)
-        # and never below the shared compiled floor.
-        import json
-
-        from benchmarks.bench_simulator_throughput import (  # noqa: PLC0415
-            COMPILED_MIN_RATE,
-        )
-        payload = json.loads(
-            (ROOT / "BENCH_simulator.json").read_text(encoding="utf-8"))
-        recorded = payload["recorded"]
-        floors = recorded["compiled_row_floors"]
-        medians = recorded["compiled_row_medians"]
-        assert set(floors) == set(medians)
-        assert all(label.endswith("(compiled)") for label in floors)
-        for label, floor in floors.items():
-            assert floor == max(COMPILED_MIN_RATE,
-                                medians[label]["median"] // 2), label
+        rows = _check_floors_are_half_the_medians("simulator")
+        assert len(rows) == 6
+        assert all(label.endswith("(compiled)") for label in rows)
 
     def test_cross_linked_from_architecture(self, architecture_doc):
         assert "performance.md" in architecture_doc
@@ -344,16 +349,16 @@ class TestObservabilityDoc:
 
         assert f"(default {DEFAULT_WINDOW})" in observability_doc
         assert f"(default {DEFAULT_THRESHOLD})" in observability_doc
-        for floor in ("compiled_min_rate_floor", "seed_min_rate_floor",
-                      "min_warm_speedup_floor", "gen_row_floors"):
-            assert f"`{floor}`" in observability_doc
+        for name in ("`recorded.floors`", "`check_bench`", "`medians`",
+                     "`rounds`"):
+            assert name in observability_doc, name
 
     def test_bench_files_documented_and_present(self, observability_doc):
-        from repro.obs.regression import BENCH_FILES
+        from repro.obs.regression import BENCH_NAMES
 
-        for name in BENCH_FILES:
-            assert f"`{name}`" in observability_doc
-            assert (ROOT / name).exists(), name
+        for name in BENCH_NAMES:
+            assert f"`BENCH_{name}.json`" in observability_doc
+            assert (ROOT / f"BENCH_{name}.json").exists(), name
 
     def test_referenced_modules_exist(self, observability_doc):
         import importlib
@@ -436,14 +441,12 @@ class TestServiceDoc:
     def test_bench_floor_matches_doc_and_record(self, service_doc):
         import json
 
-        from benchmarks.bench_service import MIN_WARM_QPS  # noqa: PLC0415
-
-        assert "min_warm_qps_floor" in service_doc
-        assert "MIN_WARM_QPS" in service_doc
         payload = json.loads(
             (ROOT / "BENCH_service.json").read_text(encoding="utf-8"))
-        assert payload["recorded"]["min_warm_qps_floor"] == MIN_WARM_QPS
-        assert payload["measured"]["warm_qps"] >= MIN_WARM_QPS
+        floor = payload["recorded"]["floors"]["warm_qps"]
+        assert "`recorded.floors`" in service_doc
+        assert f"`warm_qps` floor ({floor:,.0f} qps)" in service_doc
+        assert payload["measured"]["warm_qps"] >= floor
 
     def test_ledger_kind_is_registered(self, service_doc):
         from repro.obs.ledger import RUN_KINDS
@@ -542,21 +545,8 @@ class TestWorkloadsDoc:
         assert (ROOT / "tests" / "data" / "golden_li64.jsonl").exists()
 
     def test_bench_record_matches_floor(self):
-        import json
-
-        from benchmarks.bench_workloads import MIN_GEN_RATE  # noqa: PLC0415
-
-        payload = json.loads(
-            (ROOT / "BENCH_workloads.json").read_text(encoding="utf-8"))
-        recorded = payload["recorded"]
-        assert recorded["min_gen_inst_per_s_floor"] == MIN_GEN_RATE
-        for label, rate in payload["measured"].items():
-            assert rate >= MIN_GEN_RATE, (label, rate)
-
-    def test_gen_row_floors_are_half_the_recorded_medians(self):
-        # Every benchmark row has its own floor at half its recorded
-        # interleaved median (so a 2x regression of that row fails),
-        # never below the shared MIN_GEN_RATE floor.
+        # Every benchmark row has its own floor and recorded median,
+        # and the committed measurement clears it.
         import json
 
         from benchmarks import bench_workloads  # noqa: PLC0415
@@ -564,14 +554,20 @@ class TestWorkloadsDoc:
         payload = json.loads(
             (ROOT / "BENCH_workloads.json").read_text(encoding="utf-8"))
         recorded = payload["recorded"]
-        floors = recorded["gen_row_floors"]
-        medians = recorded["gen_row_medians"]
+        floors = recorded["floors"]
         rows = {*bench_workloads.GENERATION_ROWS,
                 bench_workloads.INGESTION_ROW}
-        assert set(floors) == set(medians) == set(payload["measured"]) == rows
-        for label, floor in floors.items():
-            assert floor == max(bench_workloads.MIN_GEN_RATE,
-                                medians[label]["median"] // 2), label
+        assert (set(floors) == set(recorded["medians"])
+                == set(payload["measured"]) == rows)
+        for label, rate in payload["measured"].items():
+            assert rate >= floors[label], (label, rate)
+
+    def test_gen_row_floors_are_half_the_recorded_medians(self):
+        from benchmarks import bench_workloads  # noqa: PLC0415
+
+        rows = _check_floors_are_half_the_medians("workloads")
+        assert rows == {*bench_workloads.GENERATION_ROWS,
+                        bench_workloads.INGESTION_ROW}
 
     def test_cross_links(self, workloads_doc, architecture_doc, readme,
                          service_doc):

@@ -133,14 +133,16 @@ class TestRegistryBackedCampaignProfile:
             "campaign_instructions_total", {"source": "simulated"}) == 800
 
     def test_pool_counters_are_registry_views(self):
+        from repro.obs.profiling import POOL_METRIC_HELP
+
         profile = self.make_profile()
-        profile.retries += 1
-        profile.timeouts += 2
-        profile.serial_fallbacks += 1
-        assert profile.retries == 1
-        assert profile.registry.value("pool_retries_total") == 1
-        assert profile.registry.value("pool_timeouts_total") == 2
-        assert profile.registry.value("pool_serial_fallbacks_total") == 1
+        for name, events in (("pool_retries_total", 1),
+                             ("pool_timeouts_total", 2),
+                             ("pool_serial_fallbacks_total", 1)):
+            profile.registry.counter(
+                name, POOL_METRIC_HELP[name]).inc(events)
+        assert (profile.retries, profile.timeouts, profile.serial_fallbacks,
+                profile.restarts) == (1, 2, 1, 0)
 
     def test_to_dict_carries_metrics_snapshot(self):
         payload = self.make_profile().to_dict()

@@ -9,12 +9,11 @@ import pytest
 from repro.cli import main
 from repro.obs.ledger import Ledger, LedgerEntry
 from repro.obs.regression import (
+    BENCH_NAMES,
     DEFAULT_THRESHOLD,
     check_all,
-    check_frontier_bench,
-    check_simulator_bench,
+    check_bench,
     check_trailing_window,
-    check_workloads_bench,
     format_findings,
     load_bench,
 )
@@ -22,27 +21,26 @@ from repro.obs.regression import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def sim_payload(fast=150_000, reference=20_000, fast_floor=60_000,
-                seed_floor=10_000):
+def sim_payload(fast=150_000, reference=20_000):
     return {
         "kind": "repro-simulator-bench",
         "measured": {
             "baseline_8way/gcc (compiled)": fast,
             "baseline_8way/gcc (reference)": reference,
         },
-        "recorded": {
-            "compiled_min_rate_floor": fast_floor,
-            "seed_min_rate_floor": seed_floor,
-        },
+        "recorded": {"floors": {
+            "baseline_8way/gcc (compiled)": 60_000,
+            "baseline_8way/gcc (reference)": 10_000,
+        }},
     }
 
 
 class TestSimulatorFloor:
     def test_clears_floors(self):
-        assert check_simulator_bench(sim_payload()) == []
+        assert check_bench("simulator", sim_payload()) == []
 
     def test_fast_path_below_floor(self):
-        findings = check_simulator_bench(sim_payload(fast=10_000))
+        findings = check_bench("simulator", sim_payload(fast=10_000))
         (finding,) = findings
         assert finding.source == "floor"
         assert "baseline_8way/gcc (compiled)" in finding.subject
@@ -50,96 +48,88 @@ class TestSimulatorFloor:
         assert finding.reference == 60_000.0
 
     def test_reference_label_uses_seed_floor(self):
-        # 20k clears nothing but the seed floor: "(reference)" labels
-        # route to the (lower) seed floor, not the compiled one.
-        assert check_simulator_bench(sim_payload(reference=20_000)) == []
-        findings = check_simulator_bench(sim_payload(reference=5_000))
+        # 20k clears nothing but the seed floor: the reference row is
+        # held to its own (lower) floor, not the compiled one.
+        assert check_bench("simulator", sim_payload(reference=20_000)) == []
+        findings = check_bench("simulator", sim_payload(reference=5_000))
         (finding,) = findings
         assert "(reference)" in finding.subject
         assert finding.reference == 10_000.0
 
-    def test_unlabelled_rows_use_compiled_floor(self):
-        payload = sim_payload()
-        payload["measured"]["clustered_dependence_8way/gcc"] = 50_000
-        (finding,) = check_simulator_bench(payload)
-        assert finding.reference == 60_000.0
-
     def test_row_floor_gates_its_own_row(self):
         payload = sim_payload(fast=150_000)
-        payload["recorded"]["compiled_row_floors"] = {
-            "baseline_8way/gcc (compiled)": 160_000,
-        }
-        (finding,) = check_simulator_bench(payload)
+        payload["recorded"]["floors"]["baseline_8way/gcc (compiled)"] = (
+            160_000)
+        (finding,) = check_bench("simulator", payload)
         assert "baseline_8way/gcc (compiled)" in finding.subject
         assert finding.reference == 160_000.0
         payload["measured"]["baseline_8way/gcc (compiled)"] = 170_000
-        assert check_simulator_bench(payload) == []
-
-    def test_row_floor_never_undercuts_compiled_floor(self):
-        payload = sim_payload(fast=50_000)
-        payload["recorded"]["compiled_row_floors"] = {
-            "baseline_8way/gcc (compiled)": 40_000,
-        }
-        (finding,) = check_simulator_bench(payload)
-        assert finding.reference == 60_000.0
+        assert check_bench("simulator", payload) == []
 
     def test_missing_floors_are_not_findings(self):
         payload = sim_payload()
         payload["recorded"] = {}
-        assert check_simulator_bench(payload) == []
+        assert check_bench("simulator", payload) == []
 
 
-def gen_payload(kernel=600_000, synthetic=250_000, shared_floor=20_000):
+def gen_payload(kernel=600_000):
     return {
         "kind": "repro-workloads-bench",
         "measured": {
             "li (kernel)": kernel,
-            "zoo_br_coin (synthetic)": synthetic,
+            "zoo_br_coin (synthetic)": 250_000,
         },
-        "recorded": {"min_gen_inst_per_s_floor": shared_floor},
+        "recorded": {"floors": {"li (kernel)": 20_000,
+                                "zoo_br_coin (synthetic)": 20_000}},
     }
 
 
 class TestWorkloadsFloor:
-    def test_shared_floor_applies_to_every_row(self):
-        assert check_workloads_bench(gen_payload()) == []
-        (finding,) = check_workloads_bench(gen_payload(synthetic=10_000))
-        assert finding.subject == "workload generation zoo_br_coin (synthetic)"
-        assert finding.reference == 20_000.0
-
     def test_row_floor_gates_its_own_row(self):
         payload = gen_payload(kernel=250_000)
-        payload["recorded"]["gen_row_floors"] = {"li (kernel)": 300_000}
-        (finding,) = check_workloads_bench(payload)
-        assert finding.subject == "workload generation li (kernel)"
+        payload["recorded"]["floors"]["li (kernel)"] = 300_000
+        (finding,) = check_bench("workloads", payload)
+        assert finding.subject == "workloads li (kernel)"
         assert finding.reference == 300_000.0
         payload["measured"]["li (kernel)"] = 310_000
-        assert check_workloads_bench(payload) == []
-
-    def test_row_floor_never_undercuts_shared_floor(self):
-        payload = gen_payload(kernel=15_000)
-        payload["recorded"]["gen_row_floors"] = {"li (kernel)": 10_000}
-        (finding,) = check_workloads_bench(payload)
-        assert finding.reference == 20_000.0
+        assert check_bench("workloads", payload) == []
 
     def test_missing_floors_are_not_findings(self):
         payload = gen_payload(kernel=1)
         payload["recorded"] = {}
-        assert check_workloads_bench(payload) == []
+        assert check_bench("workloads", payload) == []
 
 
 class TestFrontierFloor:
     def test_clears_and_fails(self):
         payload = {"measured": {"warm_speedup": 10.0},
-                   "recorded": {"min_warm_speedup_floor": 2.0}}
-        assert check_frontier_bench(payload) == []
+                   "recorded": {"floors": {"warm_speedup": 2.0}}}
+        assert check_bench("frontier", payload) == []
         payload["measured"]["warm_speedup"] = 1.5
-        (finding,) = check_frontier_bench(payload)
-        assert finding.subject == "frontier warm-cache speedup"
+        (finding,) = check_bench("frontier", payload)
+        assert finding.subject == "frontier warm_speedup"
         assert finding.measured == 1.5
 
     def test_empty_payload_ok(self):
-        assert check_frontier_bench({}) == []
+        assert check_bench("frontier", {}) == []
+
+
+class TestCheckBench:
+    def test_rows_without_a_floor_are_not_gated(self):
+        payload = sim_payload()
+        payload["measured"]["clustered_dependence_8way/gcc (compiled)"] = 1
+        assert check_bench("simulator", payload) == []
+
+    def test_floors_without_a_measurement_are_not_gated(self):
+        # A benchmark run that measured one row checks that row only.
+        payload = sim_payload()
+        del payload["measured"]["baseline_8way/gcc (reference)"]
+        payload["recorded"]["floors"]["baseline_8way/gcc (reference)"] = (
+            10 ** 9)
+        assert check_bench("simulator", payload) == []
+
+    def test_a_row_at_its_floor_clears_it(self):
+        assert check_bench("simulator", sim_payload(fast=60_000)) == []
 
 
 def rated(kind, rate, cells=0, hits=0):
@@ -210,7 +200,7 @@ class TestCheckAll:
 
     def test_format_findings(self):
         assert "no regressions" in format_findings([])
-        findings = check_simulator_bench(sim_payload(fast=10_000))
+        findings = check_bench("simulator", sim_payload(fast=10_000))
         assert "REGRESSION" in format_findings(findings)
 
 
@@ -233,12 +223,33 @@ class TestBenchCli:
             shutil.copy(REPO_ROOT / name, bench_dir / name)
         payload = json.loads(
             (bench_dir / "BENCH_simulator.json").read_text())
-        payload["recorded"]["compiled_min_rate_floor"] = 10 ** 9
+        payload["recorded"]["floors"]["baseline_8way/gcc (compiled)"] = 10 ** 9
         (bench_dir / "BENCH_simulator.json").write_text(json.dumps(payload))
 
         code = main(["bench", "--check", "--bench-dir", str(bench_dir)])
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", BENCH_NAMES)
+    def test_check_fails_when_a_row_drops_below_its_floor(
+            self, name, tmp_path, capsys):
+        # Acceptance: one measured row of any record dropped below its
+        # floor trips the gate; the other three records stay committed.
+        bench_dir = tmp_path / "bench"
+        bench_dir.mkdir()
+        for other in BENCH_NAMES:
+            shutil.copy(REPO_ROOT / f"BENCH_{other}.json", bench_dir)
+        path = bench_dir / f"BENCH_{name}.json"
+        payload = json.loads(path.read_text())
+        row, floor = sorted(payload["recorded"]["floors"].items())[0]
+        payload["measured"][row] = floor * 0.99
+        path.write_text(json.dumps(payload))
+
+        code = main(["bench", "--check", "--bench-dir", str(bench_dir)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"REGRESSION {name} {row}:" in out
+        assert out.count("REGRESSION") == 1
 
     def test_without_check_reports_but_passes(self, tmp_path, capsys):
         bench_dir = tmp_path / "bench"

@@ -1,16 +1,18 @@
 """Fault injection on the shared worker pool (:mod:`repro.core.pool`).
 
 Each failure path -- a worker killed mid-cell, a worker that always
-dies, a runner that raises, a client that drops mid-request -- runs in
-a fresh interpreter under a wall-clock timeout, so a pool that hangs
-fails its test instead of wedging the suite.  The scenarios are the
-``scenario_*`` functions below; each prints one JSON line the test
+dies, a runner that raises, a client that drops mid-request, a cache
+writer killed mid-``store``, a ``repro serve`` stopped by SIGTERM --
+runs in a fresh interpreter under a wall-clock timeout, so a pool that
+hangs fails its test instead of wedging the suite.  Most scenarios are
+the ``scenario_*`` functions below; each prints one JSON line the test
 asserts on.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import json
 import multiprocessing
@@ -23,11 +25,15 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.campaign import run_campaign, simulate_cell
+import pytest
+
+from repro.core.campaign import ResultCache, run_campaign, simulate_cell
 from repro.core.machines import baseline_8way, dependence_based_8way
 from repro.core.results_io import result_to_dict
 from repro.service import DesignSpaceService
 from repro.service.loadgen import get_json
+from repro.uarch.pipeline import simulate
+from repro.workloads import get_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -204,16 +210,45 @@ def scenario_client_drops_mid_request(workdir: Path) -> dict:
         service.close()
 
 
-def _run_scenario(name: str, tmp_path: Path) -> dict:
+def scenario_cache_writer_killed(workdir: Path, stage: str) -> None:
+    """Store a full entry, then die by SIGKILL partway through
+    overwriting it: with half the new entry in its temp file
+    (``"write"``), or the whole of it not yet renamed (``"rename"``)."""
+    cache = ResultCache(workdir / "cache")
+    config = baseline_8way()
+    cache.store("cell", simulate(config, get_trace("li", N)))
+    newer = simulate(config, get_trace("li", 2 * N))
+
+    def write_text(path, data, encoding):
+        with open(path, "w", encoding=encoding) as handle:
+            handle.write(data if stage == "rename" else data[:len(data) // 2])
+        if stage == "write":
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def replace(path, target):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    Path.write_text, Path.replace = write_text, replace
+    cache.store("cell", newer)
+
+
+def _scenario(name: str, tmp_path: Path,
+              *args: str) -> subprocess.CompletedProcess:
+    """``name(tmp_path, *args)`` in a fresh interpreter, its result
+    printed as one JSON line."""
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
     code = ("import json, sys\nfrom pathlib import Path\n"
             f"from tests.test_pool import {name}\n"
-            f"print(json.dumps({name}(Path(sys.argv[1]))))\n")
-    done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=SCENARIO_TIMEOUT,
+            f"print(json.dumps({name}(Path(sys.argv[1]), *sys.argv[2:])))\n")
+    return subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *args], cwd=ROOT,
+        env=env, capture_output=True, text=True, timeout=SCENARIO_TIMEOUT,
         check=False)
+
+
+def _run_scenario(name: str, tmp_path: Path) -> dict:
+    done = _scenario(name, tmp_path)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -260,3 +295,64 @@ def test_server_keeps_serving_after_a_client_drops(tmp_path):
     outcome = _run_scenario("scenario_client_drops_mid_request", tmp_path)
     assert outcome["statuses"] == [200, 200]
     assert outcome["sources"] == ["memory", "simulated"]
+
+
+@pytest.mark.parametrize("stage", ["write", "rename"])
+def test_a_killed_cache_writer_leaves_the_previous_entry(tmp_path, stage):
+    done = _scenario("scenario_cache_writer_killed", tmp_path, stage)
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    cache = ResultCache(tmp_path / "cache")
+    # Never a torn entry: the rename that publishes a store replaces
+    # the previous full entry whole, so until then that entry stays.
+    loaded = cache.load("cell")
+    assert loaded is not None
+    assert loaded.to_dict() == simulate(
+        baseline_8way(), get_trace("li", N)).to_dict()
+    assert len(list(cache.root.glob("*.tmp"))) == 1  # the killed write
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_stops_serve_and_its_workers(tmp_path):
+    port = _free_port()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               REPRO_LEDGER_DIR=str(tmp_path / "ledger"))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--jobs", "2", "--port",
+         str(port), "--cache-dir", str(tmp_path / "cache")],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+        start_new_session=True)
+    try:
+        deadline = time.monotonic() + SCENARIO_TIMEOUT
+        while True:  # one cold miss, once the server listens
+            try:
+                status, payload = asyncio.run(get_json(
+                    "127.0.0.1", port,
+                    f"/v1/cell?machine=baseline&workload=li&n={N}"))
+                break
+            except OSError:
+                assert time.monotonic() < deadline, "serve never listened"
+                time.sleep(0.2)
+        assert (status, payload["source"]) == (200, "simulated")
+        server.send_signal(signal.SIGTERM)
+        server.wait(SCENARIO_TIMEOUT)
+        deadline = time.monotonic() + 10
+        while _group_alive(server.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _group_alive(server.pid), "workers outlived the server"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(server.pid, signal.SIGKILL)
+        server.wait(SCENARIO_TIMEOUT)

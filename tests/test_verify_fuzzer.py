@@ -9,6 +9,8 @@ compiler's ``port_leak`` knob (caught by the compiled runner's own
 deadlock guard); acceptance: each reproducer at most 25 instructions.
 """
 
+import concurrent.futures
+
 import pytest
 
 from repro.verify.fuzzer import (
@@ -78,6 +80,23 @@ def test_parallel_matches_serial(tmp_path):
     assert serial.ok and parallel.ok
     assert serial.profile.shape_counts == parallel.profile.shape_counts
     assert serial.profile.kind_counts == parallel.profile.kind_counts
+
+
+def test_one_pool_serves_every_batch(tmp_path, monkeypatch):
+    # 40 cases at jobs=2 run in three batches of at most 16; all three
+    # share one process pool instead of building one per batch.
+    built = []
+
+    class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingExecutor)
+    report = run_fuzz(cases=40, jobs=2, minimize=False, repro_dir=tmp_path)
+    assert report.profile.cases == 40
+    assert len(built) == 1
 
 
 def test_case_seed_replay_runs_exactly_one_case(tmp_path):
