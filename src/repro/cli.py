@@ -47,6 +47,7 @@ import sys
 from repro.analysis import profile_trace
 from repro.core import experiments, machines, speedup
 from repro.core.experiments import DEFAULT_INSTRUCTIONS
+from repro.core.machines import MACHINE_REGISTRY
 from repro.delay.reservation import ReservationTableDelayModel
 from repro.delay.summary import overall_delays
 from repro.isa import assemble, run_to_trace
@@ -64,20 +65,6 @@ from repro.workloads import (
     synthetic_trace,
     workload_names,
 )
-
-#: CLI machine names -> factory functions.
-MACHINES = {
-    "baseline": machines.baseline_8way,
-    "dependence": machines.dependence_based_8way,
-    "clustered-fifos": machines.clustered_dependence_8way,
-    "clustered-windows": machines.clustered_windows_8way,
-    "exec-steer": machines.clustered_exec_steer_8way,
-    "random-steer": machines.clustered_random_8way,
-    "modulo-steer": machines.clustered_modulo_8way,
-    "least-loaded-steer": machines.clustered_least_loaded_8way,
-    "load-tracking": machines.load_tracking_8way,
-    "ports-limited": machines.ports_limited_8way,
-}
 
 
 def _progress_meter(enabled: bool, total: int | None, unit: str):
@@ -120,7 +107,7 @@ def _cmd_delay(args) -> int:
     if args.machine:
         from repro.delay.critical_path import critical_path
 
-        config = MACHINES[args.machine]()
+        config = MACHINE_REGISTRY[args.machine]()
         for tech in techs:
             print(critical_path(config, tech).format_report())
         return 0
@@ -150,7 +137,7 @@ def _cmd_delay(args) -> int:
 
 
 def _cmd_machines(_args) -> int:
-    for name, factory in MACHINES.items():
+    for name, factory in MACHINE_REGISTRY.items():
         config = factory()
         organisation = " + ".join(
             (f"{c.fifo_count}x{c.fifo_depth} FIFOs" if c.uses_fifos
@@ -185,7 +172,7 @@ def _cmd_simulate(args) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profiling import record_simulation_metrics
 
-    config = MACHINES[args.machine]()
+    config = MACHINE_REGISTRY[args.machine]()
     if args.trace_file:
         if args.workload:
             print("repro simulate: error: give a workload name or "
@@ -265,7 +252,7 @@ def _get_any_trace(workload: str, instructions: int):
 def _cmd_stats(args) -> int:
     import time
 
-    config = MACHINES[args.machine]()
+    config = MACHINE_REGISTRY[args.machine]()
     trace = _get_any_trace(args.workload, args.instructions)
     start = time.perf_counter()
     stats = run_simulation(config, trace)
@@ -305,7 +292,7 @@ def _cmd_trace(args) -> int:
     from repro.report.timeline import render_timeline
     from repro.uarch.pipeline import PipelineSimulator
 
-    config = MACHINES[args.machine]()
+    config = MACHINE_REGISTRY[args.machine]()
     trace = _get_any_trace(args.workload, args.instructions)
     capacity = (
         args.capacity if args.capacity is not None
@@ -343,7 +330,7 @@ def _cmd_timeline(args) -> int:
     from repro.report.timeline import render_timeline
     from repro.uarch.pipeline import PipelineSimulator
 
-    config = MACHINES[args.machine]()
+    config = MACHINE_REGISTRY[args.machine]()
     trace = get_trace(args.workload, args.instructions)
     simulator = PipelineSimulator(config, trace, tracer=EventTracer())
     simulator.run()
@@ -729,7 +716,7 @@ def _cmd_compile(args) -> int:
           f"main returned {emulator.int_regs[2]} "
           f"({'halted' if emulator.halted else 'capped'})")
     if args.simulate:
-        stats = run_simulation(MACHINES[args.simulate](), trace)
+        stats = run_simulation(MACHINE_REGISTRY[args.simulate](), trace)
         print(stats.summary())
     return 0
 
@@ -746,7 +733,7 @@ def _cmd_asm(args) -> int:
           f"({'halted' if trace.halted else 'capped'})")
     print(profile_trace(trace).format_report())
     if args.simulate:
-        stats = run_simulation(MACHINES[args.simulate](), trace)
+        stats = run_simulation(MACHINE_REGISTRY[args.simulate](), trace)
         print(stats.summary())
     return 0
 
@@ -763,7 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     delay = commands.add_parser("delay", help="print the Table 2 delay summary")
     delay.add_argument("--tech", type=float, default=None,
                        help="feature size in um (0.8, 0.35, 0.18); default all")
-    delay.add_argument("--machine", choices=sorted(MACHINES), default=None,
+    delay.add_argument("--machine", choices=sorted(MACHINE_REGISTRY),
+                       default=None,
                        help="print the per-structure critical-path "
                             "breakdown for one machine instead")
     delay.set_defaults(func=_cmd_delay)
@@ -785,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     workloads.set_defaults(func=_cmd_workloads)
 
     simulate = commands.add_parser("simulate", help="run one machine on one workload")
-    simulate.add_argument("machine", choices=sorted(MACHINES))
+    simulate.add_argument("machine", choices=sorted(MACHINE_REGISTRY))
     simulate.add_argument("workload", nargs="?", default=None,
                           help="a registered workload name "
                                "(see 'repro workloads')")
@@ -808,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_cmd = commands.add_parser(
         "stats", help="simulate and print the stall-cycle breakdown"
     )
-    stats_cmd.add_argument("machine", choices=sorted(MACHINES))
+    stats_cmd.add_argument("machine", choices=sorted(MACHINE_REGISTRY))
     stats_cmd.add_argument("workload", choices=WORKLOAD_NAMES + ("synthetic",))
     stats_cmd.add_argument("-n", "--instructions", type=int,
                            default=DEFAULT_INSTRUCTIONS,
@@ -824,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="emit a structured pipeline event trace"
     )
     trace_cmd.add_argument("workload", choices=WORKLOAD_NAMES + ("synthetic",))
-    trace_cmd.add_argument("--machine", choices=sorted(MACHINES),
+    trace_cmd.add_argument("--machine", choices=sorted(MACHINE_REGISTRY),
                            default="baseline")
     trace_cmd.add_argument("-n", "--instructions", type=int, default=5_000)
     trace_cmd.add_argument("--out", default="trace.json",
@@ -884,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.set_defaults(func=_cmd_campaign)
 
     timeline = commands.add_parser("timeline", help="render a pipeline timeline")
-    timeline.add_argument("machine", choices=sorted(MACHINES))
+    timeline.add_argument("machine", choices=sorted(MACHINE_REGISTRY))
     timeline.add_argument("workload", choices=WORKLOAD_NAMES)
     timeline.add_argument("-n", "--instructions", type=int, default=2_000)
     timeline.add_argument("--start", type=int, default=0,
@@ -947,7 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
     asm.add_argument("file")
     asm.add_argument("-n", "--instructions", type=int, default=100_000)
     asm.add_argument("--listing", action="store_true", help="print disassembly")
-    asm.add_argument("--simulate", choices=sorted(MACHINES), default=None,
+    asm.add_argument("--simulate", choices=sorted(MACHINE_REGISTRY),
+                     default=None,
                      help="also run the trace through a machine")
     asm.set_defaults(func=_cmd_asm)
 
@@ -1038,7 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument("-n", "--instructions", type=int, default=300_000)
     compile_cmd.add_argument("--listing", action="store_true",
                              help="print generated assembly")
-    compile_cmd.add_argument("--simulate", choices=sorted(MACHINES), default=None)
+    compile_cmd.add_argument("--simulate", choices=sorted(MACHINE_REGISTRY),
+                             default=None)
     compile_cmd.set_defaults(func=_cmd_compile)
     return parser
 

@@ -212,6 +212,12 @@ def grid_fingerprint(
     return digest.hexdigest()
 
 
+#: Age in seconds past which a cache temp file is a killed writer's
+#: leftover: a store writes one small JSON file in milliseconds, so no
+#: live writer's file is ever this old.
+STALE_TMP_SECONDS = 3600.0
+
+
 class ResultCache:
     """Content-addressed on-disk cache of per-cell ``SimStats``.
 
@@ -219,12 +225,20 @@ class ResultCache:
     writer can never leave a half-written entry that a later run
     trusts; anything unreadable is deleted and recomputed.  Each
     writer fills its own temp file, so concurrent writers of one key
-    never rename each other's file away.
+    never rename each other's file away.  Opening a cache deletes the
+    temp files that killed writers left behind.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        cutoff = time.time() - STALE_TMP_SECONDS
+        for tmp in self.root.glob("*.tmp"):
+            try:
+                if tmp.stat().st_mtime < cutoff:
+                    tmp.unlink()
+            except FileNotFoundError:
+                pass  # its writer renamed it, or another opener swept it
 
     def path(self, key: str) -> Path:
         """Filesystem location of one cache entry."""

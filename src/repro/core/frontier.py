@@ -29,7 +29,6 @@ from repro.core.machines import (
     dependence_based_8way,
     machine_registry,
 )
-from repro.delay import critical_path as cp
 from repro.obs.profiling import CampaignProfile
 from repro.technology.params import TECH_018, TECHNOLOGIES, Technology
 from repro.uarch.config import MachineConfig
@@ -61,38 +60,6 @@ class FrontierPoint:
     def bips(self) -> float:
         """Billions of instructions per second: IPC x frequency."""
         return self.mean_ipc * self.frequency_ghz
-
-
-def conventional_clock_ps(
-    tech: Technology, issue_width: int, window_size: int
-) -> float:
-    """Cycle bound for a conventional window machine.
-
-    Thin wrapper: builds the config and reads its critical path (see
-    module docstring on bypass).
-    """
-    config = baseline_8way(window_size=window_size, issue_width=issue_width)
-    return cp.clock_ps(config, tech)
-
-
-def dependence_clock_ps(
-    tech: Technology,
-    issue_width: int,
-    physical_registers: int = 128,
-    fifo_count: int = 8,
-) -> float:
-    """Cycle bound for the dependence-based machine.
-
-    Thin wrapper over the critical path of the FIFO config;
-    ``physical_registers`` is the reservation-table tag space (one
-    ready bit per in-flight destination, i.e. ``max_in_flight``).
-    """
-    config = dependence_based_8way(
-        fifo_count=fifo_count,
-        issue_width=issue_width,
-        max_in_flight=physical_registers,
-    )
-    return cp.clock_ps(config, tech)
 
 
 def _to_point(swept: SweptDesign, label: str, window_size: int) -> FrontierPoint:

@@ -24,20 +24,6 @@ FORMAT_VERSION = 3
 _READABLE_VERSIONS = (1, 2, 3)
 
 
-def stats_to_dict(stats: SimStats) -> dict:
-    """Convert one run's statistics to JSON-ready primitives.
-
-    Thin alias for :meth:`SimStats.to_dict` -- the single audited
-    serialisation path -- kept for API stability.
-    """
-    return stats.to_dict()
-
-
-def stats_from_dict(payload: dict) -> SimStats:
-    """Inverse of :func:`stats_to_dict` (see :meth:`SimStats.from_dict`)."""
-    return SimStats.from_dict(payload)
-
-
 def stats_payload(stats: SimStats) -> dict:
     """Wrap one run's stats as a self-describing, versioned document.
 
@@ -50,7 +36,7 @@ def stats_payload(stats: SimStats) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "repro-cell-stats",
-        "stats": stats_to_dict(stats),
+        "stats": stats.to_dict(),
     }
 
 
@@ -70,7 +56,7 @@ def stats_from_payload(payload: dict) -> SimStats:
             f"unsupported cell-stats format {payload.get('format_version')!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    return stats_from_dict(payload["stats"])
+    return SimStats.from_dict(payload["stats"])
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -82,7 +68,7 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "workloads": list(result.workloads),
         "stats": {
             machine: {
-                workload: stats_to_dict(stats)
+                workload: stats.to_dict()
                 for workload, stats in per_workload.items()
             }
             for machine, per_workload in result.stats.items()
@@ -108,7 +94,7 @@ def result_from_dict(payload: dict) -> ExperimentResult:
     )
     result.stats = {
         machine: {
-            workload: stats_from_dict(stats)
+            workload: SimStats.from_dict(stats)
             for workload, stats in per_workload.items()
         }
         for machine, per_workload in payload["stats"].items()
@@ -122,17 +108,3 @@ def save_result(result: ExperimentResult, path: str | Path) -> None:
         json.dumps(result_to_dict(result), indent=2, sort_keys=True),
         encoding="utf-8",
     )
-
-
-def load_result(path: str | Path) -> ExperimentResult:
-    """Read an experiment result from a JSON file.
-
-    Raises:
-        ValueError: for malformed or version-mismatched files.
-        OSError: if the file cannot be read.
-    """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{path} is not valid JSON: {error}") from error
-    return result_from_dict(payload)

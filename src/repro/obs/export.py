@@ -195,14 +195,6 @@ def validate_chrome_trace(payload: dict) -> None:
     json.dumps(payload)  # must be serialisable
 
 
-def event_chains(events: list[TraceEvent]) -> dict[int, list[TraceEvent]]:
-    """Group events by instruction, preserving emission order."""
-    grouped: dict[int, list[TraceEvent]] = {}
-    for event in events:
-        grouped.setdefault(event.seq, []).append(event)
-    return grouped
-
-
 def write_chrome_trace(
     path: str | Path, events: list[TraceEvent], stats: SimStats | None = None
 ) -> dict:

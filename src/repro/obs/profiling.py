@@ -103,10 +103,6 @@ def record_simulation_metrics(registry, stats, seconds,
 _COMPILE_GAUGE_HELP = {
     "compile_runners_total": "Pipeline runners compiled this process",
     "compile_cache_hits_total": "Compile-cache hits this process",
-    "compile_stale_discards_total":
-        "Stale/corrupted compile-cache entries discarded",
-    "compile_fallbacks_total":
-        "Unsupported-shape fallbacks (0: every valid config compiles)",
     "compile_seconds_total": "Wall-clock spent generating + exec-compiling",
     "compile_cached_runners": "Runners currently memoized in the cache",
 }
@@ -133,8 +129,6 @@ def record_compile_metrics(registry) -> None:
         name = {
             "compiles": "compile_runners_total",
             "cache_hits": "compile_cache_hits_total",
-            "stale_discards": "compile_stale_discards_total",
-            "fallbacks": "compile_fallbacks_total",
             "compile_seconds": "compile_seconds_total",
             "cached_runners": "compile_cached_runners",
         }[key]

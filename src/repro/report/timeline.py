@@ -28,10 +28,6 @@ from __future__ import annotations
 
 from repro.obs.events import EventKind, TraceEvent
 
-#: Stage glyphs, later stages overwrite earlier ones on collisions.
-_GLYPHS = ("F", "D", "I", "*", "C")
-
-
 class _Row:
     """Stage cycles of one instruction, accumulated from events."""
 

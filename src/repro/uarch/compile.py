@@ -36,7 +36,7 @@ accepts, so there is no fallback path.
 
 The generated function is ``exec``-compiled and memoized in
 :data:`_COMPILE_CACHE`, keyed by the config itself (frozen, hashable)
-and the traced / cycle-skip / profiled variant flags.  This module's
+and the traced / profiled variant flags.  This module's
 source is part of :func:`repro.core.campaign.model_fingerprint`, so a
 compiler change invalidates cached cells instead of silently mixing
 semantics.
@@ -107,20 +107,13 @@ _RULES = {
 _CAUSES: tuple[StallCause, ...] = tuple(StallCause)
 _CODE = {cause: index for index, cause in enumerate(_CAUSES)}
 
-#: The in-memory compile cache: variant key -> entry dict with
-#: ``source`` / ``runner``.  Corrupted entries (not a dict, or a
-#: non-callable runner) are discarded on lookup, mirroring the
-#: campaign ``ResultCache`` discipline.
-_COMPILE_CACHE: dict[tuple, dict] = {}
+#: The in-memory compile cache: variant key -> runner.
+_COMPILE_CACHE: dict[tuple, Callable] = {}
 
 #: Compile-activity counters for metrics/ledger reporting.
 _COUNTERS = {
     "compiles": 0,
     "cache_hits": 0,
-    "stale_discards": 0,
-    # Every valid config compiles, so this stays 0; it is kept so
-    # metrics and CI can assert that nothing ever falls back.
-    "fallbacks": 0,
     "compile_seconds": 0.0,
 }
 
@@ -141,17 +134,10 @@ def supports_compile(config: MachineConfig) -> bool:
 
 
 def compile_cache_key(
-    config: MachineConfig, traced: bool, cycle_skip: bool,
-    profiled: bool = False,
+    config: MachineConfig, traced: bool, profiled: bool = False,
 ) -> tuple:
     """The variant key one compiled runner is memoized under."""
-    return (
-        config,
-        bool(traced),
-        bool(cycle_skip),
-        bool(profiled),
-        _PLANTED_BUG,
-    )
+    return (config, bool(traced), bool(profiled), _PLANTED_BUG)
 
 
 def compile_cache_stats() -> dict:
@@ -176,7 +162,6 @@ def clear_compile_cache() -> None:
 def generate_source(
     config: MachineConfig,
     traced: bool = False,
-    cycle_skip: bool = True,
     planted: str | None = None,
     profiled: bool = False,
 ) -> str:
@@ -1142,7 +1127,9 @@ def generate_source(
     add("        cycle += 1")
 
     # -- idle-cycle fast forward (exact stat replication) ------------
-    if cycle_skip:
+    # Held load-delay-tracking candidates expire at cycles no scheduled
+    # event marks, so that scheduler never skips.
+    if not ldt:
         # An idle cycle mutated nothing, so every stage would repeat
         # it until an event lands -- except a clock-resolved
         # inter-cluster wait and an RNG-consuming placement attempt.
@@ -1262,31 +1249,21 @@ def _exec_namespace() -> dict:
 
 
 def compiled_runner(
-    config: MachineConfig, traced: bool = False, cycle_skip: bool = True,
-    profiled: bool = False,
+    config: MachineConfig, traced: bool = False, profiled: bool = False,
 ) -> Callable:
     """The memoized compiled run function for one machine variant.
-
-    Looks the variant up in :data:`_COMPILE_CACHE`; corrupted entries
-    (not a dict, or a non-callable runner) are discarded and
-    recompiled, mirroring the campaign result cache's trust-nothing
-    loads.
 
     Raises:
         ValueError: for configs outside :func:`supports_compile`.
     """
-    key = compile_cache_key(config, traced, cycle_skip, profiled)
-    entry = _COMPILE_CACHE.get(key)
-    if entry is not None:
-        if isinstance(entry, dict) and callable(entry.get("runner")):
-            _COUNTERS["cache_hits"] += 1
-            return entry["runner"]
-        _COMPILE_CACHE.pop(key, None)
-        _COUNTERS["stale_discards"] += 1
+    key = compile_cache_key(config, traced, profiled)
+    runner = _COMPILE_CACHE.get(key)
+    if runner is not None:
+        _COUNTERS["cache_hits"] += 1
+        return runner
     start = time.perf_counter()
     source = generate_source(
-        config, traced=traced, cycle_skip=cycle_skip, planted=_PLANTED_BUG,
-        profiled=profiled,
+        config, traced=traced, planted=_PLANTED_BUG, profiled=profiled,
     )
     namespace = _exec_namespace()
     code = compile(source, f"<compiled pipeline {config.name}>", "exec")
@@ -1294,7 +1271,7 @@ def compiled_runner(
     runner = namespace["_compiled_run"]
     _COUNTERS["compiles"] += 1
     _COUNTERS["compile_seconds"] += time.perf_counter() - start
-    _COMPILE_CACHE[key] = {"source": source, "runner": runner}
+    _COMPILE_CACHE[key] = runner
     return runner
 
 
@@ -1318,7 +1295,7 @@ def run_compiled(
     if max_cycles is None:
         max_cycles = 100 * len(sim.insts) + 1_000
     runner = compiled_runner(
-        sim.config, traced=sim.tracer is not None, cycle_skip=sim.cycle_skip,
+        sim.config, traced=sim.tracer is not None,
         profiled=sim.stage_times is not None,
     )
     return runner(sim, max_cycles)

@@ -104,9 +104,6 @@ class PipelineSimulator:
             attached, every lifecycle step of every instruction is
             emitted as a structured event (a traced runner variant is
             compiled; untraced runners contain no probe code).
-        cycle_skip: Jump the clock over provably idle cycles (the
-            default).  ``False`` steps every cycle like the reference
-            model; statistics are identical either way.
 
     Attributes:
         stage_times: ``None``, or a list of five floats the profiled
@@ -119,7 +116,6 @@ class PipelineSimulator:
         config: MachineConfig,
         trace: Trace,
         tracer: EventTracer | None = None,
-        cycle_skip: bool = True,
     ):
         self.config = config
         self.trace = trace
@@ -143,12 +139,6 @@ class PipelineSimulator:
                     f"ports_limited file has only {read_ports} read "
                     f"ports per cluster; it could never issue"
                 )
-        # The load-delay-tracking scheduler holds candidates until
-        # cycles the event machinery does not schedule, so it cannot
-        # skip idle cycles.
-        self.cycle_skip = (
-            cycle_skip and config.scheduler != "load_delay_tracking"
-        )
         self.stage_times: list[float] | None = None
         self._reset_state()
 

@@ -152,30 +152,6 @@ class RegisterRenamer:
             self._map[logical] = physical
         return results
 
-    def rename_dest(self, logical_dest: int) -> tuple[int, int]:
-        """Single-destination fast path for the pipeline's hot loop.
-
-        Semantically identical to ``rename_group([((), logical_dest)])``
-        -- same free-list pop, same previous-mapping capture, same map
-        update -- but without building the per-group bookkeeping or a
-        :class:`RenamedInstruction` (the pipeline only needs the new
-        and previous physical registers).
-
-        Returns:
-            ``(phys_dest, prev_dest)``.
-
-        Raises:
-            OutOfPhysicalRegisters: if the free list is empty.
-        """
-        free = self._free
-        if not free:
-            raise OutOfPhysicalRegisters("group needs 1 registers, 0 free")
-        phys_dest = free.pop()
-        self._free_set.discard(phys_dest)
-        prev_dest = self._map[logical_dest]
-        self._map[logical_dest] = phys_dest
-        return phys_dest, prev_dest
-
     def release(self, physical: int) -> None:
         """Return a physical register to the free list (at commit).
 

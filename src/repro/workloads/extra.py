@@ -14,8 +14,8 @@ written in the Mini language and compiled to the ISA at load time.
 
 from __future__ import annotations
 
-from repro.isa import Program, Trace
-from repro.workloads.registry import build_source, get_workload
+from repro.isa import Program
+from repro.workloads.registry import build_source
 
 #: Names of the extra (non-paper) workloads.
 EXTRA_WORKLOAD_NAMES: tuple[str, ...] = ("dct", "qsort")
@@ -151,13 +151,3 @@ def build_extra_program(name: str) -> Program:
         KeyError: for an unknown extra-workload name.
     """
     return build_source(_source(name), "mini")
-
-
-def get_extra_trace(name: str, max_instructions: int = 30_000) -> Trace:
-    """Execute (and cache) an extra workload to its dynamic trace.
-
-    Raises:
-        KeyError: for an unknown extra-workload name.
-    """
-    _source(name)
-    return get_workload(name).trace(max_instructions)

@@ -1,8 +1,7 @@
 """The external trace format: versioned JSON-lines, strictly loaded.
 
 This is the ingestion front end for traces produced *outside* the
-bundled emulator -- hand-built streams, other simulators, converted
-gem5 output.  The format is deliberately boring:
+bundled emulator -- hand-built streams, other simulators.  The format is deliberately boring:
 
 * **Line 1 -- header**::
 
@@ -222,69 +221,3 @@ def load_trace(path: str | Path) -> Trace:
     """
     text = Path(path).read_text(encoding="utf-8")
     return load_trace_lines(text.splitlines())
-
-
-# ----------------------------------------------------------------------
-# gem5-style converter (skeleton)
-# ----------------------------------------------------------------------
-
-#: gem5 O3 operation classes -> our representative mnemonics.  The
-#: mapping is lossy on purpose: the timing model cares about execution
-#: class, operands, and control flow, not the exact x86/Arm opcode.
-GEM5_CLASS_MAP = {
-    "IntAlu": "addu",
-    "IntMult": "mult",
-    "IntDiv": "div",
-    "FloatAdd": "add.s",
-    "FloatMult": "mul.s",
-    "MemRead": "lw",
-    "MemWrite": "sw",
-}
-
-
-def convert_gem5_records(records: Iterable[dict],
-                         name: str = "gem5") -> Trace:
-    """Convert gem5-style instruction records into a :class:`Trace`.
-
-    This is a converter *skeleton*: it handles the structural mapping
-    (op classes, register operands, memory addresses, branch
-    outcomes) for records already parsed into dicts with keys
-    ``op_class`` (a gem5 O3 class name, or ``"Branch"`` /
-    ``"Jump"``), ``pc``, and optionally ``srcs`` / ``dest`` /
-    ``addr`` / ``taken`` / ``next_pc``.  Parsing a raw gem5 trace
-    file (O3PipeView or ``Exec`` debug output) into such records is
-    format-specific and left to the caller.
-
-    Raises:
-        TraceFormatError: for an unmapped gem5 operation class.
-    """
-    insts: list[DynInst] = []
-    for seq, record in enumerate(records):
-        gem5_class = record.get("op_class", "IntAlu")
-        pc = int(record.get("pc", seq))
-        if gem5_class == "Branch":
-            opcode = "bne"
-        elif gem5_class == "Jump":
-            opcode = "j"
-        else:
-            opcode = GEM5_CLASS_MAP.get(gem5_class)
-            if opcode is None or opcode not in OPCODES:
-                raise TraceFormatError(
-                    f"record {seq}: no mapping for gem5 op class "
-                    f"{gem5_class!r}")
-        info = OPCODES[opcode]
-        taken = bool(record.get("taken",
-                                info.op_class is OpClass.JUMP))
-        next_pc = int(record.get("next_pc", pc + 1))
-        insts.append(DynInst(
-            seq=seq, pc=pc, opcode=opcode, op_class=info.op_class,
-            srcs=tuple(record.get("srcs", ())),
-            dest=record.get("dest"),
-            mem_addr=record.get("addr"),
-            is_store=info.op_class is OpClass.STORE,
-            is_load=info.op_class is OpClass.LOAD,
-            is_branch=info.op_class is OpClass.BRANCH,
-            is_uncond=info.op_class is OpClass.JUMP,
-            taken=taken, next_pc=next_pc,
-        ))
-    return Trace(insts=insts, halted=False, name=name)

@@ -14,22 +14,11 @@ fresh :class:`~repro.uarch.config.MachineConfig`.
 """
 
 from repro.core.machines import MACHINE_REGISTRY
-from repro.uarch.scheduler import supports_reference
 
 #: Every registered shape (all ten): the full-coverage sweep used by
-#: the strategy-conformance harness.
+#: the strategy-conformance harness and the compiled-vs-reference
+#: equivalence matrix (the frozen reference models every shape).
 ALL_MACHINES = dict(MACHINE_REGISTRY)
-
-#: The shapes the frozen reference model covers (all of them, now that
-#: it carries plain forms of every strategy hook): the
-#: compiled-vs-reference equivalence sweep runs exactly these --
-#: derived from the same predicate the fuzzer once used, so the two
-#: can never disagree about what the reference models.
-REFERENCE_MACHINES = {
-    name: factory
-    for name, factory in MACHINE_REGISTRY.items()
-    if supports_reference(factory())
-}
 
 
 def subset(*names: str) -> dict:

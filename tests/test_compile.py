@@ -4,9 +4,8 @@
 an ``exec``-compiled flat run function.  These tests pin the parts
 the equivalence matrix (tests/test_fast_reference_equivalence.py)
 does not: coverage of every valid config (no fallback path), the
-compile cache's key sensitivity and trust-nothing loads (mirroring
-the campaign ``ResultCache`` audits in tests/test_campaign.py), the
-planted miscompilation knobs the fuzzer self-test relies on, and the
+compile cache's key sensitivity and memoization, the planted
+miscompilation knobs the fuzzer self-test relies on, and the
 no-forward-progress guard, which must fire *inside* compiled step
 functions with the reference model's exact message shapes.
 """
@@ -21,7 +20,6 @@ from repro.uarch.compile import (
     compiled_runner,
     generate_source,
     run_compiled,
-    supports_compile,
 )
 from repro.uarch.pipeline import SIMULATE_MODES, PipelineSimulator, simulate
 from repro.workloads import get_trace
@@ -48,12 +46,8 @@ class TestSupportsCompile:
     """Every valid config compiles; only forged ones are refused."""
 
     def test_registry_coverage(self):
-        supported = {
-            name
-            for name, factory in MACHINE_REGISTRY.items()
-            if supports_compile(factory())
-        }
-        assert supported == set(MACHINE_REGISTRY)
+        for factory in MACHINE_REGISTRY.values():
+            assert "def _compiled_run" in generate_source(factory())
 
     def test_sampled_configs_compile(self):
         import random
@@ -63,7 +57,7 @@ class TestSupportsCompile:
         rng = random.Random(7)
         for _ in range(200):
             _shape, config = sample_machine(rng)
-            assert supports_compile(config), config
+            assert "def _compiled_run" in generate_source(config), config
 
     def test_generate_source_rejects_unsupported_shapes(self):
         forged = _forged(baseline_8way(), scheduler="oracle")
@@ -74,9 +68,8 @@ class TestSupportsCompile:
         from repro.core.machines import dependence_based_8way
 
         forged = _forged(dependence_based_8way(), regfile="infinite")
-        assert not supports_compile(forged)
         with pytest.raises(ValueError, match="cannot compile"):
-            generate_source(forged)
+            compiled_runner(forged)
 
     def test_source_is_a_flat_function(self):
         source = generate_source(baseline_8way())
@@ -95,37 +88,37 @@ class TestCompileCacheKey:
     """Satellite: the key covers everything that changes the code."""
 
     def test_key_is_stable(self):
-        assert compile_cache_key(baseline_8way(), False, True) == (
-            compile_cache_key(baseline_8way(), False, True)
+        assert compile_cache_key(baseline_8way(), False) == (
+            compile_cache_key(baseline_8way(), False)
         )
 
     def test_key_changes_with_machine_config(self):
-        assert compile_cache_key(baseline_8way(), False, True) != (
-            compile_cache_key(baseline_8way(issue_width=4), False, True)
+        assert compile_cache_key(baseline_8way(), False) != (
+            compile_cache_key(baseline_8way(issue_width=4), False)
         )
 
     def test_key_changes_with_variant_flags(self):
-        base = compile_cache_key(baseline_8way(), False, True)
-        assert compile_cache_key(baseline_8way(), True, True) != base
-        assert compile_cache_key(baseline_8way(), False, False) != base
+        base = compile_cache_key(baseline_8way(), False)
+        assert compile_cache_key(baseline_8way(), True) != base
+        assert compile_cache_key(baseline_8way(), False, True) != base
 
     def test_key_changes_with_planted_bug(self, monkeypatch):
-        before = compile_cache_key(baseline_8way(), False, True)
+        before = compile_cache_key(baseline_8way(), False)
         monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "load_hit_fold")
-        assert compile_cache_key(baseline_8way(), False, True) != before
+        assert compile_cache_key(baseline_8way(), False) != before
 
     def test_key_distinguishes_regfile_strategies(self):
         # read_ports=16 never binds, so behaviour matches unlimited --
         # but the generated code differs (port-budget loop folded in).
-        assert compile_cache_key(baseline_8way(), False, True) != (
+        assert compile_cache_key(baseline_8way(), False) != (
             compile_cache_key(
-                ports_limited_8way(read_ports=16), False, True
+                ports_limited_8way(read_ports=16), False
             )
         )
 
 
 class TestCompileCache:
-    """Trust-nothing loads, mirroring the campaign result cache."""
+    """One runner per variant, compiled once and then reused."""
 
     def test_recompile_is_idempotent(self):
         first = compiled_runner(baseline_8way())
@@ -140,27 +133,9 @@ class TestCompileCache:
     def test_variants_are_cached_separately(self):
         compiled_runner(baseline_8way())
         compiled_runner(baseline_8way(), traced=True)
-        compiled_runner(baseline_8way(), cycle_skip=False)
+        compiled_runner(baseline_8way(), profiled=True)
         assert compile_cache_stats()["cached_runners"] == 3
         assert compile_cache_stats()["compiles"] == 3
-
-    def test_corrupted_entry_is_discarded(self):
-        runner = compiled_runner(baseline_8way())
-        key = compile_cache_key(baseline_8way(), False, True)
-        compile_mod._COMPILE_CACHE[key]["runner"] = "not callable"
-        recompiled = compiled_runner(baseline_8way())
-        assert callable(recompiled)
-        assert recompiled is not runner
-        stats = compile_cache_stats()
-        assert stats["stale_discards"] == 1
-        assert stats["compiles"] == 2
-
-    def test_non_dict_entry_is_discarded(self):
-        compiled_runner(baseline_8way())
-        key = compile_cache_key(baseline_8way(), False, True)
-        compile_mod._COMPILE_CACHE[key] = "garbage"
-        assert callable(compiled_runner(baseline_8way()))
-        assert compile_cache_stats()["stale_discards"] == 1
 
     def test_clear_zeroes_everything(self):
         compiled_runner(baseline_8way())
@@ -169,8 +144,6 @@ class TestCompileCache:
         assert stats == {
             "compiles": 0,
             "cache_hits": 0,
-            "stale_discards": 0,
-            "fallbacks": 0,
             "compile_seconds": 0.0,
             "cached_runners": 0,
         }
@@ -180,14 +153,7 @@ class TestCompileCache:
 
         trace = get_trace("li", LENGTH)
         simulate(clustered_dependence_8way(), trace, mode="compiled")
-        assert compile_cache_stats()["fallbacks"] == 0
         assert compile_cache_stats()["compiles"] == 1
-
-    def test_cached_source_is_kept_for_inspection(self):
-        compiled_runner(baseline_8way())
-        key = compile_cache_key(baseline_8way(), False, True)
-        entry = compile_mod._COMPILE_CACHE[key]
-        assert "def _compiled_run" in entry["source"]
 
 
 class TestSimulateModes:
@@ -282,8 +248,8 @@ class TestInlinedSteering:
         narrow = clustered_random_8way(steering_seed=7)
         assert "rng_state = 7\n" in generate_source(wide)
         assert generate_source(wide) == generate_source(narrow)
-        assert compile_cache_key(wide, False, True) != (
-            compile_cache_key(narrow, False, True)
+        assert compile_cache_key(wide, False) != (
+            compile_cache_key(narrow, False)
         )
 
     @pytest.mark.parametrize("shape", sorted(MACHINE_REGISTRY))
@@ -304,7 +270,7 @@ class TestCompiledProgressGuard:
     def test_guard_fires_with_cycle_skip(self, monkeypatch):
         monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "port_leak")
         trace = get_trace("gcc", 50)
-        sim = PipelineSimulator(ports_limited_8way(), trace, cycle_skip=True)
+        sim = PipelineSimulator(ports_limited_8way(), trace)
         with pytest.raises(
             RuntimeError,
             match=r"no forward progress possible at cycle \d+: no "
@@ -316,7 +282,9 @@ class TestCompiledProgressGuard:
     def test_guard_fires_without_cycle_skip(self, monkeypatch):
         monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "port_leak")
         trace = get_trace("gcc", 50)
-        sim = PipelineSimulator(ports_limited_8way(), trace, cycle_skip=False)
+        # The load-delay-tracking scheduler never skips idle cycles.
+        config = ports_limited_8way(scheduler="load_delay_tracking")
+        sim = PipelineSimulator(config, trace)
         with pytest.raises(
             RuntimeError,
             match=r"no forward progress after \d+ cycles "

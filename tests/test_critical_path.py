@@ -10,7 +10,7 @@ technology, bypass never bounds the clock, and the thin consumers
 
 import pytest
 
-from repro.core.frontier import conventional_clock_ps, dependence_clock_ps
+from repro.core.frontier import conventional_frontier, dependence_based_point
 from repro.core.machines import MACHINE_REGISTRY, machine_registry
 from repro.delay.critical_path import (
     DELAY_MODEL_REGISTRY,
@@ -245,14 +245,15 @@ class TestAccounting:
 
 class TestThinConsumers:
     def test_conventional_clock_matches_critical_path(self):
-        for window in (8, 16, 32, 64, 128):
+        windows = (8, 16, 32, 64, 128)
+        points = conventional_frontier(
+            window_sizes=windows, workloads=("li",), max_instructions=200
+        )
+        for window, point in zip(windows, points):
             config = MACHINE_REGISTRY["baseline"](window_size=window)
-            assert conventional_clock_ps(TECH_018, 8, window) == pytest.approx(
-                clock_ps(config, TECH_018)
-            )
+            assert point.clock_ps == pytest.approx(clock_ps(config, TECH_018))
 
     def test_dependence_clock_matches_critical_path(self):
         config = MACHINE_REGISTRY["dependence"]()
-        assert dependence_clock_ps(TECH_018, 8) == pytest.approx(
-            clock_ps(config, TECH_018)
-        )
+        point = dependence_based_point(workloads=("li",), max_instructions=200)
+        assert point.clock_ps == pytest.approx(clock_ps(config, TECH_018))

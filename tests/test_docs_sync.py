@@ -238,9 +238,9 @@ class TestDesignSpaceDoc:
             assert flag in design_space_doc
             attr = flag.lstrip("-").replace("-", "_")
             assert hasattr(frontier_args, attr), f"{flag} not a frontier flag"
-        delay_args = parser.parse_args(["delay", "--machine", "clustered-fifos"])
+        delay_args = parser.parse_args(["delay", "--machine", "clustered"])
         assert "--machine" in design_space_doc
-        assert delay_args.machine == "clustered-fifos"
+        assert delay_args.machine == "clustered"
 
     def test_documented_geometry_properties_exist(self, design_space_doc):
         from repro.uarch.config import MachineConfig  # noqa: PLC0415
@@ -504,7 +504,6 @@ class TestWorkloadsDoc:
         )
         from repro.workloads.trace_format import (  # noqa: F401
             TraceFormatError,
-            convert_gem5_records,
             load_trace,
             save_trace,
         )
@@ -512,7 +511,7 @@ class TestWorkloadsDoc:
 
         for symbol in ("register_external_trace", "workload_identity",
                        "TraceFormatError", "load_trace", "save_trace",
-                       "convert_gem5_records", "zoo_config"):
+                       "zoo_config"):
             assert symbol in workloads_doc, symbol
 
     def test_cli_flags_are_real(self, workloads_doc):
@@ -665,10 +664,8 @@ class TestMicroarchDoc:
     def test_documented_symbols_exist(self, microarch_doc):
         from repro.core.campaign import model_fingerprint  # noqa: F401
         from repro.delay.critical_path import ldt_window_logic_ps  # noqa: F401
-        from repro.uarch.scheduler import supports_reference  # noqa: F401
 
-        for symbol in ("model_fingerprint", "supports_reference",
-                       "ldt_window_logic_ps",
+        for symbol in ("model_fingerprint", "ldt_window_logic_ps",
                        "_normalize_strategies"):
             assert symbol in microarch_doc, symbol
 

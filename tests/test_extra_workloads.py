@@ -5,11 +5,7 @@ import pytest
 from repro.core.machines import baseline_8way, clustered_dependence_8way
 from repro.isa import Emulator
 from repro.uarch.pipeline import simulate
-from repro.workloads import (
-    EXTRA_WORKLOAD_NAMES,
-    build_extra_program,
-    get_extra_trace,
-)
+from repro.workloads import EXTRA_WORKLOAD_NAMES, build_extra_program, get_trace
 
 
 class TestExtraWorkloads:
@@ -22,20 +18,20 @@ class TestExtraWorkloads:
 
     @pytest.mark.parametrize("name", EXTRA_WORKLOAD_NAMES)
     def test_compiles_and_fills_cap(self, name):
-        trace = get_extra_trace(name, 4_000)
+        trace = get_trace(name, 4_000)
         assert len(trace) == 4_000
         assert not trace.halted  # they loop forever
 
     @pytest.mark.parametrize("name", EXTRA_WORKLOAD_NAMES)
     def test_simulates_on_all_machines(self, name):
-        trace = get_extra_trace(name, 3_000)
+        trace = get_trace(name, 3_000)
         for config in (baseline_8way(), clustered_dependence_8way()):
             stats = simulate(config, trace)
             assert stats.committed == 3_000
             assert 0 < stats.ipc <= 8
 
     def test_trace_cache(self):
-        assert get_extra_trace("dct", 1_000) is get_extra_trace("dct", 1_000)
+        assert get_trace("dct", 1_000) is get_trace("dct", 1_000)
 
     def test_qsort_actually_sorts(self):
         # Run until the first quicksort round completes, then check
@@ -57,7 +53,7 @@ class TestExtraWorkloads:
             pytest.fail(f"array never observed sorted (last: {previous_image[:8]}...)")
 
     def test_dct_is_multiply_heavy(self):
-        trace = get_extra_trace("dct", 5_000)
+        trace = get_trace("dct", 5_000)
         from repro.isa import OpClass
 
         counts = trace.class_counts()

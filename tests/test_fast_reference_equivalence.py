@@ -25,20 +25,20 @@ from repro.core.machines import (
     ports_limited_8way,
 )
 from repro.obs import EventTracer
-from repro.uarch.compile import run_compiled, supports_compile
+from repro.uarch.compile import run_compiled
 from repro.uarch.pipeline import PipelineSimulator, simulate
 from repro.uarch.pipeline_reference import (
     ReferencePipelineSimulator,
     simulate_reference,
 )
 from repro.workloads import get_trace
-from tests.machines import REFERENCE_MACHINES, subset
+from tests.machines import ALL_MACHINES, subset
 
 #: Reduced budget: 10 machines x 7 workloads stay fast while covering
 #: every steering/selection/cluster/strategy shape.
 LENGTH = 1_200
 
-MACHINES = REFERENCE_MACHINES
+MACHINES = ALL_MACHINES
 
 #: The two strategy shapes (pluggable scheduler / ports-limited
 #: regfile).  The reference model gained plain forms of their hooks
@@ -71,31 +71,25 @@ def _timeline(tracer):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_stats_byte_identical(machine, workload):
     """Full SimStats dict equality, per-instruction timings and event
-    timelines, compiled (cycle skip on and off, traced and untraced)
-    vs reference."""
+    timelines, compiled (traced and untraced) vs reference."""
     trace = get_trace(workload, LENGTH)
     ref_tracer = EventTracer(capacity=None)
     reference = ReferencePipelineSimulator(
         MACHINES[machine](), trace, tracer=ref_tracer
     )
     expected = reference.run().to_dict()
-    for cycle_skip in (True, False):
-        for traced in (False, True):
-            tracer = EventTracer(capacity=None) if traced else None
-            compiled = PipelineSimulator(
-                MACHINES[machine](), trace, tracer=tracer,
-                cycle_skip=cycle_skip,
-            )
-            got = compiled.run().to_dict()
-            assert got == expected, (
-                f"compiled simulator (cycle_skip={cycle_skip}, "
-                f"traced={traced}) diverged from reference on "
-                f"{machine}/{workload}: " + _diff(got, expected)
-            )
-            for name in TIMING_ARRAYS:
-                assert getattr(compiled, name) == getattr(reference, name), name
-            if traced:
-                assert _timeline(tracer) == _timeline(ref_tracer)
+    for traced in (False, True):
+        tracer = EventTracer(capacity=None) if traced else None
+        compiled = PipelineSimulator(MACHINES[machine](), trace, tracer=tracer)
+        got = compiled.run().to_dict()
+        assert got == expected, (
+            f"compiled simulator (traced={traced}) diverged from "
+            f"reference on {machine}/{workload}: " + _diff(got, expected)
+        )
+        for name in TIMING_ARRAYS:
+            assert getattr(compiled, name) == getattr(reference, name), name
+        if traced:
+            assert _timeline(tracer) == _timeline(ref_tracer)
 
 
 @pytest.mark.parametrize("machine", sorted(STRATEGY_MACHINES))
@@ -127,17 +121,16 @@ def test_simulate_reference_mode_escape_hatch():
 
 
 def test_cycle_skip_off_matches_on():
-    """Skipping is a pure fast-forward: on/off runs are identical."""
+    """Skipping is a pure fast-forward: a skipping compiled run equals
+    the reference, which steps every cycle."""
     trace = get_trace("li", LENGTH)
-    config = baseline_8way()
-    skipping = PipelineSimulator(config, trace, cycle_skip=True)
-    stepping = PipelineSimulator(baseline_8way(), trace, cycle_skip=False)
+    skipping = PipelineSimulator(baseline_8way(), trace)
+    stepping = ReferencePipelineSimulator(baseline_8way(), trace)
     assert skipping.run().to_dict() == stepping.run().to_dict()
     assert skipping.skipped_cycles > 0, (
         "expected the skipper to engage on this workload; if machine "
         "defaults changed, pick a cell with idle stretches"
     )
-    assert stepping.skipped_cycles == 0
 
 
 def test_cycle_skip_engages_on_long_stalls():
@@ -174,7 +167,6 @@ class TestTracedEquivalence:
     def test_compiled_timeline_on_ports_limited(self):
         """A traced, cycle-skipping run of a strategy shape."""
         trace = get_trace("li", LENGTH)
-        assert supports_compile(ports_limited_8way())
         ref_tracer = EventTracer(capacity=None)
         compiled_tracer = EventTracer(capacity=None)
         ref_stats = simulate_reference(
@@ -200,31 +192,11 @@ class TestTracedEquivalence:
         assert compiled.skipped_cycles > 0
 
 
-def test_compiled_cycle_skip_off_matches_on():
-    """The compiled variants replicate the fast-forward exactly: a
-    stepping compiled run equals a skipping one, and both equal the
-    reference."""
-    trace = get_trace("li", LENGTH)
-    skipping = PipelineSimulator(baseline_8way(), trace, cycle_skip=True)
-    stepping = PipelineSimulator(baseline_8way(), trace, cycle_skip=False)
-    skip_stats = run_compiled(skipping)
-    step_stats = run_compiled(stepping)
-    assert skip_stats.to_dict() == step_stats.to_dict()
-    assert skipping.skipped_cycles > 0, (
-        "expected the compiled skipper to engage on this workload"
-    )
-    assert stepping.skipped_cycles == 0
-    assert skip_stats.to_dict() == (
-        simulate_reference(baseline_8way(), trace).to_dict()
-    )
-
-
 def test_compiled_backpressure_shape():
     """A tiny window forces backpressure inside the compiled step
     function; the stall partition must still match the reference."""
     trace = get_trace("compress", LENGTH)
     config = baseline_8way(window_size=4)
-    assert supports_compile(config)
     stats = run_compiled(PipelineSimulator(config, trace))
     stats.validate()
     reference = simulate_reference(baseline_8way(window_size=4), trace)

@@ -4,38 +4,42 @@ import pytest
 
 from repro.core.frontier import (
     FrontierPoint,
-    conventional_clock_ps,
     conventional_frontier,
     dependence_based_point,
-    dependence_clock_ps,
     format_frontier,
     issue_width_frontier,
 )
+from repro.core.machines import baseline_8way, dependence_based_8way
+from repro.delay.critical_path import clock_ps
 from repro.technology import TECH_018, TECHNOLOGIES
 
 
 class TestClockModels:
     def test_conventional_clock_monotone_in_window(self):
-        clocks = [conventional_clock_ps(TECH_018, 8, w) for w in (8, 16, 32, 64, 128)]
+        clocks = [clock_ps(baseline_8way(window_size=w), TECH_018)
+                  for w in (8, 16, 32, 64, 128)]
         assert clocks == sorted(clocks)
 
     def test_conventional_clock_matches_table2(self):
         # At 8-way/64 the window logic (724 ps) dominates rename.
-        assert conventional_clock_ps(TECH_018, 8, 64) == pytest.approx(724.0, abs=1.0)
+        clock = clock_ps(baseline_8way(window_size=64), TECH_018)
+        assert clock == pytest.approx(724.0, abs=1.0)
 
     def test_rename_floor(self):
         # For tiny windows the clock is bounded by rename, not window
         # logic going to zero.
-        clock = conventional_clock_ps(TECH_018, 8, 2)
+        clock = clock_ps(baseline_8way(window_size=2), TECH_018)
         assert clock >= 427.0  # 8-way rename delay
 
     def test_dependence_clock_beats_conventional(self):
         for tech in TECHNOLOGIES:
-            assert dependence_clock_ps(tech, 8) < conventional_clock_ps(tech, 8, 64)
+            assert clock_ps(dependence_based_8way(), tech) < clock_ps(
+                baseline_8way(window_size=64), tech
+            )
 
     def test_dependence_clock_floor_is_rename(self):
         # Section 5.3: once window logic shrinks, rename is critical.
-        clock = dependence_clock_ps(TECH_018, 8)
+        clock = clock_ps(dependence_based_8way(), TECH_018)
         assert clock >= 427.0
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.cli import main
 from repro.core.machines import baseline_8way, clustered_dependence_8way
 from repro.obs import (
-    EventKind,
     EventTracer,
     chrome_trace,
     metrics_dict,
@@ -15,7 +14,7 @@ from repro.obs import (
     write_chrome_trace,
     write_metrics_json,
 )
-from repro.obs.export import event_chains, validate_metrics
+from repro.obs.export import validate_metrics
 from repro.uarch.pipeline import PipelineSimulator
 from repro.workloads import get_trace
 
@@ -113,14 +112,15 @@ class TestChromeTraceStructure:
         )
 
     def test_event_chains_groups_by_seq(self):
+        # Each committed instruction's chain ends in one commit-wait
+        # span on its own thread (tid = seq).
         tracer, stats = traced_stats(length=200)
-        chains = event_chains(tracer.events)
-        commits = [
-            events[-1].kind is EventKind.COMMIT
-            for events in chains.values()
-            if any(e.kind is EventKind.COMMIT for e in events)
+        payload = chrome_trace(tracer.events, stats=stats)
+        tids = [
+            event["tid"] for event in payload["traceEvents"]
+            if event["name"] == "commit-wait"
         ]
-        assert len(commits) == stats.committed
+        assert sorted(tids) == list(range(stats.committed))
 
 
 class TestChromeTraceValidator:

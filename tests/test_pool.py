@@ -27,7 +27,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.campaign import ResultCache, run_campaign, simulate_cell
+from repro.core.campaign import (
+    STALE_TMP_SECONDS,
+    ResultCache,
+    run_campaign,
+    simulate_cell,
+)
 from repro.core.machines import baseline_8way, dependence_based_8way
 from repro.core.results_io import result_to_dict
 from repro.service import DesignSpaceService
@@ -308,7 +313,13 @@ def test_a_killed_cache_writer_leaves_the_previous_entry(tmp_path, stage):
     assert loaded is not None
     assert loaded.to_dict() == simulate(
         baseline_8way(), get_trace("li", N)).to_dict()
-    assert len(list(cache.root.glob("*.tmp"))) == 1  # the killed write
+    leftovers = list(cache.root.glob("*.tmp"))
+    assert len(leftovers) == 1  # the killed write, too fresh to sweep
+    # Once older than any store could take, the next open deletes it.
+    aged = time.time() - 2 * STALE_TMP_SECONDS
+    os.utime(leftovers[0], (aged, aged))
+    ResultCache(cache.root)
+    assert not list(cache.root.glob("*.tmp"))
 
 
 def _free_port() -> int:

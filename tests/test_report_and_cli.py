@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import MACHINES, build_parser, main
+from repro.cli import build_parser, main
+from repro.core.machines import MACHINE_REGISTRY
 from repro.report import bar_chart, grouped_bar_chart, text_table
 
 
@@ -93,7 +94,7 @@ class TestCli:
     def test_machines_command(self, capsys):
         assert main(["machines"]) == 0
         out = capsys.readouterr().out
-        for name in MACHINES:
+        for name in MACHINE_REGISTRY:
             assert name in out
 
     def test_workloads_command(self, capsys):
@@ -266,7 +267,7 @@ class TestCli:
 
     def test_delay_machine_breakdown(self, capsys):
         assert main(["delay", "--tech", "0.18",
-                     "--machine", "clustered-fifos"]) == 0
+                     "--machine", "clustered"]) == 0
         out = capsys.readouterr().out
         assert "clock bound" in out
         assert "critical path" in out

@@ -39,7 +39,7 @@ from repro.uarch.pipeline_reference import simulate_reference
 from repro.uarch.stats import StallCause
 from repro.verify.oracle import check_timing_invariants
 from repro.workloads import WORKLOAD_NAMES, get_trace
-from tests.machines import ALL_MACHINES, REFERENCE_MACHINES, subset
+from tests.machines import ALL_MACHINES, subset
 
 LENGTH = 1_500
 
@@ -49,10 +49,9 @@ POST_REFERENCE = subset("load_tracking", "ports_limited")
 
 
 def test_partition_is_exhaustive():
-    """The reference covers every registered shape, strategy shapes
-    included."""
-    assert set(REFERENCE_MACHINES) == set(ALL_MACHINES)
-    assert set(POST_REFERENCE) <= set(REFERENCE_MACHINES)
+    """The strategy shapes are registered, so every all-shape sweep
+    against the reference covers them."""
+    assert set(POST_REFERENCE) <= set(ALL_MACHINES)
 
 
 class TestContract:
@@ -80,10 +79,10 @@ class TestContract:
         second = simulate(POST_REFERENCE[shape](), trace).to_dict()
         assert first == second
 
-    @pytest.mark.parametrize("shape", sorted(REFERENCE_MACHINES))
+    @pytest.mark.parametrize("shape", sorted(ALL_MACHINES))
     def test_classic_strategies_match_reference(self, shape):
         trace = get_trace("m88ksim", LENGTH)
-        config = REFERENCE_MACHINES[shape]()
+        config = ALL_MACHINES[shape]()
         compiled = simulate(config, trace).to_dict()
         reference = simulate_reference(config, trace).to_dict()
         assert compiled == reference
@@ -146,9 +145,7 @@ class TestLoadDelayTrackingBehaviour:
         # Held candidates expire at cycles no completion event marks,
         # so the scheduler opts out of cycle skipping.
         trace = get_trace("li", LENGTH)
-        simulator = PipelineSimulator(
-            load_tracking_8way(), trace, cycle_skip=True
-        )
+        simulator = PipelineSimulator(load_tracking_8way(), trace)
         simulator.run()
         assert simulator.skipped_cycles == 0
 

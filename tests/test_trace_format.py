@@ -23,7 +23,6 @@ from repro.workloads.registry import (
 from repro.workloads.trace_format import (
     TRACE_FORMAT_VERSION,
     TraceFormatError,
-    convert_gem5_records,
     load_trace,
     load_trace_lines,
     save_trace,
@@ -203,27 +202,6 @@ class TestMalformedRejection:
         record["pc"], record["next"] = 7, 8
         lines[2] = json.dumps(record)
         self.check(lines, "line 3: control-flow break")
-
-
-class TestGem5Converter:
-    def test_basic_conversion(self):
-        trace = convert_gem5_records([
-            {"op_class": "IntAlu", "pc": 0, "srcs": [1], "dest": 2},
-            {"op_class": "MemRead", "pc": 1, "srcs": [2], "dest": 3,
-             "addr": 64},
-            {"op_class": "Branch", "pc": 2, "srcs": [3], "taken": True,
-             "next_pc": 0},
-        ])
-        assert len(trace) == 3
-        assert trace[1].is_load and trace[1].mem_addr == 64
-        assert trace[2].is_branch and trace[2].taken
-        # A converted trace passes the strict validator.
-        reloaded = load_trace_lines(list(trace_lines(trace)))
-        assert len(reloaded) == 3
-
-    def test_unmapped_class_rejected(self):
-        with pytest.raises(TraceFormatError, match="SimdFloatMisc"):
-            convert_gem5_records([{"op_class": "SimdFloatMisc", "pc": 0}])
 
 
 class TestRegisterExternalTrace:

@@ -7,7 +7,6 @@ from repro.isa import OpClass
 from repro.workloads import (
     WORKLOAD_NAMES,
     SyntheticConfig,
-    all_traces,
     build_program,
     get_trace,
     synthetic_trace,
@@ -52,8 +51,8 @@ class TestKernelBasics:
         assert get_trace("compress", 1_000) is get_trace("compress", 1_000)
 
     def test_all_traces_ordered(self):
-        traces = all_traces(1_000)
-        assert tuple(traces) == WORKLOAD_NAMES
+        traces = [get_trace(name, 1_000) for name in WORKLOAD_NAMES]
+        assert tuple(trace.name for trace in traces) == WORKLOAD_NAMES
 
 
 class TestKernelCharacter:
