@@ -496,6 +496,17 @@ def _cmd_serve(args) -> int:
     # SIGTERM stops the server the way Ctrl-C does, so the finally
     # below kills the worker pool instead of orphaning its processes.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        service = DesignSpaceService(
+            cache_dir=args.cache_dir,
+            jobs=args.jobs,
+            queue_depth=args.queue_depth,
+            request_timeout=args.timeout,
+            instructions=args.instructions,
+        )
+    except ValueError as error:
+        print(f"repro serve: error: {error}", file=sys.stderr)
+        return 2
     if args.warm:
         from repro.core.campaign import ResultCache, run_campaign
 
@@ -522,13 +533,6 @@ def _cmd_serve(args) -> int:
                 meter.close()
         print(f"  cache warm: {profile.cache_hits} hits, "
               f"{profile.simulated_cells} simulated")
-    service = DesignSpaceService(
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        queue_depth=args.queue_depth,
-        request_timeout=args.timeout,
-        instructions=args.instructions,
-    )
     print(f"serving the design space on http://{args.host}:{args.port} "
           f"(jobs={args.jobs}, queue depth {args.queue_depth}); Ctrl-C stops")
     try:
@@ -706,12 +710,11 @@ def _cmd_compile(args) -> int:
     if args.listing:
         print(compile_to_assembly(source))
     program = compile_source(source)
-    trace = run_to_trace(program, max_instructions=args.instructions,
-                         name=args.file)
     from repro.isa import Emulator
 
     emulator = Emulator(program)
-    emulator.run(max_instructions=args.instructions)
+    trace = emulator.run(max_instructions=args.instructions)
+    trace.name = args.file
     print(f"compiled {len(program)} instructions; "
           f"main returned {emulator.int_regs[2]} "
           f"({'halted' if emulator.halted else 'capped'})")

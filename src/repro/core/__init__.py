@@ -6,10 +6,9 @@
   machines over the benchmark suite and package the results.
 * :mod:`repro.core.speedup` -- the Section 5.5 clock-adjusted
   performance comparison.
-* :mod:`repro.core.design` -- :class:`DesignPoint`: a machine at a
-  technology node, the unit of the joint IPC x clock design space.
 * :mod:`repro.core.frontier` -- the complexity-effectiveness
-  frontier, including the all-shapes x all-technologies sweep.
+  frontier: :func:`frontier_point` (a machine at a technology node,
+  IPC x clock) and the all-shapes x all-technologies sweep.
 * :mod:`repro.core.aggregate` -- the shared mean reductions.
 """
 
@@ -33,19 +32,15 @@ from repro.core.experiments import (
 )
 from repro.core.speedup import clock_adjusted_speedup, speedup_summary
 from repro.core.aggregate import arithmetic_mean, geometric_mean, mean_ipc
-from repro.core.design import (
-    DesignPoint,
-    SweptDesign,
-    design_points,
-    sweep_design_points,
-)
 from repro.core.frontier import (
     FrontierPoint,
     conventional_frontier,
     dependence_based_point,
     design_space_frontier,
     format_frontier,
+    frontier_point,
     issue_width_frontier,
+    sweep_frontier,
 )
 
 __all__ = [
@@ -71,10 +66,8 @@ __all__ = [
     "design_space_frontier",
     "issue_width_frontier",
     "format_frontier",
-    "DesignPoint",
-    "SweptDesign",
-    "design_points",
-    "sweep_design_points",
+    "frontier_point",
+    "sweep_frontier",
     "geometric_mean",
     "arithmetic_mean",
     "mean_ipc",

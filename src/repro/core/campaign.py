@@ -37,7 +37,6 @@ import functools
 import hashlib
 import json
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -45,6 +44,7 @@ from typing import Any, Callable
 from repro.core import results_io
 from repro.core.experiments import DEFAULT_INSTRUCTIONS, ExperimentResult
 from repro.core.pool import DEFAULT_RETRIES, run_cells, worker_pool
+from repro.obs.ledger import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import CampaignProfile, record_simulation_metrics
 from repro.obs.progress import Heartbeat
@@ -150,15 +150,14 @@ def cache_key(
     config: MachineConfig,
     workload: str,
     max_instructions: int,
-    stats_format: int | None = None,
 ) -> str:
     """Content address of one cell's result.
 
     The key covers everything that determines the simulation output:
     the full machine configuration (scheduler and register-file
     strategy included), the workload, the instruction budget, the
-    stats serialisation version (``stats_format``, by default
-    :data:`~repro.core.results_io.FORMAT_VERSION` read at call time,
+    stats serialisation version
+    (:data:`~repro.core.results_io.FORMAT_VERSION`, read at call time,
     so a format bump invalidates old entries instead of misreading
     them), the workload's *content
     identity* -- its kind and fingerprint -- so editing a kernel's
@@ -171,8 +170,7 @@ def cache_key(
         "workload": workload,
         "workload_identity": workload_identity(workload),
         "max_instructions": max_instructions,
-        "stats_format": (results_io.FORMAT_VERSION if stats_format is None
-                         else stats_format),
+        "stats_format": results_io.FORMAT_VERSION,
         "model": model_fingerprint(),
     }
     digest = hashlib.sha256(
@@ -264,18 +262,8 @@ class ResultCache:
 
     def store(self, key: str, stats: SimStats) -> None:
         """Atomically persist one cell's stats under ``key``."""
-        tmp = self.root / f"{key}.{uuid.uuid4().hex}.tmp"
-        try:
-            tmp.write_text(
-                json.dumps(
-                    results_io.stats_payload(stats), indent=1, sort_keys=True
-                ),
-                encoding="utf-8",
-            )
-            tmp.replace(self.path(key))
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_write_text(self.path(key), json.dumps(
+            results_io.stats_payload(stats), indent=1, sort_keys=True))
 
 
 # ----------------------------------------------------------------------

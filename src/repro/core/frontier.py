@@ -9,12 +9,13 @@ conventional design space and places the dependence-based machine on
 the same axes; :func:`design_space_frontier` extends the sweep to
 every registered machine shape at every technology node.
 
-All clock arithmetic is delegated: each frontier point is a
-:class:`~repro.core.design.DesignPoint` whose clock comes from
-:mod:`repro.delay.critical_path` (the slower of rename and window
-logic; bypass is excluded from the bound because the paper's remedy
-for it -- clustering -- is evaluated separately, the same accounting
-Section 5.5 uses).  IPC comes from the campaign engine with full
+Every point, here and in the service, is built by
+:func:`frontier_point`: one :func:`~repro.delay.critical_path.critical_path`
+for the clock (the slower of rename and window logic; bypass is
+excluded from the bound because the paper's remedy for it --
+clustering -- is evaluated separately, the same accounting Section
+5.5 uses) and one :func:`~repro.core.aggregate.mean_ipc` for the IPC.
+:func:`sweep_frontier` gets the IPC from the campaign engine with full
 result caching, so a warm-cache sweep re-runs zero simulations.
 """
 
@@ -23,15 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.core.design import DesignPoint, SweptDesign, sweep_design_points
+from repro.core.aggregate import mean_ipc
 from repro.core.machines import (
     baseline_8way,
     dependence_based_8way,
     machine_registry,
 )
+from repro.delay.critical_path import critical_path
 from repro.obs.profiling import CampaignProfile
 from repro.technology.params import TECH_018, TECHNOLOGIES, Technology
 from repro.uarch.config import MachineConfig
+from repro.uarch.stats import SimStats
 from repro.workloads import WORKLOAD_NAMES
 
 #: Window sizes swept for the conventional curve.
@@ -46,7 +49,7 @@ class FrontierPoint:
     window_size: int
     mean_ipc: float
     clock_ps: float
-    #: Technology node label (empty for single-technology sweeps).
+    #: Technology node label (empty for hand-built points).
     tech: str = ""
     #: Label of the structure that sets the clock (empty if unknown).
     bounded_by: str = ""
@@ -62,38 +65,72 @@ class FrontierPoint:
         return self.mean_ipc * self.frequency_ghz
 
 
-def _to_point(swept: SweptDesign, label: str, window_size: int) -> FrontierPoint:
-    path = swept.point.critical_path()
+def frontier_point(
+    label: str,
+    config: MachineConfig,
+    tech: Technology,
+    stats_by_workload: Mapping[str, SimStats],
+) -> FrontierPoint:
+    """``config`` at ``tech``: the mean IPC of its simulated workloads
+    and the clock of its critical path."""
+    path = critical_path(config, tech)
     return FrontierPoint(
         label=label,
-        window_size=window_size,
-        mean_ipc=swept.mean_ipc,
+        window_size=config.total_capacity,
+        mean_ipc=mean_ipc(stats_by_workload),
         clock_ps=path.clock_ps,
-        tech=swept.point.tech.name,
+        tech=tech.name,
         bounded_by=path.bounding_structure.label,
     )
 
 
-def _sweep_one_tech(
-    configs: Mapping[str, MachineConfig],
-    tech: Technology,
+def sweep_frontier(
+    points: Sequence[tuple[str, MachineConfig, Technology]],
     workloads: tuple[str, ...],
     max_instructions: int,
     name: str,
     **campaign_options: Any,
-) -> list[SweptDesign]:
-    points = [
-        (label, DesignPoint(config=config, tech=tech))
-        for label, config in configs.items()
-    ]
-    swept, _profile = sweep_design_points(
-        points,
+) -> tuple[list[FrontierPoint], CampaignProfile]:
+    """Simulate and clock a list of ``(label, config, tech)`` points.
+
+    Each distinct config is simulated once over the workload grid on
+    the campaign engine (IPC does not depend on the technology node);
+    every point sharing it reuses those statistics at its own clock.
+    Extra keyword arguments (``jobs``, ``cache``, ``timeout``,
+    ``retries``, ``progress``, ``heartbeat``, ``runner``) are forwarded to
+    :func:`~repro.core.campaign.run_campaign`.
+
+    Returns:
+        ``(frontier, profile)``, the points in the order given.
+    """
+    # Imported here, not at module top, so ``import repro.core`` does
+    # not load the campaign engine and its worker pool.
+    from repro.core.campaign import run_campaign
+
+    sim_names: dict[MachineConfig, str] = {}
+    for _label, config, _tech in points:
+        sim_names.setdefault(config, f"design-{len(sim_names)}")
+    result, profile = run_campaign(
+        {sim_name: config for config, sim_name in sim_names.items()},
         workloads=workloads,
         max_instructions=max_instructions,
         name=name,
         **campaign_options,
     )
-    return swept
+    # Sweep-shape gauges: how much config sharing the distinct-config
+    # dedup bought (the frontier CLI and the run ledger surface these).
+    profile.registry.gauge(
+        "design_points", "Design points in the sweep (configs x techs)"
+    ).set(len(points))
+    profile.registry.gauge(
+        "design_distinct_configs",
+        "Distinct machine configs actually simulated",
+    ).set(len(sim_names))
+    frontier = [
+        frontier_point(label, config, tech, result.stats[sim_names[config]])
+        for label, config, tech in points
+    ]
+    return frontier, profile
 
 
 def conventional_frontier(
@@ -107,20 +144,17 @@ def conventional_frontier(
     """Sweep conventional window sizes; IPC from simulation, clock
     from the critical-path layer.  Extra keyword arguments (``jobs``,
     ``cache``, ...) reach :func:`~repro.core.campaign.run_campaign`."""
-    configs = {
-        f"window-{window_size}": baseline_8way(
-            window_size=window_size, issue_width=issue_width
-        )
+    points = [
+        (f"window-{window_size}",
+         baseline_8way(window_size=window_size, issue_width=issue_width),
+         tech)
         for window_size in window_sizes
-    }
-    swept = _sweep_one_tech(
-        configs, tech, workloads, max_instructions,
+    ]
+    frontier, _profile = sweep_frontier(
+        points, workloads, max_instructions,
         name="conventional-frontier", **campaign_options,
     )
-    return [
-        _to_point(item, label=f"window-{window_size}", window_size=window_size)
-        for window_size, item in zip(window_sizes, swept)
-    ]
+    return frontier
 
 
 def dependence_based_point(
@@ -136,14 +170,12 @@ def dependence_based_point(
     config = dependence_based_8way(
         fifo_count=fifo_count, fifo_depth=fifo_depth, issue_width=issue_width
     )
-    label = f"dependence-{fifo_count}x{fifo_depth}"
-    swept = _sweep_one_tech(
-        {label: config}, tech, workloads, max_instructions,
+    frontier, _profile = sweep_frontier(
+        [(f"dependence-{fifo_count}x{fifo_depth}", config, tech)],
+        workloads, max_instructions,
         name="dependence-point", **campaign_options,
     )
-    return _to_point(
-        swept[0], label=label, window_size=fifo_count * fifo_depth
-    )
+    return frontier[0]
 
 
 def issue_width_frontier(
@@ -164,10 +196,10 @@ def issue_width_frontier(
     """
     from repro.uarch.config import ClusterConfig, SteeringPolicy
 
-    configs = {}
+    points = []
     for width in issue_widths:
         window_size = window_per_width * width
-        configs[f"{width}-way/{window_size}"] = MachineConfig(
+        config = MachineConfig(
             name=f"conventional-{width}way",
             fetch_width=width,
             dispatch_width=width,
@@ -176,14 +208,12 @@ def issue_width_frontier(
             clusters=(ClusterConfig(window_size=window_size, fu_count=width),),
             steering=SteeringPolicy.NONE,
         )
-    swept = _sweep_one_tech(
-        configs, tech, workloads, max_instructions,
+        points.append((f"{width}-way/{window_size}", config, tech))
+    frontier, _profile = sweep_frontier(
+        points, workloads, max_instructions,
         name="issue-width-frontier", **campaign_options,
     )
-    return [
-        _to_point(item, label=label, window_size=config.total_capacity)
-        for (label, config), item in zip(configs.items(), swept)
-    ]
+    return frontier
 
 
 def design_space_frontier(
@@ -197,33 +227,22 @@ def design_space_frontier(
 
     Each distinct config is simulated once over the workload grid (IPC
     is technology-independent); with a warm cache the whole sweep
-    re-runs zero simulations.  Returns the BIPS frontier points, in
-    technology-major order, and the campaign profile (whose
-    ``simulated_cells`` count the CI smoke test asserts on).
+    re-runs zero simulations.  Returns the BIPS frontier points,
+    labelled ``<machine>@<tech>`` in technology-major order, and the
+    campaign profile (whose ``simulated_cells`` count the CI smoke
+    test asserts on).
     """
     if machines is None:
         machines = machine_registry()
     points = [
-        (f"{name}@{tech.name}", DesignPoint(config=config, tech=tech))
+        (f"{name}@{tech.name}", config, tech)
         for tech in techs
         for name, config in machines.items()
     ]
-    swept, profile = sweep_design_points(
-        points,
-        workloads=workloads,
-        max_instructions=max_instructions,
-        name="design-space-frontier",
-        **campaign_options,
+    return sweep_frontier(
+        points, workloads, max_instructions,
+        name="design-space-frontier", **campaign_options,
     )
-    frontier = [
-        _to_point(
-            item,
-            label=item.label,
-            window_size=item.point.config.total_capacity,
-        )
-        for item in swept
-    ]
-    return frontier, profile
 
 
 def format_frontier(points: list[FrontierPoint]) -> str:

@@ -1,9 +1,10 @@
-"""Persist experiment results as JSON.
+"""Persist simulation results as JSON.
 
-Long simulation campaigns are worth keeping: this module round-trips
-:class:`~repro.core.experiments.ExperimentResult` (including full
-per-run statistics) through plain JSON so results can be archived,
-diffed, and re-rendered without re-simulating.
+Two documents: one campaign cache cell (:func:`stats_payload`, read
+back by :func:`stats_from_payload`), and a whole
+:class:`~repro.core.experiments.ExperimentResult` with full per-run
+statistics (:func:`save_result`, for archiving and diffing; each run's
+stats load back with :meth:`~repro.uarch.stats.SimStats.from_dict`).
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from pathlib import Path
 from repro.core.experiments import ExperimentResult
 from repro.uarch.stats import SimStats
 
-#: Format marker for forward compatibility.  Version 2 added the
+#: Format marker of the stats payload.  Version 2 added the
 #: cycle-attribution fields (``active_cycles``/``stall_cycles``);
-#: version 3 added the design-point clock annotation (``clock_ps``,
-#: from which ``frequency_ghz``/``bips`` derive).  Older files still
-#: load (the new fields default to zero).
+#: version 3 added ``clock_ps``.  Every cache key hashes it, so a cell
+#: file of another version is a corrupt entry, never a reusable one.
 FORMAT_VERSION = 3
-
-_READABLE_VERSIONS = (1, 2, 3)
 
 
 def stats_payload(stats: SimStats) -> dict:
@@ -44,14 +42,14 @@ def stats_from_payload(payload: dict) -> SimStats:
     """Inverse of :func:`stats_payload`.
 
     Raises:
-        ValueError: if the payload is not a cell-stats document of a
-            readable format version.
+        ValueError: if the payload is not a cell-stats document of
+            :data:`FORMAT_VERSION`.
     """
     if not isinstance(payload, dict):
         raise ValueError("cell payload must be a JSON object")
     if payload.get("kind") != "repro-cell-stats":
         raise ValueError(f"not a cell-stats payload: {payload.get('kind')!r}")
-    if payload.get("format_version") not in _READABLE_VERSIONS:
+    if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported cell-stats format {payload.get('format_version')!r} "
             f"(expected {FORMAT_VERSION})"
@@ -74,32 +72,6 @@ def result_to_dict(result: ExperimentResult) -> dict:
             for machine, per_workload in result.stats.items()
         },
     }
-
-
-def result_from_dict(payload: dict) -> ExperimentResult:
-    """Inverse of :func:`result_to_dict`.
-
-    Raises:
-        ValueError: on a missing or unsupported format version.
-    """
-    version = payload.get("format_version")
-    if version not in _READABLE_VERSIONS:
-        raise ValueError(
-            f"unsupported result format {version!r} (expected {FORMAT_VERSION})"
-        )
-    result = ExperimentResult(
-        name=payload["name"],
-        machine_names=list(payload["machine_names"]),
-        workloads=list(payload["workloads"]),
-    )
-    result.stats = {
-        machine: {
-            workload: SimStats.from_dict(stats)
-            for workload, stats in per_workload.items()
-        }
-        for machine, per_workload in payload["stats"].items()
-    }
-    return result
 
 
 def save_result(result: ExperimentResult, path: str | Path) -> None:

@@ -28,6 +28,7 @@ import json
 import os
 import subprocess
 import time
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +56,25 @@ def ledger_root(root: str | Path | None = None) -> Path:
     if env:
         return Path(env)
     return DEFAULT_LEDGER_ROOT
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` whole, or leave it as it was.
+
+    The text goes to a temp file named ``<name>.<uuid4>.tmp`` beside
+    ``path``, unique to this writer so concurrent writers never rename
+    each other's file away, which is then renamed over ``path``.  A
+    failed write unlinks its temp file; a killed writer leaves one
+    behind for a ``*.tmp`` sweep to find.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @functools.cache
@@ -263,13 +283,11 @@ class Ledger:
         if removed <= 0:
             return 0
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in kept:
-                handle.write(json.dumps(entry.to_dict(), sort_keys=True,
-                                        ensure_ascii=False,
-                                        separators=(",", ":")) + "\n")
-        tmp.replace(self.path)
+        atomic_write_text(self.path, "".join(
+            json.dumps(entry.to_dict(), sort_keys=True, ensure_ascii=False,
+                       separators=(",", ":")) + "\n"
+            for entry in kept
+        ))
         return removed
 
 
@@ -378,10 +396,6 @@ def record_bench(path: str | Path, kind: str, measured: dict,
     payload["measured"] = measured
     if recorded is not None:
         payload["recorded"] = recorded
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    tmp.replace(path)
+    atomic_write_text(
+        path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return payload

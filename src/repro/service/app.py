@@ -45,7 +45,6 @@ from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.analysis.traces import characterize
-from repro.core.aggregate import mean_ipc
 from repro.core.campaign import (
     CampaignCell,
     ResultCache,
@@ -53,8 +52,8 @@ from repro.core.campaign import (
     model_fingerprint,
     simulate_cell,
 )
-from repro.core.design import DesignPoint
 from repro.core.experiments import DEFAULT_INSTRUCTIONS
+from repro.core.frontier import FrontierPoint, frontier_point
 from repro.core.machines import machine_registry
 from repro.core.pool import DEFAULT_RETRIES, WorkerPool
 from repro.delay.critical_path import critical_path
@@ -74,6 +73,12 @@ from repro.workloads.registry import (
 #: Default bound on concurrently in-flight simulations (distinct
 #: uncached cells); further misses are rejected with 503.
 DEFAULT_QUEUE_DEPTH = 8
+
+#: Largest instruction budget (``n``) a request or the server default
+#: may ask for: five times the campaign default.  Every budget is
+#: simulated or traced in full, and its trace stays cached for the
+#: life of the process, so an unbounded ``n`` could wedge the server.
+MAX_INSTRUCTIONS = 5 * DEFAULT_INSTRUCTIONS
 
 #: Default per-waiter seconds before a miss request gives up with 504.
 DEFAULT_REQUEST_TIMEOUT = 120.0
@@ -128,6 +133,25 @@ class ServiceError(Exception):
             self.headers["Retry-After"] = str(max(1, round(retry_after)))
 
 
+#: The keys of a :func:`point_json` that one cell's ``clocked``
+#: entries keep: a single workload has no label or mean of its own.
+_CLOCKED_KEYS = ("tech", "clock_ps", "frequency_ghz", "bips", "bounded_by")
+
+
+def point_json(point: FrontierPoint) -> dict:
+    """A frontier point as every service answer renders it, rounded."""
+    return {
+        "label": point.label,
+        "tech": point.tech,
+        "window_size": point.window_size,
+        "mean_ipc": round(point.mean_ipc, 4),
+        "clock_ps": round(point.clock_ps, 3),
+        "frequency_ghz": round(point.frequency_ghz, 4),
+        "bips": round(point.bips, 4),
+        "bounded_by": point.bounded_by,
+    }
+
+
 class DesignSpaceService:
     """The serving tier over the campaign cache.
 
@@ -141,7 +165,8 @@ class DesignSpaceService:
         queue_depth: max concurrently in-flight simulations before
             misses are shed with 503.
         request_timeout: per-waiter seconds before a miss answers 504.
-        instructions: default per-cell instruction budget.
+        instructions: default per-cell instruction budget (at most
+            :data:`MAX_INSTRUCTIONS`).
         registry: metrics registry (default: a private one).
         ledger_root: run-ledger directory override (None = resolve
             ``REPRO_LEDGER_DIR`` / default, as everywhere else).
@@ -171,6 +196,9 @@ class DesignSpaceService:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
+        if not 0 < instructions <= MAX_INSTRUCTIONS:
+            raise ValueError(f"instructions must be in 1..{MAX_INSTRUCTIONS}, "
+                             f"got {instructions}")
         self.machines = dict(machines if machines is not None
                              else machine_registry())
         if cache is None and cache_dir is not None:
@@ -413,18 +441,26 @@ class DesignSpaceService:
                 detail={"known": [t.feature_size_um for t in TECHNOLOGIES]},
             ) from None
 
-    def _int_param(self, params: dict, name: str, default: int) -> int:
-        raw = params.get(name)
+    @staticmethod
+    def _budget_param(params: dict, default: int) -> int:
+        """The ``n`` instruction budget: an integer in
+        ``1..MAX_INSTRUCTIONS``."""
+        raw = params.get("n")
         if raw is None:
             return default
         try:
             value = int(raw)
         except ValueError:
             raise ServiceError(
-                400, f"{name} must be an integer, got {raw!r}"
+                400, f"n must be an integer, got {raw!r}"
             ) from None
         if value <= 0:
-            raise ServiceError(400, f"{name} must be positive, got {value}")
+            raise ServiceError(400, f"n must be positive, got {value}")
+        if value > MAX_INSTRUCTIONS:
+            raise ServiceError(
+                400, f"n must be at most {MAX_INSTRUCTIONS}, got {value}",
+                detail={"max": MAX_INSTRUCTIONS},
+            )
         return value
 
     @staticmethod
@@ -510,7 +546,7 @@ class DesignSpaceService:
         }
         if "workload" in params:
             name = self._require_workload(params["workload"])
-            budget = self._int_param(params, "n", 5_000)
+            budget = self._budget_param(params, 5_000)
             data["profile"] = characterize(name, budget)
         return envelope(data)
 
@@ -522,7 +558,7 @@ class DesignSpaceService:
                 )
         config = self._require_machine(params["machine"])
         workload = self._require_workload(params["workload"])
-        budget = self._int_param(params, "n", self.default_instructions)
+        budget = self._budget_param(params, self.default_instructions)
         stats, source, key = await self.cell_stats(
             params["machine"], workload, budget
         )
@@ -534,26 +570,19 @@ class DesignSpaceService:
             "cache_key": key,
         }
         if "tech" in params:
-            techs = self._techs_param(params["tech"])
             clocked = []
-            for tech in techs:
-                point = DesignPoint(config=config, tech=tech)
-                annotated = point.annotate(stats)
-                path = point.critical_path()
-                clocked.append({
-                    "tech": tech.name,
-                    "clock_ps": round(path.clock_ps, 3),
-                    "frequency_ghz": round(path.frequency_ghz, 4),
-                    "bips": round(annotated.bips, 4),
-                    "bounded_by": path.bounding_structure.label,
-                })
+            for tech in self._techs_param(params["tech"]):
+                point = point_json(frontier_point(
+                    f"{params['machine']}@{tech.name}", config, tech,
+                    {workload: stats}))
+                clocked.append({key: point[key] for key in _CLOCKED_KEYS})
             data["clocked"] = clocked
         data["stats"] = stats.to_dict()
         return envelope(data)
 
     async def _route_frontier(self, params: dict) -> dict:
         techs = self._techs_param(params.get("tech", "0.18"))
-        budget = self._int_param(params, "n", self.default_instructions)
+        budget = self._budget_param(params, self.default_instructions)
         if "machines" in params:
             names = [n for n in params["machines"].split(",") if n]
             if not names:
@@ -583,24 +612,13 @@ class DesignSpaceService:
         for (name, workload), (stats, source, _) in zip(cells, resolved):
             per_machine.setdefault(name, {})[workload] = stats
             sources[source] = sources.get(source, 0) + 1
-        points = []
-        for tech in techs:
-            for name in names:
-                config = self.machines[name]
-                path = critical_path(config, tech)
-                ipc = mean_ipc(per_machine[name])
-                frequency = path.frequency_ghz
-                points.append({
-                    "label": f"{name}@{tech.name}",
-                    "machine": name,
-                    "tech": tech.name,
-                    "window_size": config.total_capacity,
-                    "mean_ipc": round(ipc, 4),
-                    "clock_ps": round(path.clock_ps, 3),
-                    "frequency_ghz": round(frequency, 4),
-                    "bips": round(ipc * frequency, 4),
-                    "bounded_by": path.bounding_structure.label,
-                })
+        points = [
+            {"machine": name, **point_json(frontier_point(
+                f"{name}@{tech.name}", self.machines[name], tech,
+                per_machine[name]))}
+            for tech in techs
+            for name in names
+        ]
         return envelope({
             "instructions": budget,
             "workloads": list(WORKLOAD_NAMES),

@@ -102,11 +102,12 @@ class SimStats:
     #: Cycle-exact attribution: every non-active cycle charged to one
     #: cause; ``active_cycles + sum(stall_cycles) == cycles``.
     stall_cycles: dict[StallCause, int] = field(default_factory=dict)
-    #: Clock period in picoseconds, annotated after simulation by the
-    #: design layer (:meth:`repro.core.design.DesignPoint.annotate`)
-    #: from the machine's critical path at a chosen technology; 0.0
-    #: until annotated.  Not a counter: merging requires agreement
-    #: rather than summing.
+    #: Clock period in picoseconds; 0.0 from every simulation.  Frontier
+    #: points carry their clock themselves
+    #: (:func:`repro.core.frontier.frontier_point`); the field stays
+    #: because the serialised payload, and so every cache key and
+    #: pinned digest, includes it.  Not a counter: merging requires
+    #: agreement rather than summing.
     clock_ps: float = 0.0
 
     @property
@@ -144,21 +145,6 @@ class SimStats:
         if self.committed == 0:
             return 0.0
         return self.inter_cluster_bypasses / self.committed
-
-    @property
-    def frequency_ghz(self) -> float:
-        """Clock frequency implied by :attr:`clock_ps` (0.0 when the
-        run has not been clock-annotated)."""
-        if self.clock_ps == 0.0:
-            return 0.0
-        return 1000.0 / self.clock_ps
-
-    @property
-    def bips(self) -> float:
-        """Billions of instructions per second: IPC x frequency (the
-        paper's joint complexity-effectiveness metric; 0.0 when the
-        run has not been clock-annotated)."""
-        return self.ipc * self.frequency_ghz
 
     # ------------------------------------------------------------------
     # recording hooks (called by the pipeline)

@@ -200,13 +200,11 @@ class TestCacheKey:
             baseline_8way(), "li", N + 1
         )
 
-    def test_key_changes_with_format_version(self):
+    def test_key_changes_with_format_version(self, monkeypatch):
         current = cache_key(baseline_8way(), "li", N)
-        bumped = cache_key(
-            baseline_8way(), "li", N,
-            stats_format=results_io.FORMAT_VERSION + 1,
-        )
-        assert current != bumped
+        monkeypatch.setattr(results_io, "FORMAT_VERSION",
+                            results_io.FORMAT_VERSION + 1)
+        assert cache_key(baseline_8way(), "li", N) != current
 
     def test_key_is_stable(self):
         assert cache_key(baseline_8way(), "li", N) == cache_key(
@@ -219,13 +217,13 @@ class TestCacheKey:
         assert fingerprint["steering"] == "none"
         assert fingerprint["clusters"][0]["window_size"] == 64
 
-    def test_current_format_version_is_3(self):
-        # The clock/BIPS fields bumped the stats format; the key
-        # embeds it, so pre-bump cache entries can never be served.
+    def test_current_format_version_is_3(self, monkeypatch):
+        # The clock field bumped the stats format; the key embeds it,
+        # so pre-bump cache entries can never be served.
         assert results_io.FORMAT_VERSION == 3
-        assert cache_key(baseline_8way(), "li", N, stats_format=2) != cache_key(
-            baseline_8way(), "li", N
-        )
+        current = cache_key(baseline_8way(), "li", N)
+        monkeypatch.setattr(results_io, "FORMAT_VERSION", 2)
+        assert cache_key(baseline_8way(), "li", N) != current
 
     def test_key_changes_with_scheduler_strategy(self):
         # Identical geometry, different issue logic: the strategy

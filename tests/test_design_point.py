@@ -1,15 +1,15 @@
-"""DesignPoint: the (MachineConfig x Technology) campaign sweep unit."""
+"""Frontier points: a machine at a technology node, IPC x clock, and
+the campaign sweep that builds them."""
 
 import pytest
 
 from repro.core.aggregate import arithmetic_mean, geometric_mean, mean_ipc
 from repro.core.campaign import CampaignCell, ResultCache
-from repro.core.design import (
-    DesignPoint,
-    design_points,
-    sweep_design_points,
+from repro.core.frontier import (
+    design_space_frontier,
+    frontier_point,
+    sweep_frontier,
 )
-from repro.core.frontier import design_space_frontier
 from repro.core.machines import MACHINE_REGISTRY, machine_registry
 from repro.technology import TECH_018, TECH_035, TECHNOLOGIES
 from repro.uarch.stats import SimStats
@@ -17,41 +17,53 @@ from repro.uarch.stats import SimStats
 WORKLOADS = ("compress", "li")
 
 
+def fixed_runner(cell: CampaignCell) -> dict:
+    """A campaign runner that returns IPC 2.0 without simulating."""
+    stats = SimStats(machine=cell.machine, workload=cell.workload,
+                     committed=200, cycles=100)
+    return {"stats": stats.to_dict(), "seconds": 0.0, "metrics": None}
+
+
 class TestDesignPoint:
     @pytest.fixture(scope="class")
     def point(self):
-        return DesignPoint(config=MACHINE_REGISTRY["baseline"](), tech=TECH_018)
+        return frontier_point(
+            "baseline@0.18um", MACHINE_REGISTRY["baseline"](), TECH_018,
+            {"w": SimStats(committed=200, cycles=100)},
+        )
 
-    def test_label_joins_config_and_tech(self, point):
-        assert point.label == "baseline-8way-64w@0.18um"
+    def test_label_joins_config_and_tech(self):
+        points, _ = design_space_frontier(
+            techs=(TECH_018,),
+            machines={"baseline": MACHINE_REGISTRY["baseline"]()},
+            workloads=WORKLOADS, max_instructions=1_000, runner=fixed_runner,
+        )
+        assert [p.label for p in points] == ["baseline@0.18um"]
+        assert points[0].tech == "0.18um"
 
     def test_clock_comes_from_the_critical_path_layer(self, point):
         assert point.clock_ps == pytest.approx(724.0, abs=0.05)
         assert point.frequency_ghz == pytest.approx(1000.0 / 724.0, abs=1e-4)
-        assert point.bounding_structure == "cluster0 wakeup+select (8-way/64)"
+        assert point.bounded_by == "cluster0 wakeup+select (8-way/64)"
+        assert point.window_size == 64
 
     def test_bips_is_ipc_times_frequency(self, point):
-        assert point.bips(2.0) == pytest.approx(2.0 * point.frequency_ghz)
+        assert point.mean_ipc == 2.0
+        assert point.bips == pytest.approx(2.0 * point.frequency_ghz)
 
     def test_is_frozen_and_hashable(self, point):
         with pytest.raises(AttributeError):
-            point.tech = TECH_035
+            point.tech = TECH_035.name
         assert point in {point}
 
-    def test_annotate_copies_and_leaves_input_untouched(self, point):
-        stats = SimStats(committed=100, cycles=50)
-        annotated = point.annotate(stats)
-        assert annotated.clock_ps == pytest.approx(point.clock_ps)
-        assert annotated.ipc == stats.ipc
-        assert stats.clock_ps == 0.0
-        assert annotated.bips == pytest.approx(
-            annotated.ipc * annotated.frequency_ghz
-        )
-
     def test_design_points_cross_product(self):
-        grid = design_points(machine_registry(), techs=TECHNOLOGIES)
-        assert len(grid) == 3 * len(MACHINE_REGISTRY)
-        labels = [label for label, _ in grid]
+        machines = machine_registry()
+        points, _ = design_space_frontier(
+            machines=machines, workloads=WORKLOADS, max_instructions=1_000,
+            runner=fixed_runner,
+        )
+        assert len(points) == 3 * len(MACHINE_REGISTRY)
+        labels = [point.label for point in points]
         assert len(set(labels)) == len(labels)
         assert "baseline@0.18um" in labels
 
@@ -59,35 +71,19 @@ class TestDesignPoint:
 class TestSweep:
     def test_distinct_configs_simulated_once(self):
         config = MACHINE_REGISTRY["baseline"]()
-        points = [
-            (f"b@{tech.name}", DesignPoint(config=config, tech=tech))
-            for tech in TECHNOLOGIES
-        ]
-        swept, profile = sweep_design_points(
-            points, workloads=WORKLOADS, max_instructions=1_000
+        points = [(f"b@{tech.name}", config, tech) for tech in TECHNOLOGIES]
+        swept, profile = sweep_frontier(
+            points, WORKLOADS, 1_000, name="design-space"
         )
         # One config, three technologies: one simulation per workload.
         assert profile.cell_count == len(WORKLOADS)
+        assert profile.registry.value("design_points") == 3
+        assert profile.registry.value("design_distinct_configs") == 1
         assert len(swept) == 3
         ipcs = {item.mean_ipc for item in swept}
         assert len(ipcs) == 1  # IPC is technology-independent
         clocks = [item.clock_ps for item in swept]
         assert clocks == sorted(clocks, reverse=True)  # smaller is faster
-
-    def test_swept_design_carries_annotated_stats(self):
-        config = MACHINE_REGISTRY["dependence"]()
-        points = [("d", DesignPoint(config=config, tech=TECH_018))]
-        swept, _ = sweep_design_points(
-            points, workloads=WORKLOADS, max_instructions=1_000
-        )
-        item = swept[0]
-        assert set(item.stats) == set(WORKLOADS)
-        for stats in item.stats.values():
-            assert stats.clock_ps == pytest.approx(item.clock_ps)
-        assert item.mean_ipc == pytest.approx(mean_ipc(item.stats))
-        assert item.bips == pytest.approx(
-            item.mean_ipc * 1000.0 / item.clock_ps
-        )
 
     def test_warm_cache_sweep_runs_zero_simulations(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -161,8 +157,3 @@ class TestStatsClockField:
         assert merged.clock_ps == pytest.approx(724.0)
         # The counter fields still sum -- clock_ps must not.
         assert merged.committed == 20
-
-    def test_zero_clock_has_zero_frequency_and_bips(self):
-        stats = SimStats(committed=10, cycles=10)
-        assert stats.frequency_ghz == 0.0
-        assert stats.bips == 0.0

@@ -1,6 +1,7 @@
 """Tests for the append-only run ledger and the bench-record writer."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +198,21 @@ class TestRecordBench:
         path = tmp_path / "BENCH_x.json"
         record_bench(path, "k", {"rate": 1}, recorded={"floor": 0})
         assert json.loads(path.read_text())["recorded"] == {"floor": 0}
+
+    def test_a_failed_write_keeps_the_previous_file(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "BENCH_x.json"
+        record_bench(path, "k", {"rate": 1})
+        before = path.read_text()
+
+        def failing_replace(self, target):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(Path, "replace", failing_replace)
+        with pytest.raises(OSError, match="injected"):
+            record_bench(path, "k", {"rate": 2})
+        assert path.read_text() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_garbage_existing_file_recovered(self, tmp_path):
         path = tmp_path / "BENCH_x.json"

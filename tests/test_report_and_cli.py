@@ -288,3 +288,23 @@ class TestCli:
         assert "main returned 45" in out
         assert "IPC=" in out
         assert "fn_main" in out  # the --listing assembly
+
+    def test_compile_runs_the_program_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        from repro.isa import Emulator
+
+        runs = []
+        real_run = Emulator.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(args)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Emulator, "run", counting_run)
+        source = tmp_path / "prog.mini"
+        source.write_text("func main() { return 7; }")
+        assert main(["compile", str(source), "--simulate", "baseline"]) == 0
+        out = capsys.readouterr().out
+        assert "main returned 7" in out
+        assert "IPC=" in out
+        assert len(runs) == 1

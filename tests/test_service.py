@@ -22,7 +22,8 @@ import threading
 import pytest
 
 from repro.core import results_io
-from repro.core.campaign import cache_key
+from repro.core.campaign import cache_key, simulate_cell
+from repro.core.frontier import design_space_frontier, frontier_point
 from repro.obs.ledger import Ledger
 from repro.service import (
     ERROR_CODES,
@@ -32,8 +33,10 @@ from repro.service import (
     envelope,
     error_body,
 )
+from repro.service.app import MAX_INSTRUCTIONS
 from repro.service.coalescer import Coalescer
 from repro.service.loadgen import get_json, run_burst
+from repro.technology import TECHNOLOGIES
 from repro.uarch.stats import SimStats
 from repro.workloads import WORKLOAD_NAMES
 
@@ -328,6 +331,29 @@ class TestFailureModes:
         assert fragment in payload["error"]["message"]
 
     @pytest.mark.parametrize("target", [
+        "/v1/cell?machine=baseline&workload=gcc&n={n}",
+        "/v1/frontier?n={n}",
+        "/v1/workloads?workload=gcc&n={n}",
+    ])
+    def test_budget_above_the_bound_is_400(self, tmp_path, target):
+        runner = CountingRunner()
+        service = make_service(tmp_path, runner=runner)
+        status, _, payload = run(get(
+            service, target.format(n=MAX_INSTRUCTIONS + 1)))
+        assert status == 400
+        assert payload["error"]["detail"] == {"max": MAX_INSTRUCTIONS}
+        assert runner.calls == 0
+        status, _, _ = run(get(
+            service, "/v1/cell?machine=baseline&workload=gcc"
+                     f"&n={MAX_INSTRUCTIONS}"))
+        assert status == 200
+
+    @pytest.mark.parametrize("instructions", [0, MAX_INSTRUCTIONS + 1])
+    def test_default_budget_outside_the_bound_is_refused(self, instructions):
+        with pytest.raises(ValueError, match="instructions"):
+            DesignSpaceService(cache_dir=None, instructions=instructions)
+
+    @pytest.mark.parametrize("target", [
         "/v1/cell?machine=quantum&workload=gcc",
         "/v1/cell?machine=baseline&workload=linpack",
         "/v1/cell?machine=baseline&workload=gcc&tech=0.5",
@@ -475,6 +501,60 @@ class TestCoalescedServing:
 
         run(scenario())
         assert runner.calls == 2 * len(WORKLOAD_NAMES)
+
+
+def rounded(point) -> dict:
+    """A frontier point rounded the way the service renders it."""
+    return {
+        "label": point.label,
+        "tech": point.tech,
+        "window_size": point.window_size,
+        "mean_ipc": round(point.mean_ipc, 4),
+        "clock_ps": round(point.clock_ps, 3),
+        "frequency_ghz": round(point.frequency_ghz, 4),
+        "bips": round(point.bips, 4),
+        "bounded_by": point.bounded_by,
+    }
+
+
+class TestClockedAnswersAgree:
+    """/v1/frontier and /v1/cell?tech= answer what the core computes."""
+
+    N = 400
+
+    def test_frontier_equals_the_core_sweep(self, tmp_path):
+        service = make_service(tmp_path, runner=simulate_cell)
+        status, _, payload = run(get(
+            service, "/v1/frontier?tech=all&machines=baseline,dependence"
+                     f"&n={self.N}"))
+        assert status == 200
+        machines = {name: service.machines[name]
+                    for name in ("baseline", "dependence")}
+        expected, _ = design_space_frontier(
+            techs=TECHNOLOGIES, machines=machines, max_instructions=self.N)
+        assert payload["points"] == [
+            {"machine": point.label.split("@")[0], **rounded(point)}
+            for point in expected
+        ]
+
+    def test_clocked_block_equals_frontier_point_over_the_cell(
+            self, tmp_path):
+        service = make_service(tmp_path, runner=simulate_cell)
+        status, _, payload = run(get(
+            service, "/v1/cell?machine=clustered&workload=li&tech=all"
+                     f"&n={self.N}"))
+        assert status == 200
+        stats = SimStats.from_dict(payload["stats"])
+        config = service.machines["clustered"]
+        expected = []
+        for tech in TECHNOLOGIES:
+            point = frontier_point("clustered", config, tech, {"li": stats})
+            # The mean IPC of one workload is exactly its own IPC.
+            assert point.mean_ipc == stats.ipc
+            row = rounded(point)
+            expected.append({key: row[key] for key in (
+                "tech", "clock_ps", "frequency_ghz", "bips", "bounded_by")})
+        assert payload["clocked"] == expected
 
 
 # ----------------------------------------------------------------------
