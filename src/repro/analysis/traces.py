@@ -25,9 +25,8 @@ def dependence_distance_histogram(trace: Trace) -> dict[int, int]:
     instructions), one sample per source operand with an in-trace
     producer.  Short distances are what make dependence steering
     work: the producer is usually still in a FIFO."""
-    info = dependence_info(trace)
     histogram: dict[int, int] = {}
-    for seq, producers in enumerate(info.producers):
+    for seq, producers in enumerate(dependence_info(trace)):
         for producer in producers:
             if producer == NO_PRODUCER:
                 continue

@@ -13,7 +13,7 @@ Commands:
 * ``simulate``   -- run one machine over one workload.
 * ``stats``      -- simulate and print the per-cause stall breakdown.
 * ``trace``      -- emit a structured event trace (Chrome/Perfetto
-  JSON, metrics JSON, or a text timeline).
+  JSON or metrics JSON).
 * ``experiment`` -- regenerate fig13 / fig15 / fig17 / speedup.
 * ``campaign``   -- run a figure grid on the parallel campaign engine
   (worker pool, on-disk result cache, per-cell timeout/retry).
@@ -187,16 +187,13 @@ def _cmd_simulate(args) -> int:
             return 2
     elif args.workload:
         workload = args.workload
-        if workload not in WORKLOAD_REGISTRY:
-            known = ", ".join(workload_names())
-            print(f"repro simulate: error: unknown workload "
-                  f"{workload!r} (known: {known})", file=sys.stderr)
-            return 2
     else:
         print("repro simulate: error: a workload name (see 'repro "
               "workloads') or --trace-file is required", file=sys.stderr)
         return 2
-    trace = get_trace(workload, args.instructions)
+    trace = _workload_trace("simulate", workload, args.instructions)
+    if trace is None:
+        return 2
     start = time.perf_counter()
     stats = run_simulation(config, trace, mode=args.mode)
     seconds = time.perf_counter() - start
@@ -242,18 +239,29 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _get_any_trace(workload: str, instructions: int):
-    """A bundled workload trace, or a fresh synthetic one."""
+def _workload_trace(command: str, workload: str, instructions: int):
+    """A registered workload's trace, or a fresh ``synthetic`` one.
+
+    Any other name prints the error every single-cell command shares
+    and returns None; the command then exits 2.
+    """
     if workload == "synthetic":
         return synthetic_trace(SyntheticConfig(length=instructions))
-    return get_trace(workload, instructions)
+    if workload in WORKLOAD_REGISTRY:
+        return get_trace(workload, instructions)
+    known = ", ".join(workload_names() + ("synthetic",))
+    print(f"repro {command}: error: unknown workload {workload!r} "
+          f"(known: {known})", file=sys.stderr)
+    return None
 
 
 def _cmd_stats(args) -> int:
     import time
 
+    trace = _workload_trace("stats", args.workload, args.instructions)
+    if trace is None:
+        return 2
     config = MACHINE_REGISTRY[args.machine]()
-    trace = _get_any_trace(args.workload, args.instructions)
     start = time.perf_counter()
     stats = run_simulation(config, trace)
     seconds = time.perf_counter() - start
@@ -289,11 +297,12 @@ def _cmd_stats(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.obs import EventTracer, write_chrome_trace, write_metrics_json
-    from repro.report.timeline import render_timeline
     from repro.uarch.pipeline import PipelineSimulator
 
+    trace = _workload_trace("trace", args.workload, args.instructions)
+    if trace is None:
+        return 2
     config = MACHINE_REGISTRY[args.machine]()
-    trace = _get_any_trace(args.workload, args.instructions)
     capacity = (
         args.capacity if args.capacity is not None
         else EventTracer.DEFAULT_CAPACITY
@@ -310,14 +319,9 @@ def _cmd_trace(args) -> int:
         payload = write_chrome_trace(args.out, tracer.events, stats=stats)
         print(f"wrote {len(payload['traceEvents'])} trace events to "
               f"{args.out} (open in Perfetto or chrome://tracing)")
-    elif args.format == "metrics":
+    else:
         write_metrics_json(args.out, stats)
         print(f"wrote metrics JSON to {args.out}")
-    else:  # timeline
-        text = render_timeline(simulator, first=0, count=args.count)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote text timeline to {args.out}")
     if tracer.dropped:
         print(f"  note: ring buffer evicted {tracer.dropped} of "
               f"{tracer.emitted} events (raise --capacity to keep more)")
@@ -330,8 +334,10 @@ def _cmd_timeline(args) -> int:
     from repro.report.timeline import render_timeline
     from repro.uarch.pipeline import PipelineSimulator
 
+    trace = _workload_trace("timeline", args.workload, args.instructions)
+    if trace is None:
+        return 2
     config = MACHINE_REGISTRY[args.machine]()
-    trace = get_trace(args.workload, args.instructions)
     simulator = PipelineSimulator(config, trace, tracer=EventTracer())
     simulator.run()
     print(render_timeline(simulator, first=args.start, count=args.count))
@@ -741,6 +747,11 @@ def _cmd_asm(args) -> int:
     return 0
 
 
+#: Help for the workload argument of the single-cell commands.
+_WORKLOAD_HELP = ("a registered workload name (see 'repro workloads') "
+                  "or 'synthetic'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -778,8 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser("simulate", help="run one machine on one workload")
     simulate.add_argument("machine", choices=sorted(MACHINE_REGISTRY))
     simulate.add_argument("workload", nargs="?", default=None,
-                          help="a registered workload name "
-                               "(see 'repro workloads')")
+                          help=_WORKLOAD_HELP)
     simulate.add_argument("--trace-file", default=None, metavar="PATH",
                           help="simulate an external JSONL trace file "
                                "(repro-trace format) instead of a "
@@ -800,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="simulate and print the stall-cycle breakdown"
     )
     stats_cmd.add_argument("machine", choices=sorted(MACHINE_REGISTRY))
-    stats_cmd.add_argument("workload", choices=WORKLOAD_NAMES + ("synthetic",))
+    stats_cmd.add_argument("workload", help=_WORKLOAD_HELP)
     stats_cmd.add_argument("-n", "--instructions", type=int,
                            default=DEFAULT_INSTRUCTIONS,
                            help=f"dynamic instructions "
@@ -814,21 +824,19 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd = commands.add_parser(
         "trace", help="emit a structured pipeline event trace"
     )
-    trace_cmd.add_argument("workload", choices=WORKLOAD_NAMES + ("synthetic",))
+    trace_cmd.add_argument("workload", help=_WORKLOAD_HELP)
     trace_cmd.add_argument("--machine", choices=sorted(MACHINE_REGISTRY),
                            default="baseline")
     trace_cmd.add_argument("-n", "--instructions", type=int, default=5_000)
     trace_cmd.add_argument("--out", default="trace.json",
                            help="output path (default trace.json)")
-    trace_cmd.add_argument("--format", choices=("chrome", "metrics", "timeline"),
+    trace_cmd.add_argument("--format", choices=("chrome", "metrics"),
                            default="chrome",
-                           help="chrome trace_event JSON (default), metrics "
-                                "JSON, or a text timeline")
+                           help="chrome trace_event JSON (default) or "
+                                "metrics JSON")
     trace_cmd.add_argument("--capacity", type=int, default=None,
                            help="tracer ring-buffer capacity "
                                 "(default 1M events)")
-    trace_cmd.add_argument("--count", type=int, default=48,
-                           help="instructions to render (timeline format)")
     trace_cmd.set_defaults(func=_cmd_trace)
 
     experiment = commands.add_parser("experiment", help="regenerate a figure")
@@ -876,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     timeline = commands.add_parser("timeline", help="render a pipeline timeline")
     timeline.add_argument("machine", choices=sorted(MACHINE_REGISTRY))
-    timeline.add_argument("workload", choices=WORKLOAD_NAMES)
+    timeline.add_argument("workload", help=_WORKLOAD_HELP)
     timeline.add_argument("-n", "--instructions", type=int, default=2_000)
     timeline.add_argument("--start", type=int, default=0,
                           help="first dynamic instruction to show")

@@ -7,9 +7,10 @@ Compares the *current* measurements against two references:
   row to its floor, a hard gate (a measurement below its floor is a
   regression, full stop) that :func:`check_bench` applies; and
 * the run ledger's trailing window -- the newest entry of each kind
-  against the mean of the previous ones, failing when throughput or
-  cache-hit rate drops by more than ``threshold`` (a *relative* gate
-  that catches slow erosion the absolute floors are too loose for).
+  and grid (``config_hash``) against the mean of the previous ones,
+  failing when throughput or cache-hit rate drops by more than
+  ``threshold`` (a *relative* gate that catches slow erosion the
+  absolute floors are too loose for).
 
 Everything here is a pure function over loaded payloads, so the CLI,
 CI, and the tests drive the exact same checks.
@@ -79,23 +80,26 @@ def check_trailing_window(
     threshold: float = DEFAULT_THRESHOLD,
     window: int = DEFAULT_WINDOW,
 ) -> list[RegressionFinding]:
-    """The newest ledger entry of each kind vs its trailing window.
+    """The newest ledger entry of each grid vs its trailing window.
 
-    For every kind with at least two comparable entries, the newest
-    entry's simulated throughput (and, for campaign-shaped kinds, its
-    cache-hit rate) must not fall more than ``threshold`` below the
-    mean of the preceding ``window`` entries.  Entries that simulated
-    nothing (fully warm caches) are excluded from the throughput
-    comparison -- a warm rerun is a success, not a regression.
+    Entries are compared only within one ``(kind, config_hash)`` grid:
+    a run over another grid or budget is a different workload, not a
+    reference.  For every grid with at least two comparable entries,
+    the newest entry's simulated throughput (and, for campaign-shaped
+    kinds, its cache-hit rate) must not fall more than ``threshold``
+    below the mean of the preceding ``window`` entries.  Entries that
+    simulated nothing (fully warm caches) are excluded from the
+    throughput comparison -- a warm rerun is a success, not a
+    regression.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     findings: list[RegressionFinding] = []
-    by_kind: dict[str, list[LedgerEntry]] = {}
+    by_grid: dict[tuple[str, str], list[LedgerEntry]] = {}
     for entry in entries:
-        by_kind.setdefault(entry.kind, []).append(entry)
-    for kind in sorted(by_kind):
-        history = by_kind[kind]
+        by_grid.setdefault((entry.kind, entry.config_hash), []).append(entry)
+    for grid in sorted(by_grid):
+        kind, history = grid[0], by_grid[grid]
         rated = [e for e in history if e.instructions_per_second > 0]
         if len(rated) >= 2:
             current, trailing = rated[-1], rated[-1 - window:-1]

@@ -15,8 +15,10 @@ Given a frozen :class:`~repro.uarch.config.MachineConfig`,
   (``SCHED_WAIT``), the read-port budget (``REGFILE_PORT``), the
   random-steering and inter-cluster-wait guards on cycle skipping,
   and tracer/profiler probes for untraced, unprofiled runs;
-* all simulator state hoisted into locals **once per run** instead of
-  once per stage call per cycle;
+* all run state -- predictor counters, cache sets, rename map tables
+  and free lists, issue buffers, wakeup plumbing -- built as locals
+  from folded constants, so the runner shares no state with the
+  classes the reference model uses;
 * the issue histogram and stall attribution kept as flat integer
   lists indexed by cause code, converted back to ``SimStats``' dict
   shape only at the end.
@@ -68,6 +70,7 @@ import heapq
 import time
 from typing import TYPE_CHECKING, Callable
 
+from repro.isa.instructions import FP_REG_BASE
 from repro.obs.events import EventKind
 from repro.uarch.config import (
     REGFILE_NAMES,
@@ -168,10 +171,10 @@ def generate_source(
     """Emit the specialized flat run function for one machine shape.
 
     The returned source defines ``_compiled_run(sim, max_cycles)``:
-    it hoists the simulator's state into locals, runs the whole cycle
-    loop inline, writes the mutated scalars back, and returns the
-    populated ``SimStats``.  See the module docstring for what gets
-    folded and dropped.
+    it builds the machine's power-on state as locals, runs the whole
+    cycle loop inline, fills the simulator's timing record, and
+    returns the populated ``SimStats``.  See the module docstring for
+    what gets folded and dropped.
 
     Raises:
         ValueError: for configs outside :func:`supports_compile`.
@@ -223,6 +226,9 @@ def generate_source(
     # instruction, so other clusters' arrivals are never scheduled
     # (they change no state; skipping over them is exact).
     all_clusters = clustered and (exec_driven or traced)
+    # Only a steered cluster's window remembers where each instruction
+    # was placed (execution-driven steering picks the cluster at issue).
+    homed = clustered and steered
     # The cluster an issuing instruction leaves from / executes in.
     cl = "0" if one_heap and not exec_driven else "k"
     geometry = fifo_geometry(config)
@@ -446,6 +452,9 @@ def generate_source(
     add("    n = len(insts)")
     add("    pre = sim.pre")
     add("    real_producers = pre.real_producers")
+    if ports:
+        # One entry per source operand: the instruction's read demand.
+        add("    producers = pre.producers")
     add("    is_load = pre.is_load")
     add("    is_store = pre.is_store")
     add("    is_mem = pre.is_mem")
@@ -463,33 +472,7 @@ def generate_source(
         add("    dest_flat = pre.dest")
     if profiled:
         add("    stage_t = sim.stage_times")
-    add("    predictor = sim.predictor")
-    add("    counters = predictor._counters")
-    add("    history = predictor._history")
-    add("    lookups = predictor.lookups")
-    add("    phits = predictor.hits")
-    add("    cache = sim.cache")
-    add("    cache_sets = cache._sets")
-    add("    cache_accesses = cache.accesses")
-    add("    cache_misses = cache.misses")
-    add("    int_renamer = sim.int_renamer")
-    add("    int_map = int_renamer._map")
-    add("    int_free = int_renamer._free")
-    add("    int_free_set = int_renamer._free_set")
-    add("    fp_renamer = sim.fp_renamer")
-    add("    fp_map = fp_renamer._map")
-    add("    fp_free = fp_renamer._free")
-    add("    fp_free_set = fp_renamer._free_set")
-    add("    arrivals = sim.arrivals")
-    if exec_driven:
-        add("    central_ready = sim.central_ready")
-    elif one_heap:
-        add("    ready_heap = sim.ready_heaps[0]")
-    elif not fifos:
-        add("    ready_heaps = sim.ready_heaps")
-    add("    unissued_stores = sim.unissued_stores")
-    add("    inflight_store_words = sim.inflight_store_words")
-    add("    dispatched = sim.dispatched")
+    # The timing record, filled in place.
     add("    issued = sim.issued")
     add("    fetch_cycle = sim.fetch_cycle")
     add("    dispatch_cycle = sim.dispatch_cycle")
@@ -497,20 +480,41 @@ def generate_source(
     add("    complete_cycle = sim.complete_cycle")
     add("    commit_cycle = sim.commit_cycle")
     add("    cluster_of = sim.cluster_of")
-    add("    home_cluster = sim.home_cluster")
-    add("    waiting_on = sim.waiting_on")
-    add("    in_ready = sim.in_ready")
-    add("    prev_dest_phys = sim.prev_dest_phys")
-    if ports:
-        add("    reads_of = sim.regfile_reads")
-    if clustered:
-        add("    used_x_bypass = sim.used_x_bypass")
     if fifos or conceptual:
         add("    fifo_of = sim.fifo_of")
-        add("    fifo_lists = sim.fifo_lists")
+    # Power-on machine state: gshare counters and history, empty LRU
+    # cache sets, and per class a map table (logical register i in
+    # physical i) and the free list of the remaining registers.
+    add(f"    counters = [{predictor.initial_counter}] * {predictor.counters}")
+    add("    history = lookups = phits = 0")
+    add(f"    cache_sets = [[] for _ in range({cache.sets})]")
+    add("    cache_accesses = cache_misses = 0")
+    add(f"    int_map = list(range({FP_REG_BASE}))")
+    add(f"    int_free = list(range({FP_REG_BASE}, {config.int_phys_regs}))")
+    add(f"    fp_map = list(range({FP_REG_BASE}))")
+    add(f"    fp_free = list(range({FP_REG_BASE}, {config.fp_phys_regs}))")
+    add("    prev_dest_phys = [None] * n")
+    add("    arrivals = {{}}")
+    if exec_driven:
+        add("    central_ready = []")
+    elif one_heap:
+        add("    ready_heap = []")
+    elif not fifos:
+        add("    ready_heaps = [%s]" % ", ".join(["[]"] * n_clusters))
+    if not fifos:
+        add("    in_ready = bytearray(n)")
+    add("    unissued_stores = []")
+    add("    inflight_store_words = {{}}")
+    add("    waiting_on = [None] * n")
+    if homed:
+        add("    home_cluster = [-1] * n")
+    if clustered:
+        add("    used_x_bypass = bytearray(n)")
+    if fifos or conceptual:
+        add("    fifo_lists = [%s]" % ", ".join(
+            f"[[] for _ in range({count})]" for count, _depth in geometry))
     if fifos:
-        add("    fifo_occ = sum(len(entries) for lists in fifo_lists"
-            " for entries in lists)")
+        add("    fifo_occ = 0")
     for k, (count, _depth) in enumerate(geometry):
         for fi in range(count):
             add(f"    fifo_{k}_{fi} = fifo_lists[{k}][{fi}]")
@@ -523,8 +527,10 @@ def generate_source(
     if random_steered:
         add(f"    rng_state = {config.steering_seed & 0xFFFFFFFF}")
     if positional:
-        add("    slot_of = sim.slot_of")
-        add("    free_slots = sim.free_slots")
+        # Lowest free window slot first; an ascending list is a heap.
+        add("    slot_of = {{}}")
+        add("    free_slots = [%s]" % ", ".join(
+            f"list(range({capacity}))" for capacity in capacities))
     if ldt:
         # Load-delay tracking: last observed latency per static load,
         # and the predicted wakeup cycle of each issued load.
@@ -534,30 +540,21 @@ def generate_source(
     if all_clusters:
         add("    pending1 = [0] * n")
         add("    pendings = (pending0, pending1)")
-    add("    cycle = sim.cycle")
-    add("    commit_ptr = sim.commit_ptr")
-    add("    in_flight = sim.in_flight")
-    add("    fetch_ptr = sim.fetch_ptr")
     # The fetch buffer (in-order fetch, in-order dispatch) is always
     # the contiguous seq range [buf_head, fetch_ptr); the head's ready
-    # cycle is its fetch cycle plus the front-end depth, so the deque
-    # itself is compiled away.
-    add("    buf_head = fetch_ptr - len(sim.fetch_buffer)")
-    add("    next_fetch_cycle = sim.next_fetch_cycle")
-    add("    pending_redirect = sim.pending_redirect")
+    # cycle is its fetch cycle plus the front-end depth, so no queue
+    # is kept.
+    add("    cycle = commit_ptr = in_flight = fetch_ptr = buf_head = 0")
+    add("    next_fetch_cycle = 0")
+    add("    pending_redirect = None")
     if clustered:
-        add("    window_count = sim.window_count")
+        add("    window_count = " + per_cluster(0))
     else:
-        add("    window_count0 = sim.window_count[0]")
-    add("    committed = stats.committed")
-    add("    fetched = stats.fetched")
-    add("    mispredicts = stats.mispredicts")
-    add("    store_forwards = stats.store_forwards")
-    add("    occupancy_sum = stats.occupancy_sum")
-    add("    active_cycles = stats.active_cycles")
+        add("    window_count0 = 0")
+    add("    committed = fetched = mispredicts = store_forwards = 0")
+    add("    occupancy_sum = active_cycles = skipped_cycles = 0")
     if clustered:
-        add("    inter_cluster_bypasses = stats.inter_cluster_bypasses")
-    add("    skipped_cycles = sim.skipped_cycles")
+        add("    inter_cluster_bypasses = 0")
     add("    hist = [0] * %d" % (config.issue_width + 1))
     add("    stall_c = [0] * {N_CAUSES}")
     add("    disp_st = [0] * {N_CAUSES}")
@@ -632,10 +629,8 @@ def generate_source(
     add("                    if previous is not None:")
     add("                        if kind == 1:")
     add("                            int_free.append(previous)")
-    add("                            int_free_set.add(previous)")
     add("                        else:")
     add("                            fp_free.append(previous)")
-    add("                            fp_free_set.add(previous)")
     if clustered:
         add("                if used_x_bypass[s]:")
         add("                    inter_cluster_bypasses += 1")
@@ -760,7 +755,7 @@ def generate_source(
         reject("b_fu")
     if ports:
         read_budget = budget_of("read_budget", cl)
-        add("            needed = reads_of[s]")
+        add("            needed = len(producers[s])")
         add(f"            if needed > {read_budget}:")
         reject("b_ports")
         add(f"            {read_budget} -= needed")
@@ -942,7 +937,8 @@ def generate_source(
             add("                place_called = True")
         place()
         add("                buf_head += 1")
-        add("                home_cluster[s] = k")
+        if homed:
+            add("                home_cluster[s] = k")
         steer_to = "k"
     else:
         if exec_driven:
@@ -952,7 +948,6 @@ def generate_source(
             add("                if window_count0 >= {CAP0}:")
         stall("C_WINDOW_FULL")
         add("                buf_head += 1")
-        add("                home_cluster[s] = 0")
         steer_to = "0"
     if positional:
         add(f"                if free_slots[{steer_to}]:")
@@ -976,13 +971,11 @@ def generate_source(
     add("                if kind:")
     add("                    if kind == 1:")
     add("                        phys = int_free.pop()")
-    add("                        int_free_set.discard(phys)")
     add("                        ld = logical_dest[s]")
     add("                        prev_dest_phys[s] = int_map[ld]")
     add("                        int_map[ld] = phys")
     add("                    else:")
     add("                        phys = fp_free.pop()")
-    add("                        fp_free_set.discard(phys)")
     add("                        ld = logical_dest[s]")
     add("                        prev_dest_phys[s] = fp_map[ld]")
     add("                        fp_map[ld] = phys")
@@ -992,7 +985,6 @@ def generate_source(
         add(f"                tracer_emit(cycle, EK_DISPATCH, s, {steer_to})")
     add("                if is_store[s]:")
     add("                    heappush(unissued_stores, s)")
-    add("                dispatched[s] = 1")
     add("                dispatch_cycle[s] = cycle")
     add("                in_flight += 1")
     if all_clusters:
@@ -1175,25 +1167,9 @@ def generate_source(
         add("                cycle = best")
         add("                skipped_cycles += skipped")
 
-    # -- epilogue: write the hoisted state back ----------------------
+    # -- epilogue: the timing record's scalars and the statistics -----
     add("    sim.cycle = cycle")
-    add("    sim.commit_ptr = commit_ptr")
-    add("    sim.in_flight = in_flight")
-    add("    sim.fetch_ptr = fetch_ptr")
-    add("    sim.next_fetch_cycle = next_fetch_cycle")
-    add("    sim.pending_redirect = pending_redirect")
-    if not clustered:
-        add("    sim.window_count[0] = window_count0")
     add("    sim.skipped_cycles = skipped_cycles")
-    add("    fetch_buffer = sim.fetch_buffer")
-    add("    fetch_buffer.clear()")
-    add("    for s in range(buf_head, fetch_ptr):")
-    add("        fetch_buffer.append((s, fetch_cycle[s] + {FRONT_END}))")
-    add("    predictor._history = history")
-    add("    predictor.lookups = lookups")
-    add("    predictor.hits = phits")
-    add("    cache.accesses = cache_accesses")
-    add("    cache.misses = cache_misses")
     add("    stats.committed = committed")
     add("    stats.fetched = fetched")
     add("    stats.mispredicts = mispredicts")
@@ -1207,21 +1183,12 @@ def generate_source(
     add("    stats.branch_hits = phits")
     add("    stats.cache_accesses = cache_accesses")
     add("    stats.cache_misses = cache_misses")
-    add("    histogram = stats.issue_histogram")
-    add("    for count, value in enumerate(hist):")
-    add("        if value:")
-    add("            histogram[count] = histogram.get(count, 0) + value")
-    add("    stall_cycles = stats.stall_cycles")
-    add("    dispatch_stalls = stats.dispatch_stalls")
-    add("    for code, value in enumerate(stall_c):")
-    add("        if value:")
-    add("            cause = CAUSES[code]")
-    add("            stall_cycles[cause] = stall_cycles.get(cause, 0) + value")
-    add("    for code, value in enumerate(disp_st):")
-    add("        if value:")
-    add("            cause = CAUSES[code]")
-    add("            dispatch_stalls[cause] = ("
-        "dispatch_stalls.get(cause, 0) + value)")
+    add("    stats.issue_histogram = {{count: value for count, value"
+        " in enumerate(hist) if value}}")
+    add("    stats.stall_cycles = {{CAUSES[code]: value for code, value"
+        " in enumerate(stall_c) if value}}")
+    add("    stats.dispatch_stalls = {{CAUSES[code]: value for code, value"
+        " in enumerate(disp_st) if value}}")
     add("    return stats")
     return "\n".join(lines) + "\n"
 
@@ -1280,11 +1247,11 @@ def run_compiled(
 ) -> "SimStats":
     """Run one constructed simulator through its compiled function.
 
-    The simulator holds the initial state and the per-instruction
-    timing arrays; the whole cycle loop runs in the specialized
-    function, which fills those arrays in place -- so equivalence
-    tests can compare ``issue_cycle``/``commit_cycle``/... on the
-    instance afterwards.  The variant follows the simulator: traced
+    The simulator holds the inputs and the per-instruction timing
+    arrays; the whole cycle loop runs in the specialized function,
+    which fills those arrays in place -- so equivalence tests can
+    compare ``issue_cycle``/``commit_cycle``/... on the instance
+    afterwards.  The variant follows the simulator: traced
     when a tracer is attached, profiled when ``stage_times`` is set.
 
     Raises:

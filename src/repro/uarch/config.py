@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.isa.instructions import FP_REG_BASE
+
 
 class SelectionPolicy(enum.Enum):
     """Priority order used by the selection logic (Section 4.3).
@@ -224,9 +226,16 @@ class MachineConfig:
 
     def __post_init__(self) -> None:
         for name in ("fetch_width", "dispatch_width", "issue_width", "retire_width",
-                     "max_in_flight", "int_phys_regs", "fp_phys_regs", "fu_latency"):
+                     "max_in_flight", "fu_latency"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if min(self.int_phys_regs, self.fp_phys_regs) <= FP_REG_BASE:
+            raise ValueError(
+                f"physical register files smaller than the ISA: each "
+                f"class needs more than its {FP_REG_BASE} architectural "
+                f"registers (int_phys_regs={self.int_phys_regs}, "
+                f"fp_phys_regs={self.fp_phys_regs})"
+            )
         if self.front_end_stages < 0:
             raise ValueError("front_end_stages must be >= 0")
         if self.wakeup_select_stages < 1:

@@ -2,9 +2,8 @@
 
 The trace is the committed instruction stream, so each source
 operand's producer is simply the most recent earlier instruction that
-wrote the register.  Producers and consumer lists are machine
-independent; they are computed once per trace and cached on it
-(consumer lists only when first read).
+wrote the register.  The producer links are machine independent; they
+are computed once per trace and cached on it.
 """
 
 from __future__ import annotations
@@ -15,40 +14,14 @@ from repro.isa.emulator import Trace
 NO_PRODUCER = -1
 
 
-class DependenceInfo:
-    """Per-instruction dependence structure of a trace.
+def dependence_info(trace: Trace) -> list[tuple[int, ...]]:
+    """Compute (and cache on the trace) each instruction's producers.
 
-    Attributes:
-        producers: For instruction ``i``, a tuple of producer seq
-            numbers, one per source operand (:data:`NO_PRODUCER` when
-            the value predates the trace).  Duplicate producers are
-            kept -- an instruction reading the same register twice
-            still has one wakeup event per operand.
-        consumers: For instruction ``i``, the seqs of later
-            instructions with ``i`` as a producer (each consumer
-            listed once per dependent operand).  Built on first
-            access: the simulators never read it.
+    For instruction ``i``, a tuple of producer seq numbers, one per
+    source operand (:data:`NO_PRODUCER` when the value predates the
+    trace).  Duplicate producers are kept -- an instruction reading
+    the same register twice still has one wakeup event per operand.
     """
-
-    def __init__(self, insts: list, producers: list[tuple[int, ...]]):
-        self.producers = producers
-        self._insts = insts
-        self._consumers: list[list[int]] | None = None
-
-    @property
-    def consumers(self) -> list[list[int]]:
-        if self._consumers is None:
-            consumers: list[list[int]] = [[] for _ in self.producers]
-            for inst, inst_producers in zip(self._insts, self.producers):
-                for producer in inst_producers:
-                    if producer != NO_PRODUCER:
-                        consumers[producer].append(inst.seq)
-            self._consumers = consumers
-        return self._consumers
-
-
-def dependence_info(trace: Trace) -> DependenceInfo:
-    """Compute (and cache on the trace) its dependence structure."""
     cached = getattr(trace, "_dependence_info", None)
     if cached is not None:
         return cached
@@ -70,6 +43,5 @@ def dependence_info(trace: Trace) -> DependenceInfo:
         dest = inst.dest
         if dest is not None:
             last_writer[dest] = inst.seq
-    info = DependenceInfo(trace.insts, producers)
-    trace._dependence_info = info  # cache for reuse across machines
-    return info
+    trace._dependence_info = producers  # cache for reuse across machines
+    return producers

@@ -27,14 +27,14 @@ The per-operand wakeup is event driven: each producer schedules
 arrival events for its consumers, per cluster, so a cycle's work is
 proportional to actual activity.
 
-:class:`PipelineSimulator` builds the machine state for one
-(config, trace) pair; its :meth:`~PipelineSimulator.run` executes the
-cycle loop through the per-config compiled runner of
-:mod:`repro.uarch.compile`, which exists for every valid config.  The
-statistics are pinned cycle-for-cycle to
-:mod:`repro.uarch.pipeline_reference` (the frozen, readable model) by
-the equivalence suite.  The speed comes from the mechanisms documented
-in ``docs/performance.md``:
+:class:`PipelineSimulator` binds one (config, trace) pair and keeps
+the run's timing record; its :meth:`~PipelineSimulator.run` executes
+the cycle loop through the per-config compiled runner of
+:mod:`repro.uarch.compile`, which exists for every valid config and
+builds all of the machine state itself.  The statistics are pinned
+cycle-for-cycle to :mod:`repro.uarch.pipeline_reference` (the frozen,
+readable model) by the equivalence suite.  The speed comes from the
+mechanisms documented in ``docs/performance.md``:
 
 * per-trace pre-analysis (:mod:`repro.uarch.preanalysis`) turns
   repeated attribute/enum lookups into flat array indexing;
@@ -52,18 +52,11 @@ execution-driven steering keep it, guarded per cycle.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-
 from repro.isa.emulator import Trace
-from repro.isa.instructions import FP_REG_BASE
 from repro.obs.events import EventTracer
-from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.compile import run_compiled
 from repro.uarch.config import MachineConfig, SteeringPolicy
 from repro.uarch.preanalysis import preanalyze
-from repro.uarch.predictor import GshareBranchPredictor
-from repro.uarch.rename import RegisterRenamer
 from repro.uarch.stats import SimStats
 
 _INF = float("inf")
@@ -95,7 +88,11 @@ def fifo_geometry(config: MachineConfig) -> list[tuple[int, int]]:
 class PipelineSimulator:
     """One machine configuration bound to one trace.
 
-    Use :func:`simulate` for the one-shot convenience form.
+    Use :func:`simulate` for the one-shot convenience form.  The
+    simulator holds the run's inputs and, once :meth:`run` returns,
+    its timing record; the cycle loop's own state -- rename map tables
+    and free lists, issue buffers, predictor counters, cache sets, the
+    fetch buffer -- lives in the compiled runner's locals.
 
     Args:
         config: The machine to model.
@@ -109,6 +106,14 @@ class PipelineSimulator:
         stage_times: ``None``, or a list of five floats the profiled
             runner variant adds each stage's host seconds to (see
             :func:`repro.obs.profiling.profile_simulation`).
+        fetch_cycle, dispatch_cycle, issue_cycle, complete_cycle,
+            commit_cycle, cluster_of: Per-instruction lifecycle cycles
+            and execution cluster, filled by :meth:`run`.
+        issued: Per-instruction flags, set as each one issues.
+        fifo_of: ``(cluster, fifo)`` of each instruction buffered in a
+            (real or conceptual) steering FIFO; ``None`` once it issues.
+        cycle: Cycles simulated.
+        skipped_cycles: Idle cycles fast-forwarded rather than stepped.
     """
 
     def __init__(
@@ -122,98 +127,19 @@ class PipelineSimulator:
         self.tracer = tracer
         self.insts = trace.insts
         self.pre = preanalyze(trace)
-        self.n_clusters = len(config.clusters)
-        self.predictor = GshareBranchPredictor(config.predictor)
-        self.cache = SetAssociativeCache(config.cache)
         self.stats = SimStats(machine=config.name, workload=trace.name)
-        # Read-port demand per instruction (at most 2 in this ISA) for
-        # the ports_limited register file; None for unlimited ports.
-        self.regfile_reads: list[int] | None = None
-        if config.regfile == "ports_limited":
-            read_ports = config.regfile_read_ports
-            self.regfile_reads = [len(inst.srcs) for inst in self.insts]
-            widest = max(self.regfile_reads, default=0)
-            if widest > read_ports:
-                raise ValueError(
-                    f"an instruction reads {widest} registers but the "
-                    f"ports_limited file has only {read_ports} read "
-                    f"ports per cluster; it could never issue"
-                )
         self.stage_times: list[float] | None = None
-        self._reset_state()
-
-    def _reset_state(self) -> None:
         n = len(self.insts)
-        config = self.config
-        self.cycle = 0
-        # Per-instruction timing state.
-        self.dispatched = bytearray(n)
-        self.issued = bytearray(n)
         self.fetch_cycle = [0] * n
         self.dispatch_cycle = [0] * n
         self.issue_cycle = [0] * n
         self.complete_cycle = [_INF] * n
         self.commit_cycle = [0] * n
         self.cluster_of = [-1] * n
-        self.home_cluster = [-1] * n  # cluster chosen at dispatch
-        self.used_x_bypass = bytearray(n)
-        # Wakeup plumbing.
-        self.arrivals: dict[int, list[tuple[int, int]]] = {}
-        self.waiting_on: list[list[int] | None] = [None] * n
-        self.in_ready = bytearray(n)
-        # Issue FIFOs (or, for window dispatch steering, the
-        # conceptual FIFOs the heuristic runs over) as per-cluster
-        # lists of per-FIFO seq lists, oldest entry first.
-        self.fifo_lists: list[list[list[int]]] = [
-            [[] for _ in range(count)] for count, _depth in fifo_geometry(config)
-        ]
-        # (cluster, fifo) of each instruction buffered in a FIFO.
+        self.issued = bytearray(n)
         self.fifo_of: list[tuple[int, int] | None] = [None] * n
-        self.window_count = [0] * self.n_clusters
-        # Non-compacting (position-priority) selection: track which
-        # window slot each instruction occupies; lowest free slot is
-        # allocated at dispatch and freed at issue.
-        self.slot_of: dict[int, int] = {}
-        self.free_slots: list[list[int]] = [
-            list(range(c.capacity)) for c in config.clusters
-        ]
-        for heap in self.free_slots:
-            heapq.heapify(heap)
-        self.ready_heaps: list[list[int]] = [[] for _ in range(self.n_clusters)]
-        self.central_ready: list[int] = []
-        # Frontend.
-        self.fetch_ptr = 0
-        self.next_fetch_cycle = 0
-        self.pending_redirect: int | None = None
-        self.fetch_buffer: deque[tuple[int, int]] = deque()  # (seq, ready cycle)
-        # Resources.  Renaming is performed for real: map tables, free
-        # lists, and previous-mapping release at commit.
-        self.in_flight = 0
-        if (config.int_phys_regs <= FP_REG_BASE
-                or config.fp_phys_regs <= FP_REG_BASE):
-            raise ValueError("physical register files smaller than the ISA")
-        self.int_renamer = RegisterRenamer(
-            physical_registers=config.int_phys_regs, logical_registers=FP_REG_BASE
-        )
-        self.fp_renamer = RegisterRenamer(
-            physical_registers=config.fp_phys_regs, logical_registers=FP_REG_BASE
-        )
-        self.prev_dest_phys: list[int | None] = [None] * n
-        # Memory ordering.
-        self.unissued_stores: list[int] = []
-        self.inflight_store_words: dict[int, int] = {}
-        self.commit_ptr = 0
+        self.cycle = 0
         self.skipped_cycles = 0
-
-    @property
-    def free_int_regs(self) -> int:
-        """Free integer physical registers (from the real free list)."""
-        return self.int_renamer.free_count
-
-    @property
-    def free_fp_regs(self) -> int:
-        """Free floating-point physical registers."""
-        return self.fp_renamer.free_count
 
     def run(self, max_cycles: int | None = None) -> SimStats:
         """Simulate until the whole trace commits.

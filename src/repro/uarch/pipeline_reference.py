@@ -105,8 +105,7 @@ class ReferencePipelineSimulator:
         self.trace = trace
         self.tracer = tracer
         self.insts = trace.insts
-        info = dependence_info(trace)
-        self.producers = info.producers
+        self.producers = dependence_info(trace)
         self.n_clusters = len(config.clusters)
         self.extra_bypass = config.extra_bypass_latency
         # Figure 10: a wakeup+select loop pipelined over N stages
@@ -198,9 +197,6 @@ class ReferencePipelineSimulator:
         # Resources.  Renaming is performed for real: map tables, free
         # lists, and previous-mapping release at commit.
         self.in_flight = 0
-        if (config.int_phys_regs <= FP_REG_BASE
-                or config.fp_phys_regs <= FP_REG_BASE):
-            raise ValueError("physical register files smaller than the ISA")
         self.int_renamer = RegisterRenamer(
             physical_registers=config.int_phys_regs, logical_registers=FP_REG_BASE
         )

@@ -70,13 +70,12 @@ class TracePreAnalysis:
     )
 
     def __init__(self, trace: Trace):
-        info = dependence_info(trace)
         insts = trace.insts
         n = len(insts)
-        self.producers = info.producers
+        self.producers = dependence_info(trace)
         self.real_producers = [
             tuple(p for p in producers if p != NO_PRODUCER)
-            for producers in info.producers
+            for producers in self.producers
         ]
         self.is_load = bytearray(n)
         self.is_store = bytearray(n)

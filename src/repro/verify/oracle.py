@@ -11,7 +11,8 @@ the comparison functions the fuzzer applies to every case:
 * :func:`compare_stats` -- byte-identical ``SimStats.to_dict()``
   between the optimized and reference pipelines.
 * :func:`check_timing_invariants` -- per-instruction lifecycle
-  ordering, width/occupancy bounds, and the stall-cycle partition.
+  ordering, operand arrival, load-after-store order, width, unit,
+  port and occupancy bounds, and the stall-cycle partition.
 
 The shadow interpreter is written in a different style on purpose
 (unsigned 32-bit register file with a signed *view*, opcode dispatch
@@ -25,6 +26,7 @@ from __future__ import annotations
 from repro.isa.assembler import Program
 from repro.isa.emulator import Emulator, Trace
 from repro.isa.instructions import FP_REG_BASE, OpClass
+from repro.uarch.depend import NO_PRODUCER, dependence_info
 
 _M32 = 0xFFFFFFFF
 
@@ -345,12 +347,16 @@ def compare_stats(compiled_payload: dict, reference_payload: dict) -> list[str]:
 
 
 def check_timing_invariants(simulator, config, trace) -> list[str]:
-    """Machine-independent timing invariants on a finished compiled run.
+    """Machine-independent timing invariants on a finished run.
 
     Checks per-instruction lifecycle ordering (fetch <= dispatch <=
     issue < complete <= commit), in-order commit within the retire
-    width, per-cycle issue-width enforcement, occupancy bounds, and
-    the stall-cycle partition (``SimStats.validate``).
+    width, operand arrival (a consumer issues no earlier than its
+    producer completes plus the wakeup bubble, plus the inter-cluster
+    bypass across clusters), load-after-store order (a load issues no
+    earlier than any earlier store, Table 3), per-cycle issue-width,
+    functional-unit and cache-port limits, occupancy bounds, and the
+    stall-cycle partition (``SimStats.validate``).
     """
     failures: list[str] = []
     stats = simulator.stats
@@ -363,13 +369,24 @@ def check_timing_invariants(simulator, config, trace) -> list[str]:
         failures.append(
             f"committed {stats.committed} of {n} trace instructions"
         )
+    insts = trace.insts
+    producers = dependence_info(trace)
+    bubble = config.wakeup_select_stages - 1
+    extra = config.extra_bypass_latency
+    clusters = config.clusters
     fetch = simulator.fetch_cycle
     dispatch = simulator.dispatch_cycle
     issue = simulator.issue_cycle
     complete = simulator.complete_cycle
     commit = simulator.commit_cycle
+    cluster_of = simulator.cluster_of
     issued_per_cycle: dict[int, int] = {}
     committed_per_cycle: dict[int, int] = {}
+    fu_per_cycle: dict[tuple[int, int], int] = {}
+    mem_per_cycle: dict[int, int] = {}
+    # The latest issue cycle of any store so far: a later load must
+    # not issue before it (every earlier store address is known).
+    store_issued = -1
     for seq in range(n):
         if not simulator.issued[seq]:
             failures.append(f"inst {seq} never issued")
@@ -394,9 +411,33 @@ def check_timing_invariants(simulator, config, trace) -> list[str]:
                 f"out-of-order commit: inst {seq} at {commit[seq]} "
                 f"before inst {seq - 1} at {commit[seq - 1]}"
             )
-        if not 0 <= simulator.cluster_of[seq] < len(config.clusters):
-            failures.append(f"inst {seq} on bogus cluster "
-                            f"{simulator.cluster_of[seq]}")
+        cluster = cluster_of[seq]
+        if 0 <= cluster < len(clusters):
+            key = (issue[seq], cluster)
+            fu_per_cycle[key] = fu_per_cycle.get(key, 0) + 1
+        else:
+            failures.append(f"inst {seq} on bogus cluster {cluster}")
+        for producer in producers[seq]:
+            if producer == NO_PRODUCER:
+                continue
+            arrival = complete[producer] + bubble
+            if cluster_of[producer] != cluster:
+                arrival += extra
+            if issue[seq] < arrival:
+                failures.append(
+                    f"inst {seq} issued at {issue[seq]} before its operand "
+                    f"from inst {producer} arrived at {arrival}"
+                )
+        op_class = insts[seq].op_class
+        if op_class is OpClass.LOAD or op_class is OpClass.STORE:
+            mem_per_cycle[issue[seq]] = mem_per_cycle.get(issue[seq], 0) + 1
+            if op_class is OpClass.STORE:
+                store_issued = max(store_issued, issue[seq])
+            elif issue[seq] < store_issued:
+                failures.append(
+                    f"load {seq} issued at {issue[seq]} before an earlier "
+                    f"store issued at {store_issued}"
+                )
         issued_per_cycle[issue[seq]] = issued_per_cycle.get(issue[seq], 0) + 1
         committed_per_cycle[commit[seq]] = (
             committed_per_cycle.get(commit[seq], 0) + 1
@@ -414,6 +455,18 @@ def check_timing_invariants(simulator, config, trace) -> list[str]:
         failures.append(
             f"retire width exceeded: {max(committed_per_cycle.values())} > "
             f"{config.retire_width}"
+        )
+    for (cycle, cluster), count in sorted(fu_per_cycle.items()):
+        if count > clusters[cluster].fu_count:
+            failures.append(
+                f"cluster {cluster} issued {count} at cycle {cycle} with "
+                f"{clusters[cluster].fu_count} functional units"
+            )
+            break
+    if mem_per_cycle and max(mem_per_cycle.values()) > config.cache.ports:
+        failures.append(
+            f"cache ports exceeded: {max(mem_per_cycle.values())} memory "
+            f"operations issued in one cycle > {config.cache.ports}"
         )
     if stats.occupancy_sum > stats.cycles * config.total_capacity:
         failures.append(

@@ -16,16 +16,17 @@ bundled emulator -- hand-built streams, other simulators.  The format is deliber
   ``op`` must be a mnemonic from the ISA opcode table
   (:data:`repro.isa.instructions.OPCODES`); execution class and the
   load/store/branch/jump flags are *derived* from it, never stated,
-  so a file cannot contradict the ISA.  ``srcs`` lists architectural
-  source registers (1-63; register 0 is never a true dependence),
-  ``dest`` is the destination register or ``null``, ``mem`` is the
-  byte address for loads/stores (``null`` otherwise), and ``next`` is
-  the static index of the following dynamic instruction.
+  so a file cannot contradict the ISA.  ``srcs`` lists at most two
+  architectural source registers (1-63; register 0 is never a true
+  dependence), ``dest`` is the destination register or ``null``,
+  ``mem`` is the byte address for loads/stores (``null`` otherwise),
+  and ``next`` is the static index of the following dynamic
+  instruction.
 
 The loader (:func:`load_trace`) validates everything it can --
-header shape, version, opcode, register ranges, memory-operand
-rules, control-flow consistency (``next`` must chain to the next
-line's ``pc``), and the instruction count -- and raises
+header shape, version, opcode, register ranges and source counts,
+memory-operand rules, control-flow consistency (``next`` must chain
+to the next line's ``pc``), and the instruction count -- and raises
 :class:`TraceFormatError` with the offending line number.  The
 exporter (:func:`save_trace`) writes the same format for our own
 traces, and round-trips byte-identically.
@@ -51,6 +52,9 @@ TRACE_FORMAT_NAME = "repro-trace"
 
 #: Flat architectural register space (int 0-31, fp 32-63).
 _NUM_REGS = 64
+
+#: Source registers of the widest ISA instruction.
+_MAX_SRCS = 2
 
 
 class TraceFormatError(ValueError):
@@ -142,6 +146,9 @@ def _parse_record(record: dict, line_number: int, seq: int) -> DynInst:
                        for r in srcs)):
         _fail(line_number, f"srcs must be registers in 1..{_NUM_REGS - 1}, "
                            f"got {srcs!r}")
+    if len(srcs) > _MAX_SRCS:
+        _fail(line_number, f"{opcode} lists {len(srcs)} srcs; no ISA "
+                           f"instruction reads more than {_MAX_SRCS}")
     dest = record["dest"]
     if dest is not None and not (isinstance(dest, int)
                                  and 0 < dest < _NUM_REGS):

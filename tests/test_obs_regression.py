@@ -132,9 +132,10 @@ class TestCheckBench:
         assert check_bench("simulator", sim_payload(fast=60_000)) == []
 
 
-def rated(kind, rate, cells=0, hits=0):
+def rated(kind, rate, cells=0, hits=0, grid=""):
     return LedgerEntry(kind=kind, instructions_per_second=rate,
-                       cell_count=cells, cache_hits=hits, run_id="r" * 16)
+                       cell_count=cells, cache_hits=hits, run_id="r" * 16,
+                       config_hash=grid)
 
 
 class TestTrailingWindow:
@@ -167,6 +168,17 @@ class TestTrailingWindow:
     def test_kinds_compared_independently(self):
         entries = [rated("simulate", 100.0), rated("fuzz", 10.0)]
         assert check_trailing_window(entries) == []
+
+    def test_grids_compared_independently(self):
+        # A slow run of one grid is not a regression of a faster grid
+        # of the same kind; a drop within one grid still is.
+        fast_a = rated("campaign", 100.0, cells=4, grid="A")
+        slow_b = rated("campaign", 10.0, cells=4, grid="B")
+        assert check_trailing_window([fast_a, slow_b]) == []
+        slow_a = rated("campaign", 40.0, cells=4, grid="A")
+        (finding,) = check_trailing_window([fast_a, slow_b, slow_a])
+        assert "campaign throughput" in finding.subject
+        assert (finding.measured, finding.reference) == (40.0, 100.0)
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="threshold"):

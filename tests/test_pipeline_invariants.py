@@ -1,21 +1,25 @@
 """Post-hoc structural invariants of the pipeline timing model.
 
 Each check runs a machine over a trace, then audits the simulator's
-per-instruction timing arrays for properties that must hold for *any*
-correct out-of-order machine: program-order commit, width limits
-actually enforced cycle by cycle, dependence-respecting issue times,
-FIFO in-order issue, memory-ordering rules, and cluster port limits.
+per-instruction timing arrays with the fuzzer's own checker
+(:func:`repro.verify.oracle.check_timing_invariants`) for properties
+that must hold for *any* correct out-of-order machine: program-order
+commit, width limits actually enforced cycle by cycle,
+dependence-respecting issue times, memory-ordering rules, and cluster
+unit and port limits.  FIFO in-order issue and the register drain are
+checked here directly.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.machines import baseline_8way, dependence_based_8way
-from repro.isa.instructions import OpClass
+from repro.isa.instructions import FP_REG_BASE
 from repro.uarch.config import ClusterConfig, MachineConfig, SelectionPolicy, SteeringPolicy
-from repro.uarch.depend import NO_PRODUCER, dependence_info
 from repro.obs.events import EventKind, EventTracer
 from repro.uarch.pipeline import PipelineSimulator
+from repro.uarch.pipeline_reference import ReferencePipelineSimulator
+from repro.verify.oracle import check_timing_invariants
 from repro.workloads import SyntheticConfig, get_trace, synthetic_trace
 from tests.machines import STEERED_MACHINES
 
@@ -30,72 +34,23 @@ def run(config, trace):
 
 def audit(simulator):
     """Assert every machine-independent invariant on a finished run."""
-    config = simulator.config
-    insts = simulator.insts
-    n = len(insts)
-    info = dependence_info(simulator.trace)
-    issue = simulator.issue_cycle
-    complete = simulator.complete_cycle
-    cluster = simulator.cluster_of
+    failures = check_timing_invariants(
+        simulator, simulator.config, simulator.trace
+    )
+    assert failures == [], failures
 
-    issued_per_cycle: dict[int, int] = {}
-    mem_per_cycle: dict[int, int] = {}
-    fu_per_cycle: dict[tuple[int, int], int] = {}
 
-    for seq in range(n):
-        assert simulator.issued[seq], f"inst {seq} never issued"
-        # Completion after issue, by at least the unit latency.
-        assert complete[seq] >= issue[seq] + 1
-        # Execution cluster is valid.
-        assert 0 <= cluster[seq] < len(config.clusters)
-        issued_per_cycle[issue[seq]] = issued_per_cycle.get(issue[seq], 0) + 1
-        key = (issue[seq], cluster[seq])
-        fu_per_cycle[key] = fu_per_cycle.get(key, 0) + 1
-        if insts[seq].op_class in (OpClass.LOAD, OpClass.STORE):
-            mem_per_cycle[issue[seq]] = mem_per_cycle.get(issue[seq], 0) + 1
-        # Register dependences: a consumer issues no earlier than its
-        # producer's value arrives in the consumer's cluster.
-        for producer in info.producers[seq]:
-            if producer == NO_PRODUCER:
-                continue
-            arrival = complete[producer] + (config.wakeup_select_stages - 1)
-            if cluster[producer] != cluster[seq]:
-                arrival += config.extra_bypass_latency
-            assert issue[seq] >= arrival, (
-                f"inst {seq} issued at {issue[seq]} before operand from "
-                f"{producer} arrived at {arrival}"
-            )
-        # Memory ordering: loads issue only after every earlier store
-        # has issued (all prior store addresses known, Table 3).
-        # (Checked pairwise below for a sample to stay fast.)
-
-    # Width limits, enforced every cycle.
-    assert max(issued_per_cycle.values(), default=0) <= config.issue_width
-    if mem_per_cycle:
-        assert max(mem_per_cycle.values()) <= config.cache.ports
-    for (cycle_, cluster_index), count in fu_per_cycle.items():
-        assert count <= config.clusters[cluster_index].fu_count, (
-            f"cluster {cluster_index} issued {count} at cycle {cycle_}"
-        )
-
-    # Load-after-store ordering: a load issues no earlier than every
-    # earlier store (its address must be known, Table 3).
-    stores = [seq for seq in range(n) if insts[seq].is_store]
-    loads = [seq for seq in range(n) if insts[seq].op_class is OpClass.LOAD]
-    for load in loads:
-        for store in stores:
-            if store > load:
-                break
-            assert issue[load] >= issue[store], (
-                f"load {load} issued at {issue[load]} before earlier "
-                f"store {store} issued at {issue[store]}"
-            )
-
-    # Commit accounting.
-    assert simulator.stats.committed == n
-    assert simulator.in_flight == 0
-    assert simulator.free_int_regs == config.int_phys_regs - 32
-    assert simulator.free_fp_regs == config.fp_phys_regs - 32
+def assert_drained(config, trace):
+    """A finished reference run holds nothing in flight and has freed
+    every physical register beyond the architectural ones.  The
+    compiled runner's free lists live only inside the run; a leak
+    there changes its INT_REGS/FP_REGS stall counts or deadlocks it,
+    which the reference-vs-compiled matrix reports."""
+    reference = ReferencePipelineSimulator(config, trace)
+    reference.run()
+    assert reference.in_flight == 0
+    assert reference.free_int_regs == config.int_phys_regs - FP_REG_BASE
+    assert reference.free_fp_regs == config.fp_phys_regs - FP_REG_BASE
 
 
 @pytest.mark.parametrize("machine", sorted(MACHINES))
@@ -103,6 +58,7 @@ def audit(simulator):
 def test_invariants_on_workloads(machine, workload):
     trace = get_trace(workload, 1_500)
     audit(run(MACHINES[machine](), trace))
+    assert_drained(MACHINES[machine](), trace)
 
 
 @pytest.mark.parametrize("machine", sorted(MACHINES))

@@ -238,6 +238,29 @@ class TestCli:
         assert "cycles" in out
         assert "IPC=" in out
 
+    def test_stats_takes_a_zoo_workload(self, capsys):
+        assert main(["stats", "baseline", "zoo_ilp_wide", "-n", "500"]) == 0
+        assert "on zoo_ilp_wide: IPC=" in capsys.readouterr().out
+
+    def test_timeline_takes_a_non_paper_kernel(self, capsys):
+        assert main(["timeline", "baseline", "qsort", "-n", "300",
+                     "--count", "4"]) == 0
+        assert "on qsort: IPC=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "baseline", "dhrystone"],
+        ["stats", "baseline", "dhrystone"],
+        ["trace", "dhrystone"],
+        ["timeline", "baseline", "dhrystone"],
+    ])
+    def test_single_cell_commands_reject_unknown_workloads(
+        self, argv, capsys
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: unknown workload 'dhrystone'" in err
+        assert "zoo_ilp_wide" in err and "synthetic" in err
+
     def test_frontier_command(self, capsys):
         assert main(["frontier", "-n", "800", "--no-cache"]) == 0
         out = capsys.readouterr().out

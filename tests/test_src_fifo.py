@@ -84,7 +84,7 @@ def test_equivalence_with_pipeline_bookkeeping(factory, workload):
     replayed from the compiled runner's own STEER (enter a FIFO) and
     ISSUE (leave it) events, in the order the pipeline acted."""
     trace = get_trace(workload, 1_500)
-    info = dependence_info(trace)
+    producers = dependence_info(trace)
     tracer = EventTracer(capacity=None)
     simulator = PipelineSimulator(factory(), trace, tracer=tracer)
     simulator.run()
@@ -98,7 +98,7 @@ def test_equivalence_with_pipeline_bookkeeping(factory, workload):
         if event.kind is EventKind.STEER:
             # Check the steering query BEFORE this instruction updates
             # the table (the hardware reads SRC_FIFO during rename).
-            for src, producer in zip(inst.srcs, info.producers[seq]):
+            for src, producer in zip(inst.srcs, producers[seq]):
                 entry = table.lookup(src)
                 expected = (
                     fifo_of.get(producer) if producer != NO_PRODUCER

@@ -168,6 +168,14 @@ class TestMalformedRejection:
         lines[1] = json.dumps(record)
         self.check(lines, "line 2: srcs must be registers in 1..63")
 
+    def test_more_than_two_sources_rejected(self):
+        lines = valid_lines()
+        record = json.loads(lines[1])
+        record["srcs"] = [4, 5, 6, 7, 8]
+        lines[1] = json.dumps(record)
+        self.check(lines, "line 2: addu lists 5 srcs; no ISA instruction "
+                          "reads more than 2")
+
     def test_load_without_mem_address(self):
         lines = valid_lines()
         record = json.loads(lines[2])

@@ -315,19 +315,15 @@ class TestDependenceInfo:
 
     def test_producers_found(self):
         trace = self.trace_of("li r1, 1\naddu r2, r1, r1\nhalt\n")
-        info = dependence_info(trace)
-        assert info.producers[1] == (0, 0)
-        assert info.consumers[0] == [1, 1]
+        assert dependence_info(trace)[1] == (0, 0)
 
     def test_no_producer_for_initial_values(self):
         trace = self.trace_of("addu r2, r5, r6\nhalt\n")
-        info = dependence_info(trace)
-        assert info.producers[0] == (NO_PRODUCER, NO_PRODUCER)
+        assert dependence_info(trace)[0] == (NO_PRODUCER, NO_PRODUCER)
 
     def test_latest_writer_wins(self):
         trace = self.trace_of("li r1, 1\nli r1, 2\naddu r2, r1, r1\nhalt\n")
-        info = dependence_info(trace)
-        assert info.producers[2] == (1, 1)
+        assert dependence_info(trace)[2] == (1, 1)
 
     def test_cached_on_trace(self):
         trace = self.trace_of("li r1, 1\nhalt\n")
@@ -337,8 +333,7 @@ class TestDependenceInfo:
         from repro.workloads import get_trace
 
         trace = get_trace("gcc", 2_000)
-        info = dependence_info(trace)
-        for seq, producers in enumerate(info.producers):
+        for seq, producers in enumerate(dependence_info(trace)):
             for producer in producers:
                 assert producer == NO_PRODUCER or producer < seq
 
@@ -352,6 +347,14 @@ class TestMachineConfigValidation:
         assert config.int_phys_regs == 120
         assert config.clusters[0].window_size == 64
         assert config.cache.ports == 4
+
+    def test_register_file_must_cover_isa(self):
+        # Rejected where the config is built, before it gets a cache
+        # key or reaches a worker.
+        with pytest.raises(ValueError, match="smaller than the ISA"):
+            MachineConfig(int_phys_regs=16)
+        with pytest.raises(ValueError, match="smaller than the ISA"):
+            MachineConfig(fp_phys_regs=32)
 
     def test_fifo_machines_need_steering(self):
         with pytest.raises(ValueError, match="steering"):

@@ -82,3 +82,26 @@ def test_timing_invariants_pass_on_every_machine_shape():
         simulator.run()
         failures = check_timing_invariants(simulator, config, trace)
         assert failures == [], f"{shape}: {failures[:2]}"
+
+
+def test_issue_before_operand_arrival_is_reported():
+    """A record forged so a consumer issues one cycle before its
+    producer's value arrives is reported as such."""
+    _, _, trace = _run(3)
+    config = ALL_MACHINES["clustered"]()
+    simulator = PipelineSimulator(config, trace)
+    simulator.run()
+    assert check_timing_invariants(simulator, config, trace) == []
+    seq, producer = next(
+        (seq, producers[0])
+        for seq, producers in enumerate(simulator.pre.real_producers)
+        if producers
+    )
+    arrival = (simulator.complete_cycle[producer]
+               + config.wakeup_select_stages - 1)
+    if simulator.cluster_of[producer] != simulator.cluster_of[seq]:
+        arrival += config.extra_bypass_latency
+    simulator.issue_cycle[seq] = arrival - 1
+    failures = check_timing_invariants(simulator, config, trace)
+    assert (f"inst {seq} issued at {arrival - 1} before its operand from "
+            f"inst {producer} arrived at {arrival}") in failures
