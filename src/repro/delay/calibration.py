@@ -25,16 +25,22 @@ published numbers:
 
 All fits are non-negative least squares over non-negative regressors,
 which guarantees the fitted models are monotone non-decreasing in issue
-width and window size.
+width and window size.  The solver is :func:`fit_nonnegative`, an
+in-repo Lawson & Hanson active-set method ("Solving Least Squares
+Problems", 1974; the algorithm ``scipy.optimize.nnls`` wraps) run in
+exact rational arithmetic on the weighted normal equations.  Exactness
+is what lets it use normal equations at all: the wakeup regressors span
+1 to IW**2 * WS**2 = 262,144 and the hard anchors weigh 1,000, so in
+floating point the Gram matrix would square a large condition number.
+Exact arithmetic also needs no round-off tolerance in the active-set
+test, and each coefficient is the exact optimum correctly rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
-from scipy.optimize import nnls
 
 from repro.technology.params import Technology
 
@@ -94,10 +100,33 @@ def _check_tech(tech: Technology) -> str:
     return tech.name
 
 
+def _solve_positive_definite(
+    matrix: list[list[Fraction]], rhs: list[Fraction]
+) -> list[Fraction]:
+    """Exact Gaussian elimination; the matrix is a Gram matrix of
+    independent columns, so no pivot is ever zero."""
+    size = len(rhs)
+    augmented = [row[:] + [value] for row, value in zip(matrix, rhs)]
+    for k in range(size):
+        for row in augmented[k + 1:]:
+            factor = row[k] / augmented[k][k]
+            for j in range(k, size + 1):
+                row[j] -= factor * augmented[k][j]
+    solution = [Fraction(0)] * size
+    for k in reversed(range(size)):
+        known = sum((augmented[k][j] * solution[j] for j in range(k + 1, size)), Fraction(0))
+        solution[k] = (augmented[k][size] - known) / augmented[k][k]
+    return solution
+
+
 def fit_nonnegative(
     rows: list[list[float]], targets: list[float], weights: list[float]
 ) -> list[float]:
     """Weighted non-negative least squares.
+
+    Minimises ``sum(w * (row . x - target)**2)`` subject to ``x >= 0``
+    by Lawson & Hanson's active-set method, in exact rational
+    arithmetic over the weighted normal equations.
 
     Args:
         rows: Regressor rows (one per observation).
@@ -105,15 +134,46 @@ def fit_nonnegative(
         weights: Per-observation weights.
 
     Returns:
-        Coefficient list with all entries >= 0 (plain floats).
+        Coefficient list with all entries >= 0: the exact solution,
+        each coefficient correctly rounded to a plain float.
     """
-    matrix = np.asarray(rows, dtype=float)
-    target = np.asarray(targets, dtype=float)
-    weight = np.sqrt(np.asarray(weights, dtype=float))
-    solution, _residual = nnls(matrix * weight[:, None], target * weight)
-    # Plain Python floats: the models' public API must not leak numpy
-    # scalar types.
-    return [float(value) for value in solution]
+    exact = [[Fraction(value) for value in row] for row in rows]
+    exact_weights = [Fraction(weight) for weight in weights]
+    columns = range(len(exact[0]))
+    gram = [
+        [sum((w * row[i] * row[j] for row, w in zip(exact, exact_weights)), Fraction(0))
+         for j in columns]
+        for i in columns
+    ]
+    moment = [
+        sum((w * row[i] * Fraction(t) for row, w, t in zip(exact, exact_weights, targets)),
+            Fraction(0))
+        for i in columns
+    ]
+    x = [Fraction(0)] * len(columns)
+    passive: list[int] = []
+    while True:
+        # Minus the gradient of half the weighted squared residual.
+        descent = [
+            moment[i] - sum((g * v for g, v in zip(gram[i], x)), Fraction(0)) for i in columns
+        ]
+        free = [j for j in columns if j not in passive and descent[j] > 0]
+        if not free:
+            return [float(value) for value in x]
+        passive.append(max(free, key=descent.__getitem__))
+        while True:
+            z = _solve_positive_definite(
+                [[gram[i][j] for j in passive] for i in passive], [moment[i] for i in passive]
+            )
+            if all(value > 0 for value in z):
+                for j, value in zip(passive, z):
+                    x[j] = value
+                break
+            # Step from x towards z until the first coordinate hits 0.
+            step = min(x[j] / (x[j] - value) for j, value in zip(passive, z) if value <= 0)
+            for j, value in zip(passive, z):
+                x[j] += step * (value - x[j])
+            passive = [j for j in passive if x[j] > 0]
 
 
 # --------------------------------------------------------------------------
@@ -133,8 +193,11 @@ class RenameCoefficients:
         return self.c0 + self.c1 * issue_width + self.c2 * issue_width**2
 
 
-@lru_cache(maxsize=None)
-def _rename_coefficients(tech_name: str) -> RenameCoefficients:
+#: One weighted fit: regressor rows, targets and weights.
+FitSystem = tuple[list[list[float]], list[float], list[float]]
+
+
+def _rename_system(tech_name: str) -> FitSystem:
     anchors = TABLE2_PS[tech_name]
     t4 = anchors[(4, 32)][0]
     t8 = anchors[(8, 64)][0]
@@ -144,7 +207,12 @@ def _rename_coefficients(tech_name: str) -> RenameCoefficients:
     rows = [[1.0, 4.0, 16.0], [1.0, 8.0, 64.0], [1.0, 2.0, 4.0]]
     targets = [t4, t8, t2_soft]
     weights = [HARD_WEIGHT, HARD_WEIGHT, SOFT_WEIGHT]
-    c0, c1, c2 = fit_nonnegative(rows, targets, weights)
+    return rows, targets, weights
+
+
+@lru_cache(maxsize=None)
+def _rename_coefficients(tech_name: str) -> RenameCoefficients:
+    c0, c1, c2 = fit_nonnegative(*_rename_system(tech_name))
     return RenameCoefficients(c0=c0, c1=c1, c2=c2)
 
 
@@ -202,8 +270,7 @@ def _row(issue_width: float, window_size: float) -> list[float]:
     ]
 
 
-@lru_cache(maxsize=None)
-def _wakeup_coefficients(tech_name: str) -> WakeupCoefficients:
+def _wakeup_system(tech_name: str) -> FitSystem:
     hard_4_32 = wakeup_anchor_ps(tech_name, 4, 32)
     hard_8_64 = wakeup_anchor_ps(tech_name, 8, 64)
     # Soft shape anchors from the Section 4.2 growth percentages,
@@ -226,8 +293,12 @@ def _wakeup_coefficients(tech_name: str) -> WakeupCoefficients:
         10 * SOFT_WEIGHT,
         10 * SOFT_WEIGHT,
     ]
-    coefficients = fit_nonnegative(rows, targets, weights)
-    return WakeupCoefficients(*coefficients)
+    return rows, targets, weights
+
+
+@lru_cache(maxsize=None)
+def _wakeup_coefficients(tech_name: str) -> WakeupCoefficients:
+    return WakeupCoefficients(*fit_nonnegative(*_wakeup_system(tech_name)))
 
 
 def wakeup_coefficients(tech: Technology) -> WakeupCoefficients:

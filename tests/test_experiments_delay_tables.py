@@ -1,0 +1,123 @@
+"""EXPERIMENTS.md's delay numbers regenerate from the models.
+
+Each check recomputes one printed row or sentence of the Table 1, 2
+and 4 sections and the Figure 3, 5, 6 and 8 paragraphs, formats it at
+the precision the document prints, and requires it verbatim in
+EXPERIMENTS.md.  A model or calibration change that moves a published
+delay therefore fails here instead of drifting from the document.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from repro.delay import (
+    BypassDelayModel,
+    RenameDelayModel,
+    ReservationTableDelayModel,
+    SelectionDelayModel,
+    WakeupDelayModel,
+    overall_delays,
+)
+from repro.delay.calibration import TABLE1, TABLE2_PS, TABLE4_018
+from repro.technology import TECH_018, TECH_080, TECHNOLOGIES
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+
+#: The document's spelling of each technology.
+LABELS = {"0.8um": "0.8 µm", "0.35um": "0.35 µm", "0.18um": "0.18 µm"}
+
+
+@pytest.fixture(scope="module")
+def document():
+    # Paragraphs wrap at arbitrary words, so compare whitespace-folded.
+    return " ".join(EXPERIMENTS.read_text(encoding="utf-8").split())
+
+
+def section(document, title):
+    """The text of the ``## <title>`` section, up to the next heading."""
+    start = document.index(f"## {title}")
+    end = document.find(" ## ", start + 1)
+    return document[start:end if end != -1 else None]
+
+
+def assert_printed(text, expected):
+    assert expected in text, f"{expected!r} not in {text[:300]!r}..."
+
+
+@pytest.mark.parametrize("issue_width", sorted(TABLE1))
+def test_table1_rows(document, issue_width):
+    text = section(document, "Table 1")
+    paper_length, paper_delay = TABLE1[issue_width]
+    for tech in TECHNOLOGIES:
+        model = BypassDelayModel(tech)
+        assert_printed(text, (
+            f"| {issue_width} | {paper_length:.0f} / "
+            f"{model.wire_length_lambda(issue_width):.0f} | "
+            f"{paper_delay:.1f} / {model.total(issue_width):.1f} |"))
+
+
+@pytest.mark.parametrize("tech", TECHNOLOGIES, ids=lambda tech: tech.name)
+def test_table2_rows(document, tech):
+    text = section(document, "Table 2")
+    for (issue_width, window), paper in TABLE2_PS[tech.name].items():
+        ours = overall_delays(tech, issue_width, window)
+        measured = (ours.rename_ps, ours.window_logic_ps, ours.bypass_ps)
+        cells = " | ".join(f"{p:.1f} / {m:.1f}" for p, m in zip(paper, measured))
+        assert_printed(
+            text, f"| {LABELS[tech.name]} | {issue_width}-way/{window} | {cells} |")
+
+
+def test_table2_headline(document):
+    ours = overall_delays(TECH_018, 8, 64)
+    assert ours.bypass_ps > ours.window_logic_ps
+    assert_printed(section(document, "Table 2"), (
+        f"the bypass delay ({ours.bypass_ps:.1f} ps) overtakes the window "
+        f"logic ({ours.window_logic_ps:.1f} ps)"))
+
+
+@pytest.mark.parametrize("issue_width", sorted(TABLE4_018))
+def test_table4_rows(document, issue_width):
+    paper = TABLE4_018[issue_width]
+    model = ReservationTableDelayModel(TECH_018)
+    registers = paper["physical_registers"]
+    assert_printed(section(document, "Table 4"), (
+        f"| {issue_width} | {registers} | "
+        f"{model.entries(registers)} × {paper['bits']} | "
+        f"{paper['delay_ps']:.1f} / {model.total(issue_width, registers):.1f} |"))
+
+
+def test_figure3_rename_delays(document):
+    parts = []
+    for tech in TECHNOLOGIES:
+        model = RenameDelayModel(tech)
+        delays = " / ".join(f"{model.total(width):.1f}" for width in (2, 4, 8))
+        parts.append(f"{LABELS[tech.name]}: {delays}")
+    expected = f"{parts[0]} at 2/4/8-way; {parts[1]}; {parts[2]}."
+    assert_printed(section(document, "Figure 3"), expected)
+
+
+def test_figure5_wakeup_at_64_entries(document):
+    model = WakeupDelayModel(TECH_018)
+    two, four, eight = (model.total(width, 64) for width in (2, 4, 8))
+    assert_printed(section(document, "Figure 5"), (
+        f"Measured at 64 entries: {two:.1f} / {four:.1f} / {eight:.1f} ps "
+        f"for 2/4/8-way; growth steps +{100 * (four / two - 1):.1f} % "
+        f"(2→4-way) and +{100 * (eight / four - 1):.1f} % (4→8-way)"))
+
+
+def test_figure6_wire_fraction_and_totals(document):
+    coarse, fine = WakeupDelayModel(TECH_080), WakeupDelayModel(TECH_018)
+    text = section(document, "Figure 6")
+    assert_printed(text, (
+        f"{100 * coarse.wire_fraction(8, 64):.1f} % at 0.8 µm → "
+        f"{100 * fine.wire_fraction(8, 64):.1f} % at 0.18 µm"))
+    assert_printed(text, (
+        f"totals shrink {coarse.total(8, 64):.1f} → {fine.total(8, 64):.1f} ps"))
+
+
+def test_figure8_selection_steps(document):
+    model = SelectionDelayModel(TECH_018)
+    delays = " / ".join(f"{model.total(window):.0f}" for window in (16, 32, 64, 128))
+    assert_printed(section(document, "Figure 8"),
+                   f"at 0.18 µm, {delays} ps for 16/32/64/128 entries")
