@@ -11,7 +11,7 @@ consider dependences" -- is confirmed at the mechanism level.
 
 from conftest import bench_instructions
 
-from repro.core.experiments import run_machines
+from repro.core.campaign import run_campaign
 from repro.core.machines import (
     baseline_8way,
     clustered_least_loaded_8way,
@@ -32,12 +32,13 @@ def run_suite():
         "modulo (blind, balanced)": clustered_modulo_8way(),
         "least-loaded (blind, balancing)": clustered_least_loaded_8way(),
     }
-    return run_machines(
+    result, _ = run_campaign(
         configs,
         workloads=WORKLOADS,
         max_instructions=bench_instructions(),
         name="ablation-steering",
     )
+    return result
 
 
 def format_report(result):

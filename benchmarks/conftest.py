@@ -28,12 +28,8 @@ import os
 
 import pytest
 
-from repro.core.experiments import (
-    DEFAULT_INSTRUCTIONS,
-    run_fig13,
-    run_fig15,
-    run_fig17,
-)
+from repro.core.campaign import run_campaign
+from repro.core.experiments import DEFAULT_INSTRUCTIONS, figure_configs
 from repro.obs.regression import check_bench, format_findings, load_bench
 
 #: (title, text) report blocks, in registration order.
@@ -56,7 +52,7 @@ def bench_instructions() -> int:
     """Dynamic instructions per simulated benchmark run.
 
     Single-sourced from :data:`repro.core.experiments.DEFAULT_INSTRUCTIONS`
-    so the benchmarks and the experiment drivers cannot drift apart.
+    so the benchmarks and the campaign engine cannot drift apart.
     """
     return int(
         os.environ.get("REPRO_BENCH_INSTRUCTIONS", str(DEFAULT_INSTRUCTIONS))
@@ -124,19 +120,26 @@ def _write_sim_bench(terminalreporter) -> None:
     _SIM_RATES.clear()
 
 
+def _figure_result(which: str):
+    result, _ = run_campaign(figure_configs(which),
+                             max_instructions=bench_instructions(),
+                             name=which)
+    return result
+
+
 @pytest.fixture(scope="session")
 def fig13_result():
-    return run_fig13(max_instructions=bench_instructions())
+    return _figure_result("fig13")
 
 
 @pytest.fixture(scope="session")
 def fig15_result():
-    return run_fig15(max_instructions=bench_instructions())
+    return _figure_result("fig15")
 
 
 @pytest.fixture(scope="session")
 def fig17_result():
-    return run_fig17(max_instructions=bench_instructions())
+    return _figure_result("fig17")
 
 
 def pytest_terminal_summary(terminalreporter):

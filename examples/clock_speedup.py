@@ -11,7 +11,8 @@ Run:  python examples/clock_speedup.py [-n INSTS]
 
 import argparse
 
-from repro.core.experiments import run_fig15
+from repro.core.campaign import run_campaign
+from repro.core.experiments import figure_configs
 from repro.core.speedup import clock_adjusted_speedup
 from repro.delay.summary import (
     dependence_based_window_logic,
@@ -38,7 +39,8 @@ def main() -> None:
         )
 
     print(f"\nsimulating Figure 15 at {args.instructions} instructions...")
-    result = run_fig15(max_instructions=args.instructions)
+    result, _ = run_campaign(figure_configs("fig15"),
+                             max_instructions=args.instructions, name="fig15")
     print(result.format_table())
 
     summary = clock_adjusted_speedup(

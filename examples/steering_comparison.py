@@ -11,7 +11,7 @@ Run:  python examples/steering_comparison.py [workload ...] [-n INSTS]
 
 import argparse
 
-from repro.core.experiments import run_machines
+from repro.core.campaign import run_campaign
 from repro.core.machines import fig17_machines
 from repro.workloads import WORKLOAD_NAMES
 
@@ -33,7 +33,7 @@ def main() -> None:
 
     print(f"simulating {len(fig17_machines())} machines x {workloads} "
           f"({args.instructions} instructions each)...\n")
-    result = run_machines(
+    result, _ = run_campaign(
         fig17_machines(),
         workloads=workloads,
         max_instructions=args.instructions,

@@ -16,12 +16,8 @@ import argparse
 import time
 from pathlib import Path
 
-from repro.core.experiments import (
-    DEFAULT_INSTRUCTIONS,
-    run_fig13,
-    run_fig15,
-    run_fig17,
-)
+from repro.core.campaign import run_campaign
+from repro.core.experiments import DEFAULT_INSTRUCTIONS, figure_configs
 from repro.core.frontier import (
     conventional_frontier,
     dependence_based_point,
@@ -51,9 +47,10 @@ def main() -> int:
     print(f"running figure campaigns at {args.instructions} instructions...")
     started = time.perf_counter()
     campaigns = {
-        "fig13": run_fig13(max_instructions=args.instructions, jobs=args.jobs),
-        "fig15": run_fig15(max_instructions=args.instructions, jobs=args.jobs),
-        "fig17": run_fig17(max_instructions=args.instructions, jobs=args.jobs),
+        which: run_campaign(figure_configs(which),
+                            max_instructions=args.instructions,
+                            name=which, jobs=args.jobs)[0]
+        for which in ("fig13", "fig15", "fig17")
     }
     campaign_seconds = time.perf_counter() - started
     for name, result in campaigns.items():

@@ -26,8 +26,9 @@ Typical entry points::
     model = WakeupDelayModel(TECH_018)
     picoseconds = model.total(issue_width=8, window_size=64)
 
-    from repro.core import experiments
-    result = experiments.run_fig13(max_instructions=20_000)
+    from repro.core.campaign import run_campaign
+    from repro.core.experiments import figure_configs
+    result, profile = run_campaign(figure_configs("fig13"), name="fig13")
 """
 
 __version__ = "1.0.0"

@@ -10,14 +10,17 @@ Commands:
   (cached), with BIPS at one or all technology nodes.
 * ``machines``   -- list the simulated machine configurations.
 * ``workloads``  -- list (and optionally profile) the benchmark suite.
-* ``simulate``   -- run one machine over one workload.
-* ``stats``      -- simulate and print the per-cause stall breakdown.
-* ``trace``      -- emit a structured event trace (Chrome/Perfetto
-  JSON or metrics JSON).
-* ``experiment`` -- regenerate fig13 / fig15 / fig17 / speedup.
-* ``campaign``   -- run a figure grid on the parallel campaign engine
-  (worker pool, on-disk result cache, per-cell timeout/retry).
+* ``simulate``   -- run one machine over one workload and validate
+  the stats; ``-v`` adds the per-cause cycle attribution and the
+  metrics snapshot, ``--json`` writes the metrics JSON.
+* ``trace``      -- emit a Chrome/Perfetto event trace.
+* ``timeline``   -- render a text pipeline timeline.
+* ``campaign``   -- run a figure grid (fig13 / fig15 / fig17) on the
+  parallel campaign engine (worker pool, on-disk result cache,
+  per-cell timeout/retry); fig15 adds the Section 5.5 speedups.
 * ``asm``        -- assemble, run, and optionally simulate a program.
+* ``compile``    -- compile, run, and optionally simulate a Mini
+  program.
 * ``fuzz``       -- differential fuzzing: sampled machines and
   programs cross-checked against the architectural oracle, the
   reference pipeline, and the compiled pipeline (``--selftest``
@@ -52,7 +55,7 @@ from repro.delay.reservation import ReservationTableDelayModel
 from repro.delay.summary import overall_delays
 from repro.isa import assemble, run_to_trace
 from repro.report import bar_chart, text_table
-from repro.technology import TECHNOLOGIES, technology_by_feature_size
+from repro.technology import TECH_018, TECHNOLOGIES, technology_by_feature_size
 from repro.uarch.pipeline import SIMULATE_MODES
 from repro.uarch.pipeline import simulate as run_simulation
 from repro.workloads import (
@@ -197,6 +200,7 @@ def _cmd_simulate(args) -> int:
     start = time.perf_counter()
     stats = run_simulation(config, trace, mode=args.mode)
     seconds = time.perf_counter() - start
+    stats.validate()
     print(stats.summary())
     registry = MetricsRegistry()
     record_simulation_metrics(registry, stats, seconds,
@@ -236,6 +240,25 @@ def _cmd_simulate(args) -> int:
             f"{k} issued": v for k, v in sorted(stats.issue_histogram.items())
         }
         print(bar_chart(histogram, unit=" cycles"))
+        rows = [
+            [cause, cycles, f"{100 * fraction:5.1f}%"]
+            for cause, cycles, fraction in stats.stall_breakdown()
+        ]
+        print("\nper-cause cycle attribution (sums to total cycles):")
+        print(text_table(["cause", "cycles", "share"], rows))
+        attributed = stats.active_cycles + sum(stats.stall_cycles.values())
+        print(f"  attributed {attributed} of {stats.cycles} cycles")
+        # The same registry + formatting the campaign reports use, so
+        # a single run and a thousand-cell campaign read identically.
+        from repro.obs.metrics import format_snapshot
+
+        print("\nmetrics snapshot:")
+        print(format_snapshot(registry.snapshot()))
+    if args.json:
+        from repro.obs import write_metrics_json
+
+        write_metrics_json(args.json, stats)
+        print(f"  metrics written to {args.json}")
     return 0
 
 
@@ -255,48 +278,8 @@ def _workload_trace(command: str, workload: str, instructions: int):
     return None
 
 
-def _cmd_stats(args) -> int:
-    import time
-
-    trace = _workload_trace("stats", args.workload, args.instructions)
-    if trace is None:
-        return 2
-    config = MACHINE_REGISTRY[args.machine]()
-    start = time.perf_counter()
-    stats = run_simulation(config, trace)
-    seconds = time.perf_counter() - start
-    stats.validate()
-    print(stats.summary())
-    if args.breakdown:
-        rows = [
-            [cause, cycles, f"{100 * fraction:5.1f}%"]
-            for cause, cycles, fraction in stats.stall_breakdown()
-        ]
-        print("\nper-cause cycle attribution (sums to total cycles):")
-        print(text_table(["cause", "cycles", "share"], rows))
-        attributed = stats.active_cycles + sum(stats.stall_cycles.values())
-        print(f"  attributed {attributed} of {stats.cycles} cycles")
-        # The same registry + formatting the campaign reports use, so
-        # a single run and a thousand-cell campaign read identically.
-        from repro.obs.metrics import MetricsRegistry, format_snapshot
-        from repro.obs.profiling import record_simulation_metrics
-
-        registry = MetricsRegistry()
-        record_simulation_metrics(registry, stats, seconds,
-                                  machine=config.name,
-                                  workload=args.workload)
-        print("\nmetrics snapshot:")
-        print(format_snapshot(registry.snapshot()))
-    if args.json:
-        from repro.obs import write_metrics_json
-
-        write_metrics_json(args.json, stats)
-        print(f"  metrics written to {args.json}")
-    return 0
-
-
 def _cmd_trace(args) -> int:
-    from repro.obs import EventTracer, write_chrome_trace, write_metrics_json
+    from repro.obs import EventTracer, write_chrome_trace
     from repro.uarch.pipeline import PipelineSimulator
 
     trace = _workload_trace("trace", args.workload, args.instructions)
@@ -315,13 +298,9 @@ def _cmd_trace(args) -> int:
     simulator = PipelineSimulator(config, trace, tracer=tracer)
     stats = simulator.run()
     stats.validate()
-    if args.format == "chrome":
-        payload = write_chrome_trace(args.out, tracer.events, stats=stats)
-        print(f"wrote {len(payload['traceEvents'])} trace events to "
-              f"{args.out} (open in Perfetto or chrome://tracing)")
-    else:
-        write_metrics_json(args.out, stats)
-        print(f"wrote metrics JSON to {args.out}")
+    payload = write_chrome_trace(args.out, tracer.events, stats=stats)
+    print(f"wrote {len(payload['traceEvents'])} trace events to "
+          f"{args.out} (open in Perfetto or chrome://tracing)")
     if tracer.dropped:
         print(f"  note: ring buffer evicted {tracer.dropped} of "
               f"{tracer.emitted} events (raise --capacity to keep more)")
@@ -406,24 +385,6 @@ def _cmd_frontier(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    if args.which == "speedup":
-        summary = speedup.speedup_summary(max_instructions=args.instructions)
-        print(summary.format_table())
-        return 0
-    runner = {
-        "fig13": experiments.run_fig13,
-        "fig15": experiments.run_fig15,
-        "fig17": experiments.run_fig17,
-    }[args.which]
-    result = runner(max_instructions=args.instructions)
-    print(result.format_table())
-    if args.which == "fig17":
-        print("\ninter-cluster bypass frequency:")
-        print(result.format_table("bypass"))
-    return 0
-
-
 def _cmd_campaign(args) -> int:
     from repro.core.campaign import (
         ResultCache,
@@ -467,6 +428,12 @@ def _cmd_campaign(args) -> int:
         if meter:
             meter.close()
     print(result.format_table())
+    if args.which == "fig15":
+        print("\nSection 5.5 clock-adjusted speedup:")
+        print(speedup.clock_adjusted_speedup(
+            result, "2-cluster dependence-based", "window-based 8-way",
+            TECH_018,
+        ).format_table())
     if args.which == "fig17":
         print("\ninter-cluster bypass frequency:")
         print(result.format_table("bypass"))
@@ -803,26 +770,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="simulator model: the frozen reference, or "
                                "the per-config compiled pipeline (default; "
                                "every machine shape compiles)")
-    simulate.add_argument("-v", "--verbose", action="store_true")
+    simulate.add_argument("-v", "--verbose", action="store_true",
+                          help="also print stalls, the issue histogram, "
+                               "per-cause cycle attribution and the "
+                               "metrics snapshot")
+    simulate.add_argument("--json", default=None, metavar="PATH",
+                          help="also write machine-readable metrics JSON")
     simulate.set_defaults(func=_cmd_simulate)
 
-    stats_cmd = commands.add_parser(
-        "stats", help="simulate and print the stall-cycle breakdown"
-    )
-    stats_cmd.add_argument("machine", choices=sorted(MACHINE_REGISTRY))
-    stats_cmd.add_argument("workload", help=_WORKLOAD_HELP)
-    stats_cmd.add_argument("-n", "--instructions", type=int,
-                           default=DEFAULT_INSTRUCTIONS,
-                           help=f"dynamic instructions "
-                                f"(default {DEFAULT_INSTRUCTIONS})")
-    stats_cmd.add_argument("--breakdown", action="store_true",
-                           help="print per-cause cycle attribution")
-    stats_cmd.add_argument("--json", default=None, metavar="PATH",
-                           help="also write machine-readable metrics JSON")
-    stats_cmd.set_defaults(func=_cmd_stats)
-
     trace_cmd = commands.add_parser(
-        "trace", help="emit a structured pipeline event trace"
+        "trace", help="emit a Chrome/Perfetto pipeline event trace"
     )
     trace_cmd.add_argument("workload", help=_WORKLOAD_HELP)
     trace_cmd.add_argument("--machine", choices=sorted(MACHINE_REGISTRY),
@@ -830,23 +787,15 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("-n", "--instructions", type=int, default=5_000)
     trace_cmd.add_argument("--out", default="trace.json",
                            help="output path (default trace.json)")
-    trace_cmd.add_argument("--format", choices=("chrome", "metrics"),
-                           default="chrome",
-                           help="chrome trace_event JSON (default) or "
-                                "metrics JSON")
     trace_cmd.add_argument("--capacity", type=int, default=None,
                            help="tracer ring-buffer capacity "
                                 "(default 1M events)")
     trace_cmd.set_defaults(func=_cmd_trace)
 
-    experiment = commands.add_parser("experiment", help="regenerate a figure")
-    experiment.add_argument("which", choices=("fig13", "fig15", "fig17", "speedup"))
-    experiment.add_argument("-n", "--instructions", type=int, default=15_000)
-    experiment.set_defaults(func=_cmd_experiment)
-
     campaign = commands.add_parser(
         "campaign",
-        help="run a figure grid on the parallel campaign engine",
+        help="run a figure grid on the parallel campaign engine "
+             "(fig15 adds the Section 5.5 speedups)",
     )
     campaign.add_argument("which", choices=("fig13", "fig15", "fig17"))
     campaign.add_argument("--workloads", choices=("paper", "zoo", "all"),

@@ -2,8 +2,9 @@
 
 * :mod:`repro.core.machines` -- factory functions for every machine
   configuration the paper simulates (Figures 13, 15, and 17).
-* :mod:`repro.core.experiments` -- experiment drivers that run the
-  machines over the benchmark suite and package the results.
+* :mod:`repro.core.experiments` -- each simulated figure's machine
+  grid (:func:`figure_configs`) and the result type
+  :func:`repro.core.campaign.run_campaign` returns.
 * :mod:`repro.core.speedup` -- the Section 5.5 clock-adjusted
   performance comparison.
 * :mod:`repro.core.frontier` -- the complexity-effectiveness
@@ -23,14 +24,8 @@ from repro.core.machines import (
     dependence_based_8way,
     fig17_machines,
 )
-from repro.core.experiments import (
-    ExperimentResult,
-    run_fig13,
-    run_fig15,
-    run_fig17,
-    run_machines,
-)
-from repro.core.speedup import clock_adjusted_speedup, speedup_summary
+from repro.core.experiments import ExperimentResult
+from repro.core.speedup import clock_adjusted_speedup
 from repro.core.aggregate import arithmetic_mean, geometric_mean, mean_ipc
 from repro.core.frontier import (
     FrontierPoint,
@@ -54,12 +49,7 @@ __all__ = [
     "clustered_random_8way",
     "fig17_machines",
     "ExperimentResult",
-    "run_machines",
-    "run_fig13",
-    "run_fig15",
-    "run_fig17",
     "clock_adjusted_speedup",
-    "speedup_summary",
     "FrontierPoint",
     "conventional_frontier",
     "dependence_based_point",

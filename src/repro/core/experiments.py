@@ -1,20 +1,19 @@
-"""Experiment drivers for the paper's simulation figures.
+"""The paper's simulated figures: their machine grids and results.
 
-Each ``run_figNN`` function simulates the machines that figure
-compares over the seven-benchmark suite and returns an
+:func:`figure_configs` names the machines each figure compares.
+Running one is ``run_campaign(figure_configs(which), name=which)``
+(:mod:`repro.core.campaign`), which returns an
 :class:`ExperimentResult` whose rows mirror the figure's bars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core import machines as machine_factories
 from repro.core.aggregate import arithmetic_mean
 from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
-from repro.workloads import WORKLOAD_NAMES
 
 #: Default dynamic instructions per benchmark.  The paper ran up to
 #: 0.5 B; these kernels reach steady state within a few thousand.
@@ -88,6 +87,24 @@ class ExperimentResult:
 def figure_configs(which: str) -> dict[str, MachineConfig]:
     """The (name -> config) grid of one of the simulated figures.
 
+    The paper's results, which the simulated grids are checked
+    against:
+
+    * ``fig13`` -- baseline window vs. single-cluster dependence-based.
+      The dependence-based machine extracts similar parallelism:
+      within 5% for five of seven benchmarks, worst case 8% (li).
+    * ``fig15`` -- baseline vs. the 2x4-way clustered dependence-based
+      machine with 2-cycle inter-cluster bypasses.  Nearly as
+      effective; worst cases m88ksim (-12%) and compress (-9%), due
+      to inter-cluster bypass latency.  Section 5.5 combines this
+      grid with the clock ratio
+      (:func:`repro.core.speedup.clock_adjusted_speedup`).
+    * ``fig17`` -- the five clustered organisations (IPC and
+      inter-cluster bypass frequency).  Random steering degrades
+      17-26%; execution-driven steering is nearly ideal (max 6% loss)
+      but needs a central window; both dispatch-steered machines are
+      competitive; bypass frequency anti-correlates with IPC.
+
     Args:
         which: ``"fig13"``, ``"fig15"``, or ``"fig17"``.
 
@@ -111,86 +128,3 @@ def figure_configs(which: str) -> dict[str, MachineConfig]:
         raise KeyError(f"unknown figure {which!r} (known: {known})")
     return grids[which]()
 
-
-def run_machines(
-    configs: dict[str, MachineConfig],
-    workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    max_instructions: int = DEFAULT_INSTRUCTIONS,
-    name: str = "custom",
-    **campaign_options: Any,
-) -> ExperimentResult:
-    """Simulate a set of machines over a set of benchmarks.
-
-    Runs on the campaign engine (:mod:`repro.core.campaign`); by
-    default serially in-process, exactly as the seed did.  Extra
-    keyword arguments (``jobs``, ``cache``, ``timeout``, ``retries``,
-    ``progress``) are forwarded to
-    :func:`~repro.core.campaign.run_campaign` -- cell results are
-    deterministic, so every setting yields the identical result.
-    """
-    # Imported here, not at module top: campaign builds on this
-    # module's ExperimentResult, so the top-level import runs the
-    # other way around.
-    from repro.core.campaign import run_campaign
-
-    result, _ = run_campaign(
-        configs,
-        workloads=workloads,
-        max_instructions=max_instructions,
-        name=name,
-        **campaign_options,
-    )
-    return result
-
-
-def run_fig13(
-    max_instructions: int = DEFAULT_INSTRUCTIONS, **campaign_options: Any
-) -> ExperimentResult:
-    """Figure 13: baseline window vs. single-cluster dependence-based.
-
-    Paper result: the dependence-based machine extracts similar
-    parallelism -- within 5% for five of seven benchmarks, worst case
-    8% (li).
-    """
-    return run_machines(
-        figure_configs("fig13"),
-        max_instructions=max_instructions,
-        name="fig13",
-        **campaign_options,
-    )
-
-
-def run_fig15(
-    max_instructions: int = DEFAULT_INSTRUCTIONS, **campaign_options: Any
-) -> ExperimentResult:
-    """Figure 15: baseline vs. the 2x4-way clustered dependence-based
-    machine with 2-cycle inter-cluster bypasses.
-
-    Paper result: nearly as effective; worst cases m88ksim (-12%) and
-    compress (-9%) due to inter-cluster bypass latency.
-    """
-    return run_machines(
-        figure_configs("fig15"),
-        max_instructions=max_instructions,
-        name="fig15",
-        **campaign_options,
-    )
-
-
-def run_fig17(
-    max_instructions: int = DEFAULT_INSTRUCTIONS, **campaign_options: Any
-) -> ExperimentResult:
-    """Figure 17: the five clustered organisations (IPC and
-    inter-cluster bypass frequency).
-
-    Paper result: random steering degrades 17-26%; execution-driven
-    steering is nearly ideal (max 6% loss) but needs a central window;
-    both dispatch-steered machines are competitive; bypass frequency
-    anti-correlates with IPC.
-    """
-    return run_machines(
-        machine_factories.fig17_machines(),
-        max_instructions=max_instructions,
-        name="fig17",
-        **campaign_options,
-    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.aggregate import arithmetic_mean
-from repro.core.experiments import ExperimentResult, run_fig15
+from repro.core.experiments import ExperimentResult
 from repro.delay.summary import clock_ratio_dependence_based
 from repro.technology.params import TECH_018, Technology
 
@@ -75,16 +75,3 @@ def clock_adjusted_speedup(
         per_workload={w: ipc_ratio * ratio for w, ipc_ratio in relative.items()},
     )
 
-
-def speedup_summary(
-    max_instructions: int = 20_000, tech: Technology = TECH_018
-) -> SpeedupSummary:
-    """One-shot Section 5.5 reproduction: run Figure 15 and adjust by
-    the clock ratio."""
-    result = run_fig15(max_instructions=max_instructions)
-    return clock_adjusted_speedup(
-        result,
-        dependence_machine="2-cluster dependence-based",
-        window_machine="window-based 8-way",
-        tech=tech,
-    )

@@ -3,7 +3,7 @@
 The unified metrics backbone plus the original tracing tools, all
 optional and zero-cost when unused:
 
-* :mod:`repro.obs.metrics` -- the process-wide metrics registry
+* :mod:`repro.obs.metrics` -- the metrics registry
   (counters, gauges, histograms) with deterministic snapshot/merge
   semantics: multiprocessing campaign workers each accumulate a
   :class:`MetricsSnapshot` that the parent merges *exactly*,
@@ -60,8 +60,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     format_snapshot,
-    get_registry,
-    set_registry,
 )
 from repro.obs.profiling import (
     CampaignProfile,
@@ -98,8 +96,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "format_snapshot",
-    "get_registry",
-    "set_registry",
     "CampaignProfile",
     "CellTiming",
     "FuzzProfile",

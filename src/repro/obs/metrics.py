@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges, and histograms.
+"""Metrics: counters, gauges, and histograms.
 
 This is the measurement substrate underneath every harness in the
 repo: the campaign engine, the fuzzer, the frontier sweep, and the
@@ -168,10 +168,9 @@ class Histogram(Metric):
 class MetricsRegistry:
     """A collection of named metrics with snapshot/merge semantics.
 
-    Registries are cheap; harnesses that must not interfere (one
-    campaign worker, one profile) own private instances, while
-    long-running processes (the future service tier) share
-    :func:`get_registry`.
+    Registries are cheap; every harness that records metrics (one
+    campaign worker, one profile, one service) owns a private
+    instance.
     """
 
     def __init__(self) -> None:
@@ -388,8 +387,8 @@ class MetricsSnapshot:
 
 
 def format_snapshot(snapshot: MetricsSnapshot) -> str:
-    """Aligned text rendering of a snapshot (shared by ``repro stats
-    --breakdown`` and the campaign/frontier/fuzz reports, so single
+    """Aligned text rendering of a snapshot (shared by ``repro
+    simulate -v`` and the campaign/frontier/fuzz reports, so single
     runs and campaigns read the same way)."""
     lines = []
     for name in sorted(snapshot.metrics):
@@ -421,19 +420,3 @@ def _series_name(name: str, labels: LabelSet) -> str:
     inner = ",".join(f'{key}="{value}"' for key, value in labels)
     return f"{name}{{{inner}}}"
 
-
-#: The process-wide default registry (the serving tier exports this).
-_REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _REGISTRY
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry; returns the previous one."""
-    global _REGISTRY
-    previous = _REGISTRY
-    _REGISTRY = registry
-    return previous

@@ -79,7 +79,7 @@ def record_simulation_metrics(registry, stats, seconds,
     """Fold one simulation run into a registry.
 
     The single labeling convention every harness shares: single runs
-    (``repro stats``), campaign worker cells, and the fuzzer all
+    (``repro simulate``), campaign worker cells, and the fuzzer all
     record through here, so their snapshots merge and read the same
     way.
     """
@@ -168,7 +168,7 @@ class _PoolCountersView:
         return self.registry.snapshot()
 
     def format_metrics(self) -> str:
-        """The shared snapshot rendering (``repro stats`` parity)."""
+        """The shared snapshot rendering (``repro simulate -v`` parity)."""
         return format_snapshot(self.snapshot())
 
 

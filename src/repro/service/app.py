@@ -76,8 +76,10 @@ DEFAULT_QUEUE_DEPTH = 8
 
 #: Largest instruction budget (``n``) a request or the server default
 #: may ask for: five times the campaign default.  Every budget is
-#: simulated or traced in full, and its trace stays cached for the
-#: life of the process, so an unbounded ``n`` could wedge the server.
+#: simulated or traced in full, so an unbounded ``n`` could wedge the
+#: server.  What stays cached is bounded separately: each process's
+#: trace cache holds at most ``TRACE_CACHE_INSTRUCTIONS``
+#: (:mod:`repro.workloads.registry`), least recently used out first.
 MAX_INSTRUCTIONS = 5 * DEFAULT_INSTRUCTIONS
 
 #: Default per-waiter seconds before a miss request gives up with 504.

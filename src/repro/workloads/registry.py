@@ -44,9 +44,15 @@ KIND_SYNTHETIC = "synthetic"
 KIND_EXTERNAL = "external"
 WORKLOAD_KINDS = (KIND_KERNEL, KIND_SYNTHETIC, KIND_EXTERNAL)
 
-#: Traces, per (workload name, content fingerprint, budget): an edited
-#: (or monkeypatched, or re-registered) workload builds afresh, never
-#: serving its predecessor's stream.
+#: Most instructions the trace cache holds at once.  A cached trace
+#: costs about 350-430 bytes per instruction with its preanalysis, so
+#: this bounds the cache near 0.4 GB, yet holds every registered
+#: workload at the default budget (23 x 20,000) without eviction.
+TRACE_CACHE_INSTRUCTIONS = 1_000_000
+
+#: Traces, per (workload name, content fingerprint, budget), least
+#: recently used first: an edited (or monkeypatched, or re-registered)
+#: workload builds afresh, never serving its predecessor's stream.
 _TRACE_CACHE: dict[tuple[str, str, int], Trace] = {}
 
 #: Built programs, keyed by (language, source text): each kernel is
@@ -115,11 +121,19 @@ class Workload:
 
     def trace(self, max_instructions: int = 30_000) -> Trace:
         """The workload's dynamic trace, cached per (name, content
-        fingerprint, budget)."""
+        fingerprint, budget) up to :data:`TRACE_CACHE_INSTRUCTIONS`."""
         key = (self.name, self.fingerprint(), max_instructions)
-        if key not in _TRACE_CACHE:
-            _TRACE_CACHE[key] = self._loader(max_instructions)
-        return _TRACE_CACHE[key]
+        trace = _TRACE_CACHE.pop(key, None)
+        if trace is None:
+            trace = self._loader(max_instructions)
+        # Keep it as the newest entry and evict the least recently
+        # used down to the cap; a trace longer than the cap is not kept.
+        if len(trace) <= TRACE_CACHE_INSTRUCTIONS:
+            _TRACE_CACHE[key] = trace
+            cached = sum(map(len, _TRACE_CACHE.values()))
+            while cached > TRACE_CACHE_INSTRUCTIONS:
+                cached -= len(_TRACE_CACHE.pop(next(iter(_TRACE_CACHE))))
+        return trace
 
     def __repr__(self) -> str:
         return f"Workload({self.name!r}, kind={self.kind!r})"

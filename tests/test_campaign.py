@@ -22,11 +22,7 @@ from repro.core.campaign import (
     run_campaign,
     simulate_cell,
 )
-from repro.core.experiments import (
-    ExperimentResult,
-    figure_configs,
-    run_fig13,
-)
+from repro.core.experiments import ExperimentResult, figure_configs
 from repro.core.machines import baseline_8way
 from repro.core.results_io import result_to_dict
 from repro.uarch.pipeline import simulate
@@ -132,7 +128,9 @@ class TestDeterminism:
     """Satellite: engine output equals the seed serial path exactly."""
 
     def test_jobs1_equals_seed(self, seed_serial_json):
-        assert serialise(run_fig13(max_instructions=N)) == seed_serial_json
+        result, _ = run_campaign(figure_configs("fig13"), max_instructions=N,
+                                 name="fig13")
+        assert serialise(result) == seed_serial_json
 
     def test_jobs4_equals_seed(self, fig13_grid, seed_serial_json):
         result, profile = run_campaign(

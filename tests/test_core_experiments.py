@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.experiments import run_fig13, run_fig15, run_fig17, run_machines
+from repro.core.campaign import run_campaign
+from repro.core.experiments import figure_configs
 from repro.core.machines import (
     baseline_8way,
     clustered_dependence_8way,
@@ -12,7 +13,7 @@ from repro.core.machines import (
     dependence_based_8way,
     fig17_machines,
 )
-from repro.core.speedup import clock_adjusted_speedup, speedup_summary
+from repro.core.speedup import clock_adjusted_speedup
 from repro.technology import TECH_018
 from repro.uarch.config import SteeringPolicy
 from repro.workloads import WORKLOAD_NAMES
@@ -21,19 +22,25 @@ from repro.workloads import WORKLOAD_NAMES
 N = 4_000
 
 
+def _figure(which):
+    result, _ = run_campaign(figure_configs(which), max_instructions=N,
+                             name=which)
+    return result
+
+
 @pytest.fixture(scope="module")
 def fig13():
-    return run_fig13(max_instructions=N)
+    return _figure("fig13")
 
 
 @pytest.fixture(scope="module")
 def fig15():
-    return run_fig15(max_instructions=N)
+    return _figure("fig15")
 
 
 @pytest.fixture(scope="module")
 def fig17():
-    return run_fig17(max_instructions=N)
+    return _figure("fig17")
 
 
 class TestMachineFactories:
@@ -96,7 +103,7 @@ class TestExperimentResult:
             fig13.format_table("latency")
 
     def test_custom_run(self):
-        result = run_machines(
+        result, _ = run_campaign(
             {"only": baseline_8way()}, workloads=("li",), max_instructions=1_000
         )
         assert result.machine_names == ["only"]
@@ -216,7 +223,3 @@ class TestSpeedup:
         text = summary.format_table()
         assert "clock ratio" in text
         assert "mean" in text
-
-    def test_one_shot_summary(self):
-        summary = speedup_summary(max_instructions=2_000)
-        assert set(summary.per_workload) == set(WORKLOAD_NAMES)

@@ -26,7 +26,6 @@ def test_cli_defaults_come_from_experiments():
     parser = build_parser()
     for argv in (
         ["simulate", "baseline", "li"],
-        ["stats", "baseline", "li"],
         ["campaign", "fig13"],
     ):
         args = parser.parse_args(argv)

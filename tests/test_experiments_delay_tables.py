@@ -1,9 +1,9 @@
 """EXPERIMENTS.md's delay numbers regenerate from the models.
 
 Each check recomputes one printed row or sentence of the Table 1, 2
-and 4 sections and the Figure 3, 5, 6 and 8 paragraphs, formats it at
-the precision the document prints, and requires it verbatim in
-EXPERIMENTS.md.  A model or calibration change that moves a published
+and 4 sections, the Figure 3, 5, 6 and 8 paragraphs and the
+supporting-structure delays, formats it at the precision the document
+prints, and requires it verbatim in EXPERIMENTS.md.  A model or calibration change that moves a published
 delay therefore fails here instead of drifting from the document.
 """
 
@@ -13,6 +13,9 @@ import pytest
 
 from repro.delay import (
     BypassDelayModel,
+    CacheAccessDelayModel,
+    CamRenameDelayModel,
+    RegisterFileDelayModel,
     RenameDelayModel,
     ReservationTableDelayModel,
     SelectionDelayModel,
@@ -21,6 +24,7 @@ from repro.delay import (
 )
 from repro.delay.calibration import TABLE1, TABLE2_PS, TABLE4_018
 from repro.technology import TECH_018, TECH_080, TECHNOLOGIES
+from repro.uarch.config import CacheConfig
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
@@ -121,3 +125,29 @@ def test_figure8_selection_steps(document):
     delays = " / ".join(f"{model.total(window):.0f}" for window in (16, 32, 64, 128))
     assert_printed(section(document, "Figure 8"),
                    f"at 0.18 µm, {delays} ps for 16/32/64/128 entries")
+
+
+def test_supporting_register_file(document):
+    model = RegisterFileDelayModel(TECH_018)
+    shared = model.machine_total(120, 8)
+    per_cluster = model.clustered_total(120, 8, 2)
+    assert_printed(section(document, "Supporting structures"), (
+        f"8-way shared 16r/8w → {shared:.0f} ps; a per-cluster copy "
+        f"(8r/8w) → {per_cluster:.0f} ps"))
+
+
+def test_supporting_cam_vs_ram_rename(document):
+    cam, ram = CamRenameDelayModel(TECH_018), RenameDelayModel(TECH_018)
+    assert f"{cam.total(4, 80):.1f}" == f"{ram.total(4):.1f}"  # "equal"
+    assert_printed(section(document, "Supporting structures"), (
+        f"(2-way/64: {cam.total(2, 64):.0f} vs {ram.total(2):.0f} ps; "
+        f"4-way/80: equal by construction), divergent beyond "
+        f"(8-way/256: {cam.total(8, 256):.0f} vs {ram.total(8):.0f} ps)"))
+
+
+def test_supporting_cache_access(document):
+    model = CacheAccessDelayModel(TECH_018)
+    small, large = (model.total(CacheConfig(size_bytes=kb * 1024))
+                    for kb in (8, 128))
+    assert_printed(section(document, "Supporting structures"), (
+        f"(8 KB → {small:.0f} ps, 128 KB → {large:.0f} ps at 0.18 µm)"))

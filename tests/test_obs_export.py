@@ -197,11 +197,11 @@ class TestMetricsExport:
         with pytest.raises(ValueError, match="format"):
             validate_metrics({"kind": "repro-metrics", "format_version": 99})
 
-    def test_stats_cli_writes_metrics(self, tmp_path, capsys):
+    def test_simulate_cli_writes_metrics(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         exit_code = main(
-            ["stats", "baseline", "synthetic", "-n", "300",
-             "--breakdown", "--json", str(out)]
+            ["simulate", "baseline", "synthetic", "-n", "300",
+             "-v", "--json", str(out)]
         )
         assert exit_code == 0
         validate_metrics(json.loads(out.read_text(encoding="utf-8")))

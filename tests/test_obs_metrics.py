@@ -15,8 +15,6 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     canonical_labels,
     format_snapshot,
-    get_registry,
-    set_registry,
 )
 
 
@@ -225,13 +223,3 @@ class TestFormatting:
         assert 'cells_total{source="cache"}' in text
         assert "count=1" in text
 
-
-class TestProcessRegistry:
-    def test_swap_and_restore(self):
-        fresh = MetricsRegistry()
-        previous = set_registry(fresh)
-        try:
-            assert get_registry() is fresh
-        finally:
-            set_registry(previous)
-        assert get_registry() is previous

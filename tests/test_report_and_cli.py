@@ -1,5 +1,7 @@
 """Tests for the report renderers and the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -128,15 +130,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "issued" in out
 
-    def test_experiment_fig13(self, capsys):
-        assert main(["experiment", "fig13", "-n", "1500"]) == 0
+    def test_campaign_fig17_prints_the_bypass_table(self, capsys):
+        assert main(["campaign", "fig17", "-n", "500", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "baseline" in out
-        assert "dependence-based" in out
+        assert "2-cluster.windows.random_steer" in out
+        assert "inter-cluster bypass frequency:" in out
+        assert "Section 5.5" not in out
 
-    def test_experiment_speedup(self, capsys):
-        assert main(["experiment", "speedup", "-n", "1500"]) == 0
-        assert "clock ratio" in capsys.readouterr().out
+    def test_campaign_fig15_prints_the_speedup_table(self, capsys):
+        assert main(["campaign", "fig15", "-n", "500", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "Section 5.5 clock-adjusted speedup:" in out
+        assert "clock ratio (f_dep/f_win) = 1.253" in out
+        assert "inter-cluster bypass frequency:" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "fig13"],
+        ["stats", "baseline", "li"],
+        ["trace", "li", "--format", "metrics"],
+    ])
+    def test_removed_commands_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
     def test_asm_command(self, tmp_path, capsys):
         source = tmp_path / "prog.s"
@@ -238,9 +254,15 @@ class TestCli:
         assert "cycles" in out
         assert "IPC=" in out
 
-    def test_stats_takes_a_zoo_workload(self, capsys):
-        assert main(["stats", "baseline", "zoo_ilp_wide", "-n", "500"]) == 0
-        assert "on zoo_ilp_wide: IPC=" in capsys.readouterr().out
+    def test_simulate_verbose_attributes_every_cycle(self, capsys):
+        assert main(["simulate", "baseline", "zoo_ilp_wide", "-n", "500",
+                     "-v"]) == 0
+        out = capsys.readouterr().out
+        assert "on zoo_ilp_wide: IPC=" in out
+        attributed, total = re.search(
+            r"attributed (\d+) of (\d+) cycles", out).groups()
+        assert attributed == total
+        assert "metrics snapshot:" in out
 
     def test_timeline_takes_a_non_paper_kernel(self, capsys):
         assert main(["timeline", "baseline", "qsort", "-n", "300",
@@ -249,7 +271,6 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "baseline", "dhrystone"],
-        ["stats", "baseline", "dhrystone"],
         ["trace", "dhrystone"],
         ["timeline", "baseline", "dhrystone"],
     ])

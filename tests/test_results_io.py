@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.experiments import run_machines
+from repro.core.campaign import run_campaign
 from repro.core.machines import baseline_8way
 from repro.core.results_io import (
     FORMAT_VERSION,
@@ -18,12 +18,13 @@ from repro.uarch.stats import SimStats, _COUNTER_FIELDS
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_machines(
+    result, _ = run_campaign(
         {"baseline": baseline_8way()},
         workloads=("li", "compress"),
         max_instructions=1_000,
         name="io-test",
     )
+    return result
 
 
 class TestStatsRoundtrip:

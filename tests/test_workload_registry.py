@@ -161,6 +161,51 @@ class TestRegistryWideSmoke:
         assert loader(100).program is not program
 
 
+class TestTraceCacheBound:
+    """The trace cache is an LRU capped by total cached instructions."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        from repro.workloads import registry
+
+        fresh = {}
+        monkeypatch.setattr(registry, "_TRACE_CACHE", fresh)
+        monkeypatch.setattr(registry, "TRACE_CACHE_INSTRUCTIONS", 2_000)
+        return fresh
+
+    @staticmethod
+    def cached_instructions(cache):
+        return sum(len(trace) for trace in cache.values())
+
+    def test_many_budgets_stay_under_the_cap(self, cache):
+        for budget in range(100, 1_600, 100):
+            trace = get_trace("zoo_tiny_body", budget)
+            assert self.cached_instructions(cache) <= 2_000
+            assert get_trace("zoo_tiny_body", budget) is trace
+        budgets = sorted(key[2] for key in cache)
+        assert budgets == [1_500]  # the older budgets were evicted
+
+    def test_least_recently_used_goes_first(self, cache):
+        first = get_trace("zoo_tiny_body", 800)
+        get_trace("zoo_tiny_body", 900)
+        assert get_trace("zoo_tiny_body", 800) is first  # now the newest
+        get_trace("zoo_tiny_body", 700)
+        assert sorted(key[2] for key in cache) == [700, 800]
+        assert get_trace("zoo_tiny_body", 800) is first
+
+    def test_a_trace_longer_than_the_cap_is_not_kept(self, cache):
+        kept = get_trace("zoo_tiny_body", 500)
+        assert len(get_trace("zoo_tiny_body", 2_500)) == 2_500
+        assert list(cache.values()) == [kept]
+
+    def test_the_cap_holds_the_registry_at_the_default_budget(self):
+        from repro.core.experiments import DEFAULT_INSTRUCTIONS
+        from repro.workloads.registry import TRACE_CACHE_INSTRUCTIONS
+
+        names = workload_names("kernel") + workload_names("synthetic")
+        assert len(names) * DEFAULT_INSTRUCTIONS <= TRACE_CACHE_INSTRUCTIONS
+
+
 class TestZooScenarios:
     def test_zoo_config_overrides_length_only(self):
         base = ZOO_SCENARIOS["zoo_mem_cold"][1]
