@@ -26,12 +26,12 @@ def _campaign(jobs, cache=None):
     )
 
 
-def test_campaign_serial_cold(benchmark, paper_report):
+def test_campaign_serial_cold(benchmark, bench_report):
     result, profile = benchmark.pedantic(
         lambda: _campaign(jobs=1), rounds=1, iterations=1
     )
     assert profile.simulated_cells == profile.cell_count
-    paper_report(
+    bench_report(
         "Campaign engine: cold serial fig13 grid",
         f"{profile.cell_count} cells, "
         f"{profile.simulated_instructions:,} instructions, "

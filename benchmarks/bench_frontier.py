@@ -1,18 +1,12 @@
-"""The complexity-effectiveness frontier (the paper's thesis, on one
-axis pair).
+"""The design-space frontier sweep, cold and warm.
 
-Growing a conventional issue window raises IPC but slows the clock
-(wakeup+select delay), so instructions-per-second peaks at a moderate
-window.  The dependence-based machine breaks the trade-off: near-big-
-window IPC at small-window clock, so it sits above the conventional
-curve -- which is what "complexity-effective" means.
-
-The design-space sweep benchmark additionally times the full
-shapes x technologies frontier (``design_space_frontier``) cold and
-warm, asserts the warm pass performs zero simulations, and folds both
-wall times into ``BENCH_frontier.json`` (repo root) next to the
-checked-in ``recorded`` numbers -- the ``BENCH_simulator.json``
-pattern applied to the campaign cache.
+Times the full shapes x technologies frontier
+(``design_space_frontier``) cold and warm, asserts the warm pass
+performs zero simulations, and folds both wall times into
+``BENCH_frontier.json`` (repo root) next to the checked-in
+``recorded`` numbers -- the ``BENCH_simulator.json`` pattern applied
+to the campaign cache.  The frontier's paper claims are checked in
+``tests/test_frontier.py``.
 """
 
 import os
@@ -21,14 +15,7 @@ import time
 from conftest import assert_clears_floors, bench_instructions
 
 from repro.core.campaign import ResultCache
-from repro.core.frontier import (
-    conventional_frontier,
-    dependence_based_point,
-    design_space_frontier,
-    format_frontier,
-    issue_width_frontier,
-)
-from repro.technology import TECH_018
+from repro.core.frontier import design_space_frontier, format_frontier
 
 WORKLOADS = ("compress", "gcc", "li", "m88ksim", "vortex")
 
@@ -49,63 +36,7 @@ def _record_sweep(measured: dict) -> None:
     record_bench(BENCH_FRONTIER_PATH, "repro-frontier-bench", measured)
 
 
-def build_frontier():
-    instructions = bench_instructions()
-    points = conventional_frontier(
-        tech=TECH_018, workloads=WORKLOADS, max_instructions=instructions
-    )
-    points.append(
-        dependence_based_point(
-            tech=TECH_018, workloads=WORKLOADS, max_instructions=instructions
-        )
-    )
-    return points
-
-
-def test_complexity_effectiveness_frontier(benchmark, paper_report):
-    points = benchmark.pedantic(build_frontier, rounds=1, iterations=1)
-    paper_report(
-        "Complexity-effectiveness frontier (IPC x clock, 0.18um)",
-        format_frontier(points),
-    )
-    conventional = points[:-1]
-    dependence = points[-1]
-    # IPC grows monotonically with window size...
-    ipcs = [p.mean_ipc for p in conventional]
-    assert all(b >= a - 0.02 for a, b in zip(ipcs, ipcs[1:]))
-    # ...but clock slows, so BIPS peaks strictly inside the sweep.
-    bips = [p.bips for p in conventional]
-    assert max(bips) not in (bips[0], bips[-1])
-    # The dependence-based machine is complexity-effective: it beats
-    # every conventional window at instructions per second.
-    assert dependence.bips > max(bips)
-
-
-def test_issue_width_frontier(benchmark, paper_report):
-    points = benchmark.pedantic(
-        issue_width_frontier,
-        kwargs={
-            "tech": TECH_018,
-            "workloads": WORKLOADS,
-            "max_instructions": bench_instructions(),
-        },
-        rounds=1,
-        iterations=1,
-    )
-    paper_report(
-        "Issue-width frontier (windows scaled 8 entries/slot, 0.18um)",
-        format_frontier(points),
-    )
-    # IPC grows with width but sub-linearly (diminishing parallelism)...
-    ipcs = [p.mean_ipc for p in points]
-    assert ipcs == sorted(ipcs)
-    assert ipcs[-1] < 2.5 * ipcs[0]
-    # ...while the window-logic clock keeps slowing.
-    clocks = [p.clock_ps for p in points]
-    assert clocks == sorted(clocks)
-
-
-def test_design_space_sweep_cold_vs_warm(benchmark, paper_report, tmp_path):
+def test_design_space_sweep_cold_vs_warm(benchmark, bench_report, tmp_path):
     """Time the shapes x technologies sweep cold, then re-run it warm."""
     cache = ResultCache(tmp_path / "cache")
     budget = bench_instructions()
@@ -133,7 +64,7 @@ def test_design_space_sweep_cold_vs_warm(benchmark, paper_report, tmp_path):
     assert warm_profile.cache_hits == cold_profile.cell_count
     assert warm_points == points
 
-    paper_report(
+    bench_report(
         "Design-space frontier sweep (shapes x technologies)",
         format_frontier(points)
         + f"\n  cold: {cold_seconds:.2f}s "

@@ -21,14 +21,14 @@ from repro.verify.sampler import sample_program
 CASES = 60
 
 
-def test_fuzz_serial(benchmark, tmp_path, paper_report):
+def test_fuzz_serial(benchmark, tmp_path, bench_report):
     report = benchmark.pedantic(
         lambda: run_fuzz(cases=CASES, seed=0, jobs=1, repro_dir=tmp_path),
         rounds=1, iterations=1,
     )
     assert report.ok
     profile = report.profile
-    paper_report(
+    bench_report(
         "Differential fuzzer: serial campaign",
         f"{profile.cases} cases, {profile.cases_per_second:.1f} cases/s, "
         f"{len(profile.shape_counts)} machine shapes",

@@ -98,12 +98,12 @@ async def _measure(tmp_path) -> dict:
     }
 
 
-def test_service_cold_vs_warm_throughput(benchmark, paper_report, tmp_path):
+def test_service_cold_vs_warm_throughput(benchmark, bench_report, tmp_path):
     """Serve cold misses, then prove the warm hot path over sockets."""
     measured = benchmark.pedantic(
         lambda: asyncio.run(_measure(tmp_path)), rounds=1, iterations=1
     )
-    paper_report(
+    bench_report(
         "Design-space service throughput (HTTP over the campaign cache)",
         f"  cold: {measured['cells']} cells simulated in "
         f"{measured['cold_seconds']}s ({measured['cold_qps']} qps)\n"

@@ -81,14 +81,14 @@ def _compiled_rate(benchmark, config, label, sim_bench_record):
 
 
 def test_throughput_compiled_baseline_machine(
-    benchmark, paper_report, sim_bench_record
+    benchmark, bench_report, sim_bench_record
 ):
     """The compiled pipeline on the paper's baseline (byte-identical
     stats pinned by tests/test_fast_reference_equivalence.py)."""
     stats, rate = _compiled_rate(
         benchmark, baseline_8way(), "baseline_8way", sim_bench_record
     )
-    paper_report(
+    bench_report(
         "Simulator throughput: baseline machine (compiled pipeline)",
         f"  {rate:,.0f} simulated instructions/second "
         f"(IPC {stats.ipc:.2f} on gcc)",
@@ -96,7 +96,7 @@ def test_throughput_compiled_baseline_machine(
 
 
 def test_throughput_compiled_clustered_fifo_machine(
-    benchmark, paper_report, sim_bench_record
+    benchmark, bench_report, sim_bench_record
 ):
     """The paper's own proposal: two clusters of FIFOs, dependence
     steering generated inline, inter-cluster bypass."""
@@ -104,7 +104,7 @@ def test_throughput_compiled_clustered_fifo_machine(
         benchmark, clustered_dependence_8way(), "clustered_dependence_8way",
         sim_bench_record,
     )
-    paper_report(
+    bench_report(
         "Simulator throughput: clustered dependence-based machine "
         "(compiled pipeline)",
         f"  {rate:,.0f} simulated instructions/second "
@@ -178,7 +178,7 @@ def test_throughput_functional_emulator(benchmark, sim_bench_record):
     assert_clears_floors("simulator", {row: rate})
 
 
-def test_stage_profile(benchmark, paper_report, metrics_record):
+def test_stage_profile(benchmark, bench_report, metrics_record):
     """Where does simulation wall-clock go, stage by stage?"""
     trace = get_trace("gcc", TRACE_LENGTH)
 
@@ -188,13 +188,13 @@ def test_stage_profile(benchmark, paper_report, metrics_record):
     stats, report = benchmark.pedantic(profiled, rounds=1, iterations=1)
     stats.validate()
     metrics_record(stats)
-    paper_report("Simulator host profile (per-stage Python time)",
+    bench_report("Simulator host profile (per-stage Python time)",
                  report.format_report())
     assert report.cycles == stats.cycles
     assert sum(report.stage_seconds.values()) <= report.wall_seconds
 
 
-def test_tracing_disabled_overhead_guard(paper_report):
+def test_tracing_disabled_overhead_guard(bench_report):
     """Tracing off must not cost throughput: stay at/above baseline's
     compiled floor, and full tracing must stay within a sane
     multiple."""
@@ -212,7 +212,7 @@ def test_tracing_disabled_overhead_guard(paper_report):
     traced_seconds = min(traced_times)
     plain_rate = TRACE_LENGTH / plain_seconds
     traced_rate = TRACE_LENGTH / traced_seconds
-    paper_report(
+    bench_report(
         "Event-tracing overhead",
         f"  tracing off: {plain_rate:,.0f} insts/s; "
         f"tracing on: {traced_rate:,.0f} insts/s "

@@ -80,7 +80,7 @@ def measure(tmp_path) -> dict:
     return measured
 
 
-def test_workload_generation_throughput(benchmark, paper_report, tmp_path):
+def test_workload_generation_throughput(benchmark, bench_report, tmp_path):
     """Measure generation + ingestion rates and enforce the floors."""
     # Imported here so the docs-sync suite can import this module for
     # its row labels without the benchmarks/ conftest on sys.path.
@@ -88,7 +88,7 @@ def test_workload_generation_throughput(benchmark, paper_report, tmp_path):
 
     measured = benchmark.pedantic(measure, args=(tmp_path,), rounds=1,
                                   iterations=1)
-    paper_report(
+    bench_report(
         "Workload-layer throughput (trace generation, inst/s)",
         "\n".join(f"  {label}: {rate:,.0f} inst/s"
                   for label, rate in sorted(measured.items())),

@@ -1,16 +1,17 @@
-"""Shared fixtures for the reproduction benchmarks.
+"""Shared fixtures for the performance benchmarks.
 
-Each ``bench_*`` module regenerates one of the paper's tables or
-figures.  The reproduced rows are registered through the
-``paper_report`` fixture and printed in the terminal summary (after
-the pytest-benchmark timing table), so ``pytest benchmarks/
---benchmark-only`` shows both the timings and the paper-vs-measured
-data.
+Each ``bench_*`` module measures one layer of the system (simulator,
+trace generation, campaign, frontier sweep, service, fuzzer).  Report
+blocks registered through the ``bench_report`` fixture are printed in
+the terminal summary, after the pytest-benchmark timing table.  The
+paper's tables and figures are built by
+``repro.core.experiments.SECTIONS`` and checked in tier 1
+(``tests/test_experiments_document.py``), not here.
 
 Simulation length is controlled by the ``REPRO_BENCH_INSTRUCTIONS``
 environment variable (default
 ``repro.core.experiments.DEFAULT_INSTRUCTIONS`` dynamic instructions
-per benchmark program; the paper ran up to 0.5 B on real SPEC'95).
+per benchmark program).
 
 Every gated measurement goes through :func:`assert_clears_floors`,
 which holds it to the row's floor in the repo-root ``BENCH_*.json``
@@ -28,8 +29,7 @@ import os
 
 import pytest
 
-from repro.core.campaign import run_campaign
-from repro.core.experiments import DEFAULT_INSTRUCTIONS, figure_configs
+from repro.core.experiments import DEFAULT_INSTRUCTIONS
 from repro.obs.regression import check_bench, format_findings, load_bench
 
 #: (title, text) report blocks, in registration order.
@@ -70,7 +70,7 @@ def assert_clears_floors(name: str, measured: dict) -> None:
 
 
 @pytest.fixture
-def paper_report():
+def bench_report():
     """Register a (title, body) block for the end-of-run summary."""
 
     def add(title: str, body: str) -> None:
@@ -120,28 +120,6 @@ def _write_sim_bench(terminalreporter) -> None:
     _SIM_RATES.clear()
 
 
-def _figure_result(which: str):
-    result, _ = run_campaign(figure_configs(which),
-                             max_instructions=bench_instructions(),
-                             name=which)
-    return result
-
-
-@pytest.fixture(scope="session")
-def fig13_result():
-    return _figure_result("fig13")
-
-
-@pytest.fixture(scope="session")
-def fig15_result():
-    return _figure_result("fig15")
-
-
-@pytest.fixture(scope="session")
-def fig17_result():
-    return _figure_result("fig17")
-
-
 def pytest_terminal_summary(terminalreporter):
     _write_sim_bench(terminalreporter)
     metrics_path = os.environ.get("REPRO_BENCH_METRICS")
@@ -155,7 +133,7 @@ def pytest_terminal_summary(terminalreporter):
     _METRICS.clear()
     if not _REPORTS:
         return
-    terminalreporter.write_sep("=", "paper reproduction results")
+    terminalreporter.write_sep("=", "benchmark reports")
     for title, body in _REPORTS:
         terminalreporter.write_sep("-", title)
         for line in body.splitlines():

@@ -12,7 +12,11 @@ Run:  python examples/clock_speedup.py [-n INSTS]
 import argparse
 
 from repro.core.campaign import run_campaign
-from repro.core.experiments import figure_configs
+from repro.core.experiments import (
+    DEFAULT_INSTRUCTIONS,
+    SECTION55_MACHINES,
+    figure_configs,
+)
 from repro.core.speedup import clock_adjusted_speedup
 from repro.delay.summary import (
     dependence_based_window_logic,
@@ -23,7 +27,8 @@ from repro.technology import TECH_018, TECHNOLOGIES
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("-n", "--instructions", type=int, default=15_000)
+    parser.add_argument("-n", "--instructions", type=int,
+                        default=DEFAULT_INSTRUCTIONS)
     args = parser.parse_args()
 
     print("== Window-logic delay: conventional vs dependence-based ==")
@@ -43,12 +48,7 @@ def main() -> None:
                              max_instructions=args.instructions, name="fig15")
     print(result.format_table())
 
-    summary = clock_adjusted_speedup(
-        result,
-        dependence_machine="2-cluster dependence-based",
-        window_machine="window-based 8-way",
-        tech=TECH_018,
-    )
+    summary = clock_adjusted_speedup(result, *SECTION55_MACHINES, TECH_018)
     print("\n== Clock-adjusted speedup (Section 5.5) ==")
     print(summary.format_table())
     print("\npaper: speedups of 10-22%, average 16%, from the same "

@@ -12,6 +12,7 @@ Run:  python examples/steering_comparison.py [workload ...] [-n INSTS]
 import argparse
 
 from repro.core.campaign import run_campaign
+from repro.core.experiments import DEFAULT_INSTRUCTIONS
 from repro.core.machines import fig17_machines
 from repro.workloads import WORKLOAD_NAMES
 
@@ -25,8 +26,9 @@ def main() -> None:
         help="benchmarks to run (default: compress m88ksim vortex)",
     )
     parser.add_argument(
-        "-n", "--instructions", type=int, default=15_000,
-        help="dynamic instructions per benchmark (default 15000)",
+        "-n", "--instructions", type=int, default=DEFAULT_INSTRUCTIONS,
+        help=f"dynamic instructions per benchmark "
+             f"(default {DEFAULT_INSTRUCTIONS})",
     )
     args = parser.parse_args()
     workloads = tuple(args.workloads) or ("compress", "m88ksim", "vortex")

@@ -15,13 +15,15 @@ Run:  python examples/workload_characterization.py [-n INSTS]
 import argparse
 
 from repro.analysis import profile_trace, short_dependence_fraction
+from repro.core.experiments import DEFAULT_INSTRUCTIONS
 from repro.report import bar_chart
 from repro.workloads import WORKLOAD_NAMES, get_trace
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("-n", "--instructions", type=int, default=10_000)
+    parser.add_argument("-n", "--instructions", type=int,
+                        default=DEFAULT_INSTRUCTIONS)
     args = parser.parse_args()
 
     profiles = {}

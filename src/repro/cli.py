@@ -33,9 +33,10 @@ Commands:
 * ``ledger``     -- inspect the run ledger: the append-only JSONL
   history every simulate/campaign/frontier/fuzz invocation appends to
   (list/show/diff/gc).
-* ``bench``      -- the perf-regression gate: current measurements vs
-  the committed ``BENCH_*.json`` floors and the ledger's trailing
-  window (``--check`` exits nonzero on regression).
+* ``bench``      -- the perf-regression gate: the committed
+  ``BENCH_*.json`` records vs their floors (re-measuring nothing) and
+  the ledger's trailing window (``--check`` exits nonzero on a
+  finding).
 
 ``campaign``/``frontier``/``fuzz`` accept ``--progress`` for a live
 single-line telemetry readout (cells done, hit rate, inst/s, ETA) fed
@@ -49,7 +50,7 @@ import sys
 
 from repro.analysis import profile_trace
 from repro.core import experiments, machines, speedup
-from repro.core.experiments import DEFAULT_INSTRUCTIONS
+from repro.core.experiments import DEFAULT_INSTRUCTIONS, SECTION55_MACHINES
 from repro.core.machines import MACHINE_REGISTRY
 from repro.delay.reservation import ReservationTableDelayModel
 from repro.delay.summary import overall_delays
@@ -431,9 +432,7 @@ def _cmd_campaign(args) -> int:
     if args.which == "fig15":
         print("\nSection 5.5 clock-adjusted speedup:")
         print(speedup.clock_adjusted_speedup(
-            result, "2-cluster dependence-based", "window-based 8-way",
-            TECH_018,
-        ).format_table())
+            result, *SECTION55_MACHINES, TECH_018).format_table())
     if args.which == "fig17":
         print("\ninter-cluster bypass frequency:")
         print(result.format_table("bypass"))
@@ -843,7 +842,10 @@ def build_parser() -> argparse.ArgumentParser:
     frontier = commands.add_parser(
         "frontier", help="the complexity-effectiveness frontier"
     )
-    frontier.add_argument("-n", "--instructions", type=int, default=8_000)
+    frontier.add_argument("-n", "--instructions", type=int,
+                          default=DEFAULT_INSTRUCTIONS,
+                          help="dynamic instructions per cell "
+                               f"(default {DEFAULT_INSTRUCTIONS})")
     frontier.add_argument("--tech", choices=("0.8", "0.35", "0.18", "all"),
                           default="0.18",
                           help="technology node(s) to clock the sweep at "
@@ -963,11 +965,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="perf-regression gate: measurements vs committed floors "
-             "and the ledger trailing window",
+        help="perf-regression gate: the committed BENCH_*.json records "
+             "vs their floors, and the ledger trailing window",
+        description="Check the committed BENCH_*.json records against "
+                    "their recorded floors, and the run ledger's newest "
+                    "entries against its trailing window.  Nothing is "
+                    "re-measured: the records are rewritten only by the "
+                    "benchmarks/ suite.  A missing or unreadable record "
+                    "is a finding.",
     )
     bench.add_argument("--check", action="store_true",
-                       help="exit nonzero when any regression is found")
+                       help="exit nonzero when any finding is reported")
     bench.add_argument("--threshold", type=float, default=None,
                        help="max tolerated relative drop vs the trailing "
                             "mean, in (0, 1] (default 0.5)")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.core.aggregate import mean_ipc
+from repro.core.experiments import DEFAULT_INSTRUCTIONS
 from repro.core.machines import (
     baseline_8way,
     dependence_based_8way,
@@ -138,7 +139,7 @@ def conventional_frontier(
     issue_width: int = 8,
     window_sizes: tuple[int, ...] = DEFAULT_WINDOW_SIZES,
     workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    max_instructions: int = 10_000,
+    max_instructions: int = DEFAULT_INSTRUCTIONS,
     **campaign_options: Any,
 ) -> list[FrontierPoint]:
     """Sweep conventional window sizes; IPC from simulation, clock
@@ -163,7 +164,7 @@ def dependence_based_point(
     fifo_count: int = 8,
     fifo_depth: int = 8,
     workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    max_instructions: int = 10_000,
+    max_instructions: int = DEFAULT_INSTRUCTIONS,
     **campaign_options: Any,
 ) -> FrontierPoint:
     """The dependence-based machine on the same axes."""
@@ -183,7 +184,7 @@ def issue_width_frontier(
     issue_widths: tuple[int, ...] = (2, 4, 8),
     window_per_width: int = 8,
     workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    max_instructions: int = 10_000,
+    max_instructions: int = DEFAULT_INSTRUCTIONS,
     **campaign_options: Any,
 ) -> list[FrontierPoint]:
     """Sweep the other complexity axis: issue width.
@@ -220,7 +221,7 @@ def design_space_frontier(
     techs: Sequence[Technology] = TECHNOLOGIES,
     machines: Mapping[str, MachineConfig] | None = None,
     workloads: tuple[str, ...] = WORKLOAD_NAMES,
-    max_instructions: int = 10_000,
+    max_instructions: int = DEFAULT_INSTRUCTIONS,
     **campaign_options: Any,
 ) -> tuple[list[FrontierPoint], CampaignProfile]:
     """Sweep every registered machine shape at every technology node.

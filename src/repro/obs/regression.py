@@ -1,11 +1,14 @@
 """Performance-regression tracking (``repro bench --check``).
 
-Compares the *current* measurements against two references:
+Runs two checks, re-measuring nothing:
 
-* the committed floors in the repo-root ``BENCH_*.json`` records:
-  each record's ``recorded.floors`` table maps a gated ``measured``
-  row to its floor, a hard gate (a measurement below its floor is a
-  regression, full stop) that :func:`check_bench` applies; and
+* the committed repo-root ``BENCH_*.json`` records against their own
+  floors: each record's ``recorded.floors`` table maps a gated
+  ``measured`` row to its floor, a hard gate (a measurement below its
+  floor is a regression, full stop) that :func:`check_bench` applies.
+  The ``benchmarks/`` suite rewrites the ``measured`` rows; a missing
+  or unreadable record is itself a finding, since it gates nothing;
+  and
 * the run ledger's trailing window -- the newest entry of each kind
   and grid (``config_hash``) against the mean of the previous ones,
   failing when throughput or cache-hit rate drops by more than
@@ -42,11 +45,13 @@ class RegressionFinding:
     subject: str
     measured: float
     reference: float
-    source: str  # "floor" or "trailing"
+    source: str  # "floor", "trailing" or "record"
     detail: str
 
     def format_row(self) -> str:
         """One aligned report line."""
+        if self.source == "record":
+            return f"  MISSING {self.subject}: {self.detail}"
         return (f"  REGRESSION {self.subject}: measured {self.measured:,.1f} "
                 f"vs {self.source} reference {self.reference:,.1f} "
                 f"({self.detail})")
@@ -152,6 +157,12 @@ def check_all(
     findings = []
     for name in BENCH_NAMES:
         payload = load_bench(Path(bench_dir) / f"BENCH_{name}.json")
+        if not payload:
+            findings.append(RegressionFinding(
+                subject=f"BENCH_{name}.json", measured=0.0, reference=0.0,
+                source="record",
+                detail="missing or unreadable, so its floors gate nothing",
+            ))
         findings.extend(check_bench(name, payload))
     if ledger is not None:
         findings.extend(check_trailing_window(

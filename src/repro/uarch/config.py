@@ -25,8 +25,8 @@ class SelectionPolicy(enum.Enum):
     a freed slot is re-used by a younger instruction which then jumps
     the priority queue.  Butler and Patt [5] found overall performance
     largely independent of the policy -- which the paper relies on to
-    avoid analysing compaction; ``benchmarks/bench_ablation_selection``
-    verifies it.
+    avoid analysing compaction; the selection ablation
+    (:func:`repro.core.experiments.ablations`) verifies it.
     """
 
     OLDEST_FIRST = "oldest"  #: true age order (compacting window)

@@ -355,8 +355,10 @@ def check_timing_invariants(simulator, config, trace) -> list[str]:
     producer completes plus the wakeup bubble, plus the inter-cluster
     bypass across clusters), load-after-store order (a load issues no
     earlier than any earlier store, Table 3), per-cycle issue-width,
-    functional-unit and cache-port limits, occupancy bounds, and the
-    stall-cycle partition (``SimStats.validate``).
+    functional-unit and cache-port limits, the register-file read
+    ports of a ``ports_limited`` machine (each issued instruction
+    reads ``len(srcs)`` registers from its cluster's ports), occupancy
+    bounds, and the stall-cycle partition (``SimStats.validate``).
     """
     failures: list[str] = []
     stats = simulator.stats
@@ -383,6 +385,7 @@ def check_timing_invariants(simulator, config, trace) -> list[str]:
     issued_per_cycle: dict[int, int] = {}
     committed_per_cycle: dict[int, int] = {}
     fu_per_cycle: dict[tuple[int, int], int] = {}
+    reads_per_cycle: dict[tuple[int, int], int] = {}
     mem_per_cycle: dict[int, int] = {}
     # The latest issue cycle of any store so far: a later load must
     # not issue before it (every earlier store address is known).
@@ -415,6 +418,8 @@ def check_timing_invariants(simulator, config, trace) -> list[str]:
         if 0 <= cluster < len(clusters):
             key = (issue[seq], cluster)
             fu_per_cycle[key] = fu_per_cycle.get(key, 0) + 1
+            reads_per_cycle[key] = (reads_per_cycle.get(key, 0)
+                                    + len(insts[seq].srcs))
         else:
             failures.append(f"inst {seq} on bogus cluster {cluster}")
         for producer in producers[seq]:
@@ -463,6 +468,14 @@ def check_timing_invariants(simulator, config, trace) -> list[str]:
                 f"{clusters[cluster].fu_count} functional units"
             )
             break
+    if config.regfile == "ports_limited":
+        for (cycle, cluster), reads in sorted(reads_per_cycle.items()):
+            if reads > config.regfile_read_ports:
+                failures.append(
+                    f"cluster {cluster} read {reads} registers at cycle "
+                    f"{cycle} with {config.regfile_read_ports} read ports"
+                )
+                break
     if mem_per_cycle and max(mem_per_cycle.values()) > config.cache.ports:
         failures.append(
             f"cache ports exceeded: {max(mem_per_cycle.values())} memory "

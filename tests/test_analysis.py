@@ -13,6 +13,7 @@ from repro.analysis import (
     windowed_dataflow_ilp,
 )
 from repro.analysis.traces import mean_dependence_distance
+from repro.core.experiments import serial_chain_trace
 from repro.isa import assemble, run_to_trace
 from repro.workloads import WORKLOAD_NAMES, SyntheticConfig, get_trace, synthetic_trace
 
@@ -56,8 +57,7 @@ class TestDependenceDistances:
 
 class TestDataflowIlp:
     def test_serial_chain_is_one(self):
-        body = "\n".join("addu r1, r1, r2" for _ in range(100))
-        trace = trace_of(f"li r1, 0\nli r2, 1\n{body}\nhalt\n")
+        trace = serial_chain_trace(100)
         assert unbounded_dataflow_ilp(trace) < 1.1
         assert windowed_dataflow_ilp(trace, 64) < 1.2
 

@@ -2,10 +2,11 @@
 
 ``repro.core.experiments.DEFAULT_INSTRUCTIONS`` is the one place the
 default dynamic-instruction budget lives; the CLI parsers, the
-benchmark harness, and the recording script must all read it from
-there rather than restating the magic number.
+benchmark harness, the recording script and the examples must all
+read it from there rather than restating the magic number.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -27,6 +28,7 @@ def test_cli_defaults_come_from_experiments():
     for argv in (
         ["simulate", "baseline", "li"],
         ["campaign", "fig13"],
+        ["frontier"],
     ):
         args = parser.parse_args(argv)
         assert args.instructions == DEFAULT_INSTRUCTIONS, argv
@@ -61,3 +63,27 @@ def test_record_script_is_single_sourced():
     assert "DEFAULT_INSTRUCTIONS" in source
     assert "default=20_000" not in source
     assert "default=20000" not in source
+
+
+def _budget_defaults(path: Path):
+    """The ``default=`` of every ``-n/--instructions`` option in a file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "add_argument"
+                and any(isinstance(arg, ast.Constant)
+                        and arg.value in ("-n", "--instructions")
+                        for arg in node.args)):
+            for keyword in node.keywords:
+                if keyword.arg == "default":
+                    yield keyword.value
+
+
+def test_examples_read_the_default_budget():
+    examples = sorted((REPO_ROOT / "examples").glob("*.py"))
+    checked = 0
+    for path in examples:
+        for default in _budget_defaults(path):
+            checked += 1
+            assert not isinstance(default, ast.Constant), (
+                f"{path.name} restates a literal budget default")
+    assert checked >= 3  # clock_speedup, steering_comparison, ...

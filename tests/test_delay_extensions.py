@@ -4,6 +4,7 @@ cache access, and the Figure 10 wakeup/select pipelining option."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.experiments import serial_chain_trace
 from repro.core.machines import baseline_8way
 from repro.delay import (
     CacheAccessDelayModel,
@@ -154,12 +155,8 @@ class TestCacheAccessModel:
 class TestWakeupSelectPipelining:
     """Figure 10: the wakeup+select loop is atomic."""
 
-    def serial_trace(self, length=200):
-        body = "\n".join("addu r1, r1, r2" for _ in range(length))
-        return run_to_trace(assemble(f"li r1, 0\nli r2, 1\n{body}\nhalt\n"))
-
     def test_two_stage_loop_halves_serial_ipc(self):
-        trace = self.serial_trace()
+        trace = serial_chain_trace(200)
         one = simulate(baseline_8way(wakeup_select_stages=1), trace)
         two = simulate(baseline_8way(wakeup_select_stages=2), trace)
         assert one.ipc == pytest.approx(1.0, abs=0.1)

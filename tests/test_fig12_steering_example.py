@@ -10,68 +10,23 @@ resulting issue schedule:
     cycle 4: instructions 7, 11, 12
 
 We assemble the same code segment (the paper's register numbers kept
-verbatim), run it through the dependence-based machine configured as
-in the figure, and check both the FIFO chain structure the heuristic
-builds and the issue schedule.
+verbatim; ``repro.core.experiments.FIGURE12_SOURCE``), run it through
+the dependence-based machine configured as in the figure, and check
+both the FIFO chain structure the heuristic builds and the issue
+schedule.
 """
 
 import pytest
 
+from repro.core.experiments import FIGURE12_SOURCE, figure12_machine
 from repro.isa import assemble, run_to_trace
 from repro.obs.events import EventKind, EventTracer
-from repro.uarch.config import (
-    CacheConfig,
-    ClusterConfig,
-    MachineConfig,
-    PredictorConfig,
-    SteeringPolicy,
-)
 from repro.uarch.pipeline import PipelineSimulator
-
-#: The paper's code segment (Figure 12), one label per branch target.
-FIGURE12 = """
-main:
-    addu  $18, $0, $2          # 0
-    addiu $2, $0, -1           # 1
-    beq   $18, $2, L2          # 2   (not taken here)
-    lw    $4, -32768($28)      # 3
-    sllv  $2, $18, $20         # 4
-    xor   $16, $2, $19         # 5
-    lw    $3, -32676($28)      # 6
-    sll   $2, $16, 0x2         # 7
-    addu  $2, $2, $23          # 8
-    lw    $2, 0($2)            # 9
-    sllv  $4, $18, $4          # 10
-    addu  $17, $4, $19         # 11
-    addiu $3, $3, 1            # 12
-    sw    $3, -32676($28)      # 13
-    beq   $2, $17, L3          # 14  (taken here)
-L2: halt
-L3: halt
-"""
-
-
-def figure12_machine() -> MachineConfig:
-    """Four FIFOs, steering and issuing four instructions per cycle,
-    as stated in the figure's caption."""
-    return MachineConfig(
-        name="fig12",
-        fetch_width=4,
-        dispatch_width=4,
-        issue_width=4,
-        clusters=(ClusterConfig(fifo_count=4, fifo_depth=8, fu_count=4),),
-        steering=SteeringPolicy.FIFO_DISPATCH,
-        # Weakly not-taken start so the figure's fall-through branch
-        # is predicted correctly (the figure assumes no fetch stall),
-        # and single-cycle memory (the figure's loads have no misses).
-        predictor=PredictorConfig(initial_counter=1),
-        cache=CacheConfig(miss_cycles=1),
-    )
 
 
 @pytest.fixture(scope="module")
 def simulated():
-    trace = run_to_trace(assemble(FIGURE12))
+    trace = run_to_trace(assemble(FIGURE12_SOURCE))
     assert len(trace) == 15
     tracer = EventTracer(capacity=None)
     simulator = PipelineSimulator(figure12_machine(), trace, tracer=tracer)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import experiments
 from repro.core.frontier import (
     FrontierPoint,
     conventional_frontier,
@@ -92,3 +93,34 @@ class TestFrontierSweep:
         assert points[1].clock_ps > points[0].clock_ps
         # The 4-way clock matches Table 2's 4-way/32 window logic.
         assert points[1].clock_ps == pytest.approx(578.0, abs=1.0)
+
+
+class TestPaperFrontier:
+    """EXPERIMENTS.md's frontier tables, at the budget they record."""
+
+    @pytest.fixture(scope="class")
+    def frontier(self, experiment_section):
+        return experiment_section(experiments.complexity_frontier).data
+
+    def test_ipc_grows_with_window(self, frontier):
+        ipcs = [p.mean_ipc for p in frontier["conventional"]]
+        assert all(b >= a - 0.02 for a, b in zip(ipcs, ipcs[1:]))
+
+    def test_bips_peaks_inside_the_sweep(self, frontier):
+        bips = [p.bips for p in frontier["conventional"]]
+        assert max(bips) not in (bips[0], bips[-1])
+
+    def test_dependence_beats_the_whole_conventional_curve(self, frontier):
+        assert frontier["dependence"].bips > max(
+            p.bips for p in frontier["conventional"])
+
+
+def test_issue_width_ipc_is_sublinear_while_clocks_grow():
+    points = issue_width_frontier(
+        issue_widths=(2, 4, 8), workloads=("compress", "li"),
+        max_instructions=2_000)
+    ipcs = [p.mean_ipc for p in points]
+    assert ipcs == sorted(ipcs)
+    assert ipcs[-1] < 2.5 * ipcs[0]
+    clocks = [p.clock_ps for p in points]
+    assert clocks == sorted(clocks)

@@ -195,6 +195,8 @@ class TestCheckAll:
     def test_combines_bench_and_ledger(self, tmp_path):
         bench_dir = tmp_path / "bench"
         bench_dir.mkdir()
+        for name in BENCH_NAMES:
+            shutil.copy(REPO_ROOT / f"BENCH_{name}.json", bench_dir)
         (bench_dir / "BENCH_simulator.json").write_text(
             json.dumps(sim_payload(fast=10_000)))
         ledger = Ledger(tmp_path / "ledger")
@@ -203,6 +205,23 @@ class TestCheckAll:
             ledger.append(entry)
         findings = check_all(bench_dir=bench_dir, ledger=ledger)
         assert {f.source for f in findings} == {"floor", "trailing"}
+
+    @pytest.mark.parametrize("damage", ["delete", "truncate"])
+    def test_missing_or_unreadable_record_is_a_finding(self, tmp_path, damage):
+        bench_dir = tmp_path / "bench"
+        bench_dir.mkdir()
+        for name in BENCH_NAMES:
+            shutil.copy(REPO_ROOT / f"BENCH_{name}.json", bench_dir)
+        path = bench_dir / "BENCH_service.json"
+        if damage == "delete":
+            path.unlink()
+        else:
+            path.write_text(path.read_text()[:40])
+        findings = check_all(bench_dir=bench_dir)
+        assert [(f.subject, f.source) for f in findings] == [
+            ("BENCH_service.json", "record")]
+        assert "MISSING BENCH_service.json" in format_findings(findings)
+        assert main(["bench", "--check", "--bench-dir", str(bench_dir)]) == 1
 
     def test_load_bench_unreadable(self, tmp_path):
         assert load_bench(tmp_path / "missing.json") == {}
@@ -231,8 +250,8 @@ class TestBenchCli:
         # the gate with a nonzero exit.
         bench_dir = tmp_path / "bench"
         bench_dir.mkdir()
-        for name in ("BENCH_simulator.json", "BENCH_frontier.json"):
-            shutil.copy(REPO_ROOT / name, bench_dir / name)
+        for name in BENCH_NAMES:
+            shutil.copy(REPO_ROOT / f"BENCH_{name}.json", bench_dir)
         payload = json.loads(
             (bench_dir / "BENCH_simulator.json").read_text())
         payload["recorded"]["floors"]["baseline_8way/gcc (compiled)"] = 10 ** 9

@@ -8,6 +8,7 @@ bypass latency, ...) and checks the simulator exhibits it.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.experiments import serial_chain_trace
 from repro.core.machines import (
     baseline_8way,
     clustered_dependence_8way,
@@ -25,12 +26,6 @@ from repro.workloads import SyntheticConfig, get_trace, synthetic_trace
 
 def trace_of(source, cap=100_000):
     return run_to_trace(assemble(source), max_instructions=cap)
-
-
-def serial_chain_trace(length=200):
-    """A fully serial addu chain (each inst depends on the previous)."""
-    body = "\n".join("addu r1, r1, r2" for _ in range(length))
-    return trace_of(f"li r1, 0\nli r2, 1\n{body}\nhalt\n")
 
 
 def independent_trace(length=200):

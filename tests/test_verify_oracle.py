@@ -105,3 +105,48 @@ def test_issue_before_operand_arrival_is_reported():
     failures = check_timing_invariants(simulator, config, trace)
     assert (f"inst {seq} issued at {arrival - 1} before its operand from "
             f"inst {producer} arrived at {arrival}") in failures
+
+
+def _reads_per_cycle(simulator, trace):
+    reads = {}
+    for seq, inst in enumerate(trace.insts):
+        key = (simulator.issue_cycle[seq], simulator.cluster_of[seq])
+        reads[key] = reads.get(key, 0) + len(inst.srcs)
+    return reads
+
+
+@pytest.mark.parametrize("workload", ["compress", "gcc", "li"])
+@pytest.mark.parametrize("read_ports", [2, 3, 8])
+def test_ports_limited_runs_respect_read_ports(workload, read_ports):
+    from repro.core.machines import ports_limited_8way
+    from repro.workloads import get_trace
+
+    config = ports_limited_8way(read_ports=read_ports)
+    trace = get_trace(workload, 2_000)
+    simulator = PipelineSimulator(config, trace)
+    simulator.run()
+    assert check_timing_invariants(simulator, config, trace) == []
+
+
+def test_register_read_port_overuse_is_reported():
+    """A record forged so one cycle reads more registers than its
+    cluster has read ports is reported as such."""
+    _, _, trace = _run(3)
+    config = ALL_MACHINES["ports_limited"]()
+    simulator = PipelineSimulator(config, trace)
+    simulator.run()
+    assert check_timing_invariants(simulator, config, trace) == []
+    reads = _reads_per_cycle(simulator, trace)
+    (cycle, cluster), total = max(reads.items(), key=lambda item: item[1])
+    # Move later readers of the same cluster into that cycle until it
+    # reads more registers than the cluster has ports.
+    for seq, inst in enumerate(trace.insts):
+        if total > config.regfile_read_ports:
+            break
+        if (inst.srcs and simulator.cluster_of[seq] == cluster
+                and simulator.issue_cycle[seq] > cycle):
+            simulator.issue_cycle[seq] = cycle
+            total += len(inst.srcs)
+    failures = check_timing_invariants(simulator, config, trace)
+    assert (f"cluster {cluster} read {total} registers at cycle {cycle} "
+            f"with {config.regfile_read_ports} read ports") in failures
