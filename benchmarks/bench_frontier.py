@@ -1,8 +1,10 @@
 """The design-space frontier sweep, cold and warm.
 
 Times the full shapes x technologies frontier
-(``design_space_frontier``) cold and warm, asserts the warm pass
-performs zero simulations, and folds both wall times into
+(``design_space_frontier`` with its defaults: every registered shape
+on the seven paper kernels, as ``repro frontier`` runs it) cold and
+warm, asserts the warm pass performs zero simulations, and folds both
+wall times into
 ``BENCH_frontier.json`` (repo root) next to the checked-in
 ``recorded`` numbers -- the ``BENCH_simulator.json`` pattern applied
 to the campaign cache.  The frontier's paper claims are checked in
@@ -16,8 +18,6 @@ from conftest import assert_clears_floors, bench_instructions
 
 from repro.core.campaign import ResultCache
 from repro.core.frontier import design_space_frontier, format_frontier
-
-WORKLOADS = ("compress", "gcc", "li", "m88ksim", "vortex")
 
 #: The checked-in frontier sweep record (repo root).
 BENCH_FRONTIER_PATH = os.path.join(
@@ -42,9 +42,7 @@ def test_design_space_sweep_cold_vs_warm(benchmark, bench_report, tmp_path):
     budget = bench_instructions()
 
     def cold_sweep():
-        return design_space_frontier(
-            workloads=WORKLOADS, max_instructions=budget, cache=cache
-        )
+        return design_space_frontier(max_instructions=budget, cache=cache)
 
     points, cold_profile = benchmark.pedantic(
         cold_sweep, rounds=1, iterations=1
@@ -54,7 +52,7 @@ def test_design_space_sweep_cold_vs_warm(benchmark, bench_report, tmp_path):
 
     started = time.perf_counter()
     warm_points, warm_profile = design_space_frontier(
-        workloads=WORKLOADS, max_instructions=budget, cache=cache
+        max_instructions=budget, cache=cache
     )
     warm_seconds = time.perf_counter() - started
 

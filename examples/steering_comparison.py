@@ -12,8 +12,7 @@ Run:  python examples/steering_comparison.py [workload ...] [-n INSTS]
 import argparse
 
 from repro.core.campaign import run_campaign
-from repro.core.experiments import DEFAULT_INSTRUCTIONS
-from repro.core.machines import fig17_machines
+from repro.core.experiments import DEFAULT_INSTRUCTIONS, figure_configs
 from repro.workloads import WORKLOAD_NAMES
 
 
@@ -33,10 +32,11 @@ def main() -> None:
     args = parser.parse_args()
     workloads = tuple(args.workloads) or ("compress", "m88ksim", "vortex")
 
-    print(f"simulating {len(fig17_machines())} machines x {workloads} "
+    machines = figure_configs("fig17")
+    print(f"simulating {len(machines)} machines x {workloads} "
           f"({args.instructions} instructions each)...\n")
     result, _ = run_campaign(
-        fig17_machines(),
+        machines,
         workloads=workloads,
         max_instructions=args.instructions,
         name="steering-comparison",
@@ -46,10 +46,8 @@ def main() -> None:
     print("\ninter-cluster bypass frequency:")
     print(result.format_table("bypass"))
     print("\nmean IPC relative to the ideal machine:")
-    reference = "1-cluster.1window"
-    for machine in result.machine_names:
-        if machine == reference:
-            continue
+    reference, *clustered = result.machine_names
+    for machine in clustered:
         mean = result.mean_relative_ipc(machine, reference)
         print(f"  {machine:36s} {mean:.3f}")
     print("\npaper shape: random steering worst (-17..26%), exec-steer")

@@ -205,7 +205,7 @@ def _cmd_simulate(args) -> int:
     print(stats.summary())
     registry = MetricsRegistry()
     record_simulation_metrics(registry, stats, seconds,
-                              machine=config.name, workload=workload)
+                              machine=args.machine, workload=workload)
     extra = {
         "machine": args.machine,
         "workload": workload,

@@ -3,7 +3,7 @@
 * :mod:`repro.core.machines` -- factory functions for every machine
   configuration the paper simulates (Figures 13, 15, and 17).
 * :mod:`repro.core.experiments` -- each simulated figure's machine
-  grid (:func:`figure_configs`) and the result type
+  grid by registry key (:func:`figure_configs`) and the result type
   :func:`repro.core.campaign.run_campaign` returns.
 * :mod:`repro.core.speedup` -- the Section 5.5 clock-adjusted
   performance comparison.
@@ -22,7 +22,6 @@ from repro.core.machines import (
     clustered_random_8way,
     clustered_windows_8way,
     dependence_based_8way,
-    fig17_machines,
 )
 from repro.core.experiments import ExperimentResult
 from repro.core.speedup import clock_adjusted_speedup
@@ -47,7 +46,6 @@ __all__ = [
     "clustered_modulo_8way",
     "clustered_least_loaded_8way",
     "clustered_random_8way",
-    "fig17_machines",
     "ExperimentResult",
     "clock_adjusted_speedup",
     "FrontierPoint",

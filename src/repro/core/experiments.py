@@ -1,9 +1,11 @@
 """The paper's experiments: figure grids, results, and EXPERIMENTS.md.
 
-:func:`figure_configs` names the machines each simulated figure
-compares.  Running one is ``run_campaign(figure_configs(which),
+:data:`FIGURE_MACHINES` names each simulated figure's machines by
+registry key.  Running one is ``run_campaign(figure_configs(which),
 name=which)`` (:mod:`repro.core.campaign`), which returns an
-:class:`ExperimentResult` whose rows mirror the figure's bars.
+:class:`ExperimentResult` whose rows mirror the figure's bars, keyed
+by the same registry keys.  Only the section builders turn a key into
+the row label the document prints (:data:`ROW_LABELS`).
 
 Every EXPERIMENTS.md section from Table 1 through the design-space
 frontier has one builder in :data:`SECTIONS`.  A builder returns a
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core import machines as machine_factories
+from repro.core.machines import MACHINE_REGISTRY
 from repro.core.aggregate import arithmetic_mean, geometric_mean
 from repro.uarch.config import MachineConfig
 from repro.uarch.stats import SimStats
@@ -100,55 +102,51 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
+#: Each simulated figure's machines, as registry keys in row order.
+#: The paper's results, which the simulated grids are checked against:
+#:
+#: * ``fig13`` -- baseline window vs. single-cluster dependence-based.
+#:   The dependence-based machine extracts similar parallelism: within
+#:   5% for five of seven benchmarks, worst case 8% (li).
+#: * ``fig15`` -- baseline vs. the 2x4-way clustered dependence-based
+#:   machine with 2-cycle inter-cluster bypasses.  Nearly as
+#:   effective; worst cases m88ksim (-12%) and compress (-9%), due to
+#:   inter-cluster bypass latency.  Section 5.5 combines this grid
+#:   with the clock ratio
+#:   (:func:`repro.core.speedup.clock_adjusted_speedup`).
+#: * ``fig17`` -- the five clustered organisations (IPC and
+#:   inter-cluster bypass frequency).  Random steering degrades
+#:   17-26%; execution-driven steering is nearly ideal (max 6% loss)
+#:   but needs a central window; both dispatch-steered machines are
+#:   competitive; bypass frequency anti-correlates with IPC.
+FIGURE_MACHINES = {
+    "fig13": ("baseline", "dependence"),
+    "fig15": ("baseline", "clustered"),
+    "fig17": ("baseline", "clustered", "clustered_windows", "exec_steer",
+              "random"),
+}
+
 #: The Section 5.5 pair: Figure 15's (dependence-based, window-based)
-#: rows, in :func:`~repro.core.speedup.clock_adjusted_speedup`'s
+#: machines, in :func:`~repro.core.speedup.clock_adjusted_speedup`'s
 #: argument order.
-SECTION55_MACHINES = ("2-cluster dependence-based", "window-based 8-way")
+SECTION55_MACHINES = ("clustered", "baseline")
 
 
 def figure_configs(which: str) -> dict[str, MachineConfig]:
-    """The (name -> config) grid of one of the simulated figures.
-
-    The paper's results, which the simulated grids are checked
-    against:
-
-    * ``fig13`` -- baseline window vs. single-cluster dependence-based.
-      The dependence-based machine extracts similar parallelism:
-      within 5% for five of seven benchmarks, worst case 8% (li).
-    * ``fig15`` -- baseline vs. the 2x4-way clustered dependence-based
-      machine with 2-cycle inter-cluster bypasses.  Nearly as
-      effective; worst cases m88ksim (-12%) and compress (-9%), due
-      to inter-cluster bypass latency.  Section 5.5 combines this
-      grid with the clock ratio
-      (:func:`repro.core.speedup.clock_adjusted_speedup`).
-    * ``fig17`` -- the five clustered organisations (IPC and
-      inter-cluster bypass frequency).  Random steering degrades
-      17-26%; execution-driven steering is nearly ideal (max 6% loss)
-      but needs a central window; both dispatch-steered machines are
-      competitive; bypass frequency anti-correlates with IPC.
-
-    Args:
-        which: ``"fig13"``, ``"fig15"``, or ``"fig17"``.
+    """The (registry key -> config) grid of a :data:`FIGURE_MACHINES`
+    figure (``"fig13"``, ``"fig15"`` or ``"fig17"``).
 
     Raises:
         KeyError: for an unknown figure name.
     """
-    dependence, window = SECTION55_MACHINES
-    grids = {
-        "fig13": lambda: {
-            "baseline": machine_factories.baseline_8way(),
-            "dependence-based": machine_factories.dependence_based_8way(),
-        },
-        "fig15": lambda: {
-            window: machine_factories.baseline_8way(),
-            dependence: machine_factories.clustered_dependence_8way(),
-        },
-        "fig17": machine_factories.fig17_machines,
-    }
-    if which not in grids:
-        known = ", ".join(sorted(grids))
+    if which not in FIGURE_MACHINES:
+        known = ", ".join(sorted(FIGURE_MACHINES))
         raise KeyError(f"unknown figure {which!r} (known: {known})")
-    return grids[which]()
+    return _grid(FIGURE_MACHINES[which])
+
+
+def _grid(keys: tuple[str, ...]) -> dict[str, MachineConfig]:
+    return {key: MACHINE_REGISTRY[key]() for key in keys}
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +168,24 @@ class Section:
     title: str
     lines: list[str]
     data: dict[str, Any] = field(default_factory=dict)
+
+
+#: The row label EXPERIMENTS.md prints for a machine, by (section
+#: title, registry key).  Only the section builders read it.
+ROW_LABELS = {
+    ("Figure 13", "baseline"): "baseline (64-entry window)",
+    ("Figure 13", "dependence"): "dependence-based",
+    ("Figure 15", "baseline"): "window-based 8-way",
+    ("Figure 15", "clustered"): "2-cluster dependence-based",
+    ("Figure 17", "clustered"): "2-cluster FIFOs, dispatch steer",
+    ("Figure 17", "clustered_windows"): "2-cluster windows, dispatch steer",
+    ("Figure 17", "exec_steer"): "2-cluster 1 window, exec steer",
+    ("Figure 17", "random"): "2-cluster windows, random steer",
+    ("Ablations", "clustered_windows"): "dependence-aware",
+    ("Ablations", "random"): "random",
+    ("Ablations", "modulo"): "modulo",
+    ("Ablations", "least_loaded"): "least-loaded",
+}
 
 
 def _row(*cells: object) -> str:
@@ -304,10 +320,10 @@ def figure8(**_campaign: Any) -> Section:
         {"total": total})
 
 
-def _figure_ipc_rows(result: ExperimentResult, labels: dict[str, str]) -> list[str]:
+def _figure_ipc_rows(result: ExperimentResult, section: str) -> list[str]:
     """Each machine's IPC row and the second machine's relative row."""
     reference, machine = result.machine_names[:2]
-    rows = [_row(labels.get(name, name), *(f"{ipc:.3f}" for ipc in ipcs.values()))
+    rows = [_row(ROW_LABELS[section, name], *(f"{ipc:.3f}" for ipc in ipcs.values()))
             for name, ipcs in result.ipc_table().items()]
     relative = result.relative_ipc(machine, reference).values()
     return rows + [_row("relative", *(f"{ratio:.3f}" for ratio in relative))]
@@ -316,12 +332,11 @@ def _figure_ipc_rows(result: ExperimentResult, labels: dict[str, str]) -> list[s
 def figure13(**campaign: Any) -> Section:
     """IPC of the baseline window vs the dependence-based machine."""
     result = _run(figure_configs("fig13"), "fig13", **campaign)
-    relative = result.relative_ipc("dependence-based", "baseline")
+    relative = result.relative_ipc("dependence", "baseline")
     close = [w for w, ratio in relative.items() if ratio > 0.95]
     worst = min(relative, key=relative.__getitem__)
     mean = arithmetic_mean(relative.values())
-    return Section("Figure 13", _figure_ipc_rows(
-        result, {"baseline": "baseline (64-entry window)"}) + [
+    return Section("Figure 13", _figure_ipc_rows(result, "Figure 13") + [
         f"({', '.join(close)}), worst −{100 * (1 - relative[worst]):.0f} % "
         f"({worst}",
         f"Mean degradation {_percent(1 - mean)}.",
@@ -333,23 +348,18 @@ def figure15(**campaign: Any) -> Section:
     result = _run(figure_configs("fig15"), "fig15", **campaign)
     relative = result.relative_ipc(*SECTION55_MACHINES)
     mean = arithmetic_mean(relative.values())
-    return Section("Figure 15", _figure_ipc_rows(result, {}) + [
+    return Section("Figure 15", _figure_ipc_rows(result, "Figure 15") + [
         f"(mean −{_percent(1 - mean)}; m88ksim "
         f"−{_percent(1 - relative['m88ksim'])}",
     ], {"result": result})
 
 
-#: Figure 17's clustered machines: the document's row label and the
-#: paper's result.
-_FIGURE17_ROWS = {
-    "2-cluster.FIFOs.dispatch_steer":
-        ("2-cluster FIFOs, dispatch steer", "competitive"),
-    "2-cluster.windows.dispatch_steer":
-        ("2-cluster windows, dispatch steer", "competitive"),
-    "2-cluster.1window.exec_steer":
-        ("2-cluster 1 window, exec steer", "≥ 0.94 (max −6 %)"),
-    "2-cluster.windows.random_steer":
-        ("2-cluster windows, random steer", "0.74–0.83 (−17…−26 %)"),
+#: The paper's result for each clustered Figure 17 machine.
+_FIGURE17_PAPER = {
+    "clustered": "competitive",
+    "clustered_windows": "competitive",
+    "exec_steer": "≥ 0.94 (max −6 %)",
+    "random": "0.74–0.83 (−17…−26 %)",
 }
 
 
@@ -362,22 +372,22 @@ def figure17(**campaign: Any) -> Section:
     """Mean relative IPC and inter-cluster bypass frequency of the
     clustered organisations."""
     result = _run(figure_configs("fig17"), "fig17", **campaign)
-    ideal = result.machine_names[0]
+    ideal, *clustered = result.machine_names
     lines = [
-        _row(label, paper, f"{result.mean_relative_ipc(machine, ideal):.3f}")
-        for machine, (label, paper) in _FIGURE17_ROWS.items()
+        _row(ROW_LABELS["Figure 17", machine], _FIGURE17_PAPER[machine],
+             f"{result.mean_relative_ipc(machine, ideal):.3f}")
+        for machine in clustered
     ]
     bypass = {machine: list(result.bypass_frequency(machine).values())
-              for machine in _FIGURE17_ROWS}
-    random = result.bypass_frequency("2-cluster.windows.random_steer")
+              for machine in clustered}
+    random = result.bypass_frequency("random")
     peak = max(random, key=random.__getitem__)
-    dispatch = (bypass["2-cluster.FIFOs.dispatch_steer"]
-                + bypass["2-cluster.windows.dispatch_steer"])
+    dispatch = bypass["clustered"] + bypass["clustered_windows"]
     lines += [
-        f"random steering {_span(bypass['2-cluster.windows.random_steer'])}",
+        f"random steering {_span(bypass['random'])}",
         f"ours peaks at {_percent(random[peak])} on {peak}",
         f"dispatch-steered machines {_span(dispatch)}; exec-steered "
-        f"{_span(bypass['2-cluster.1window.exec_steer'])}",
+        f"{_span(bypass['exec_steer'])}",
     ]
     return Section("Figure 17", lines, {"result": result})
 
@@ -423,7 +433,7 @@ def figure10(**campaign: Any) -> Section:
     from repro.uarch.pipeline import simulate
 
     configs = {
-        f"{stages}-stage": machine_factories.baseline_8way(
+        f"{stages}-stage": MACHINE_REGISTRY["baseline"](
             wakeup_select_stages=stages)
         for stages in FIGURE10_STAGES
     }
@@ -557,14 +567,10 @@ def complexity_frontier(**campaign: Any) -> Section:
 #: The ablation sweeps' representative workloads.
 ABLATION_WORKLOADS = ("compress", "li", "m88ksim")
 
-#: Steering-blindness machines: the document's name, its factory.
-_STEERING_ABLATION = {
-    "ideal": machine_factories.baseline_8way,
-    "dependence-aware": machine_factories.clustered_windows_8way,
-    "random": machine_factories.clustered_random_8way,
-    "modulo": machine_factories.clustered_modulo_8way,
-    "least-loaded": machine_factories.clustered_least_loaded_8way,
-}
+#: The steering-blindness machines: the reference, the
+#: dependence-aware machine, then the dependence-blind ones.
+STEERING_MACHINES = ("baseline", "clustered_windows", "modulo",
+                     "least_loaded", "random")
 
 
 def _mean_ipcs(result: ExperimentResult) -> dict[str, float]:
@@ -582,17 +588,17 @@ def ablations(**campaign: Any) -> Section:
 
     geometries = ((4, 8), (8, 4), (8, 8), (8, 16), (16, 8))
     fifo = _mean_ipcs(_run({
-        f"{count}×{depth}": machine_factories.dependence_based_8way(
+        f"{count}×{depth}": MACHINE_REGISTRY["dependence"](
             fifo_count=count, fifo_depth=depth)
         for count, depth in geometries
     }, "ablation-fifo-geometry", workloads=ABLATION_WORKLOADS, **campaign))
     latency = _mean_ipcs(_run({
-        str(cycles): machine_factories.clustered_dependence_8way(
+        str(cycles): MACHINE_REGISTRY["clustered"](
             inter_cluster_bypass_cycles=cycles)
         for cycles in (1, 2, 3, 4)
     }, "ablation-bypass-latency", workloads=ABLATION_WORKLOADS, **campaign))
     selection = _run({
-        policy.value: machine_factories.baseline_8way(selection=policy)
+        policy.value: MACHINE_REGISTRY["baseline"](selection=policy)
         for policy in (SelectionPolicy.OLDEST_FIRST, SelectionPolicy.POSITION)
     }, "ablation-selection", **campaign)
     effect = {w: abs(1 - ratio) for w, ratio in
@@ -600,11 +606,11 @@ def ablations(**campaign: Any) -> Section:
     plans = {tech.name: (conventional_plan(tech), dependence_based_plan(tech))
              for tech in TECHNOLOGIES}
     conventional, dependence = plans[TECH_018.name]
-    steering = _run({name: factory() for name, factory in
-                     _STEERING_ABLATION.items()}, "ablation-steering",
+    steering = _run(_grid(STEERING_MACHINES), "ablation-steering",
                     workloads=("compress", "gcc", "m88ksim", "vortex"),
                     **campaign)
-    relative = {name: steering.mean_relative_ipc(name, "ideal")
+    ideal, aware, *blind = STEERING_MACHINES
+    relative = {name: steering.mean_relative_ipc(name, ideal)
                 for name in steering.machine_names[1:]}
     traffic = {name: arithmetic_mean(steering.bypass_frequency(name).values())
                for name in steering.machine_names[1:]}
@@ -616,7 +622,8 @@ def ablations(**campaign: Any) -> Section:
     latency_text = ", ".join(
         f"{cycles}{' cycle' if cycles == '1' else ''} → {ipc:.3f}"
         for cycles, ipc in latency.items())
-    blind_traffic = [traffic[name] for name in ("modulo", "least-loaded", "random")]
+    blind_text = ", ".join(f"{ROW_LABELS['Ablations', name]} {relative[name]:.2f}"
+                           for name in blind)
     return Section("Ablations", [
         fifo_text,
         latency_text,
@@ -629,12 +636,11 @@ def ablations(**campaign: Any) -> Section:
         f"stages and the 32 KB data cache {dependence.cache_stages} (vs "
         f"{conventional.regfile_stages} and {conventional.cache_stages} at "
         f"the conventional {conventional.clock_ps:.0f} ps clock)",
-        f"(mean relative IPC: modulo {relative['modulo']:.2f}, least-loaded "
-        f"{relative['least-loaded']:.2f}, random {relative['random']:.2f}; "
-        f"{_span(blind_traffic)} inter-cluster traffic), while "
-        f"dependence-aware dispatch steering reaches "
-        f"{relative['dependence-aware']:.2f} with "
-        f"{100 * traffic['dependence-aware']:.0f} % traffic",
+        f"(mean relative IPC: {blind_text}; "
+        f"{_span([traffic[name] for name in blind])} inter-cluster "
+        f"traffic), while {ROW_LABELS['Ablations', aware]} dispatch steering "
+        f"reaches {relative[aware]:.2f} with {100 * traffic[aware]:.0f} % "
+        f"traffic",
     ], {
         "fifo_geometry": fifo, "bypass_latency": latency,
         "selection": selection, "plans": plans,
@@ -650,13 +656,12 @@ def bips_frontier(**campaign: Any) -> Section:
     """The headline registry shapes, each charged for its own clock
     at 0.18 µm."""
     from repro.core import frontier
-    from repro.core.machines import MACHINE_REGISTRY
     from repro.technology import TECH_018
     from repro.workloads import WORKLOAD_NAMES
 
     points, _profile = frontier.design_space_frontier(
         techs=(TECH_018,),
-        machines={name: MACHINE_REGISTRY[name]() for name in HEADLINE_MACHINES},
+        machines=_grid(HEADLINE_MACHINES),
         **campaign)
     by_name = dict(zip(HEADLINE_MACHINES, points))
     baseline, clustered = by_name["baseline"], by_name["clustered"]

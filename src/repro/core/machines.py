@@ -4,26 +4,34 @@ All machines share the Table 3 resources: 8-wide fetch/decode/issue,
 retire width 16, 128 in-flight instructions, 120 int + 120 fp physical
 registers, 8 symmetric single-cycle functional units, gshare, and the
 32 KB 2-way data cache.  They differ only in how the issue buffers are
-organised and how instructions are steered:
+organised and how instructions are steered.
 
-=====================================  =====================================
-Machine                                 Paper design point
-=====================================  =====================================
-:func:`baseline_8way`                   Figure 13/15/17 baseline ("ideal"):
-                                        one 64-entry window, single-cycle
-                                        bypass everywhere.
-:func:`dependence_based_8way`           Figure 13: 8 FIFOs x 8 deep, one
-                                        cluster (all bypasses one cycle).
-:func:`clustered_dependence_8way`       Figures 15/17: 2 x 4-way clusters,
-                                        4 FIFOs each, 2-cycle inter-cluster
-                                        bypass.
-:func:`clustered_windows_8way`          Figure 17: two 32-entry windows,
-                                        dispatch-driven steering.
-:func:`clustered_exec_steer_8way`       Figure 17: central 64-entry window,
-                                        execution-driven steering.
-:func:`clustered_random_8way`           Figure 17: two 32-entry windows,
-                                        random steering.
-=====================================  =====================================
+A machine's one name in code is its :data:`MACHINE_REGISTRY` key: the
+figure grids, campaign cells, results, metrics labels, the service and
+the CLI all use it.  The row labels EXPERIMENTS.md prints live in one
+table, :data:`repro.core.experiments.ROW_LABELS`.  What each key
+serves:
+
+* ``baseline`` -- one 64-entry window (Table 3); the reference row of
+  Figures 13, 15 and 17, Section 5.5 and the steering ablation.
+* ``dependence`` -- 8 FIFOs x 8 deep in one cluster; Figure 13.
+* ``clustered`` -- 2 x 4-way clusters of 4 FIFOs; Figures 15 and 17,
+  Section 5.5.
+* ``clustered_windows`` -- two 32-entry windows, dispatch-driven
+  steering; Figure 17 and the steering ablation.
+* ``exec_steer`` -- central window, execution-driven steering;
+  Figure 17.
+* ``random`` -- two windows, random steering; Figure 17 and the
+  steering ablation.
+* ``modulo``, ``least_loaded`` -- two windows, dependence-blind
+  steering; the steering ablation.
+* ``load_tracking``, ``ports_limited`` -- baseline geometry with
+  another scheduler or register file; the design-space frontier,
+  which sweeps every key.
+
+The clustered shapes take the inter-cluster bypass latency from
+:class:`~repro.uarch.config.MachineConfig`'s default (2 cycles);
+``**overrides`` changes it.
 """
 
 from __future__ import annotations
@@ -67,10 +75,7 @@ def dependence_based_8way(
 
 
 def clustered_dependence_8way(
-    fifos_per_cluster: int = 4,
-    fifo_depth: int = 8,
-    inter_cluster_bypass_cycles: int = 2,
-    **overrides: Any,
+    fifos_per_cluster: int = 4, fifo_depth: int = 8, **overrides: Any
 ) -> MachineConfig:
     """The 2 x 4-way clustered dependence-based machine (Section 5.4).
 
@@ -84,13 +89,12 @@ def clustered_dependence_8way(
         name="2x4way-fifos-dispatch",
         clusters=(cluster, cluster),
         steering=SteeringPolicy.FIFO_DISPATCH,
-        inter_cluster_bypass_cycles=inter_cluster_bypass_cycles,
         **overrides,
     )
 
 
 def clustered_windows_8way(
-    window_size: int = 32, inter_cluster_bypass_cycles: int = 2, **overrides: Any
+    window_size: int = 32, **overrides: Any
 ) -> MachineConfig:
     """Two 32-entry windows with dispatch-driven steering (5.6.2).
 
@@ -102,14 +106,11 @@ def clustered_windows_8way(
         name="2x4way-windows-dispatch",
         clusters=(cluster, cluster),
         steering=SteeringPolicy.WINDOW_DISPATCH,
-        inter_cluster_bypass_cycles=inter_cluster_bypass_cycles,
         **overrides,
     )
 
 
-def clustered_exec_steer_8way(
-    inter_cluster_bypass_cycles: int = 2, **overrides: Any
-) -> MachineConfig:
+def clustered_exec_steer_8way(**overrides: Any) -> MachineConfig:
     """Central 64-entry window, execution-driven steering (5.6.1).
 
     Instructions wait in one shared window and are assigned to the
@@ -120,13 +121,12 @@ def clustered_exec_steer_8way(
         name="2x4way-1window-exec",
         clusters=(cluster, cluster),
         steering=SteeringPolicy.EXEC_DRIVEN,
-        inter_cluster_bypass_cycles=inter_cluster_bypass_cycles,
         **overrides,
     )
 
 
 def clustered_random_8way(
-    window_size: int = 32, inter_cluster_bypass_cycles: int = 2, **overrides: Any
+    window_size: int = 32, **overrides: Any
 ) -> MachineConfig:
     """Two 32-entry windows with random steering (5.6.3 baseline)."""
     cluster = ClusterConfig(window_size=window_size, fu_count=4)
@@ -134,13 +134,12 @@ def clustered_random_8way(
         name="2x4way-windows-random",
         clusters=(cluster, cluster),
         steering=SteeringPolicy.RANDOM,
-        inter_cluster_bypass_cycles=inter_cluster_bypass_cycles,
         **overrides,
     )
 
 
 def clustered_modulo_8way(
-    window_size: int = 32, inter_cluster_bypass_cycles: int = 2, **overrides: Any
+    window_size: int = 32, **overrides: Any
 ) -> MachineConfig:
     """Ablation: round-robin (modulo) steering over two windows.
 
@@ -152,13 +151,12 @@ def clustered_modulo_8way(
         name="2x4way-windows-modulo",
         clusters=(cluster, cluster),
         steering=SteeringPolicy.MODULO,
-        inter_cluster_bypass_cycles=inter_cluster_bypass_cycles,
         **overrides,
     )
 
 
 def clustered_least_loaded_8way(
-    window_size: int = 32, inter_cluster_bypass_cycles: int = 2, **overrides: Any
+    window_size: int = 32, **overrides: Any
 ) -> MachineConfig:
     """Ablation: emptiest-window steering over two windows."""
     cluster = ClusterConfig(window_size=window_size, fu_count=4)
@@ -166,7 +164,6 @@ def clustered_least_loaded_8way(
         name="2x4way-windows-least-loaded",
         clusters=(cluster, cluster),
         steering=SteeringPolicy.LEAST_LOADED,
-        inter_cluster_bypass_cycles=inter_cluster_bypass_cycles,
         **overrides,
     )
 
@@ -209,17 +206,6 @@ def ports_limited_8way(
         regfile_read_ports=read_ports,
         **overrides,
     )
-
-
-def fig17_machines() -> dict[str, MachineConfig]:
-    """The five Figure 17 machines, keyed by the paper's legend."""
-    return {
-        "1-cluster.1window": baseline_8way(),
-        "2-cluster.FIFOs.dispatch_steer": clustered_dependence_8way(),
-        "2-cluster.windows.dispatch_steer": clustered_windows_8way(),
-        "2-cluster.1window.exec_steer": clustered_exec_steer_8way(),
-        "2-cluster.windows.random_steer": clustered_random_8way(),
-    }
 
 
 #: Every machine shape in the repo, keyed by a short stable name.

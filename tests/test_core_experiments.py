@@ -11,13 +11,13 @@ from repro.core import experiments
 from repro.core.campaign import run_campaign
 from repro.core.experiments import DEFAULT_INSTRUCTIONS, SECTION55_MACHINES
 from repro.core.machines import (
+    MACHINE_REGISTRY,
     baseline_8way,
     clustered_dependence_8way,
     clustered_exec_steer_8way,
     clustered_random_8way,
     clustered_windows_8way,
     dependence_based_8way,
-    fig17_machines,
 )
 from repro.core.speedup import clock_adjusted_speedup
 from repro.delay.pipelining import stages_required
@@ -69,10 +69,23 @@ class TestMachineFactories:
         assert clustered_random_8way().steering is SteeringPolicy.RANDOM
 
     def test_fig17_has_five_machines(self):
-        machines = fig17_machines()
+        machines = experiments.figure_configs("fig17")
         assert len(machines) == 5
-        assert "1-cluster.1window" in machines
-        assert "2-cluster.windows.random_steer" in machines
+        assert "baseline" in machines
+        assert "random" in machines
+
+    def test_row_labels_name_registry_keys(self):
+        # A renamed registry key must not leave a stale printed label.
+        for (section, machine), label in experiments.ROW_LABELS.items():
+            assert machine in MACHINE_REGISTRY, (
+                f"{section} row label {label!r} names {machine!r}, which "
+                f"is not a registry key")
+
+    def test_grids_are_keyed_by_registry_key(self):
+        keys = {*SECTION55_MACHINES, *experiments.STEERING_MACHINES}
+        for grid in experiments.FIGURE_MACHINES.values():
+            keys.update(grid)
+        assert keys <= set(MACHINE_REGISTRY)
 
     def test_overrides_flow_through(self):
         config = baseline_8way(issue_width=4)
@@ -114,14 +127,14 @@ class TestFig13Shape:
     """Figure 13: dependence-based close to the window baseline."""
 
     def test_little_slowdown(self, fig13):
-        relative = fig13.relative_ipc("dependence-based", "baseline")
+        relative = fig13.relative_ipc("dependence", "baseline")
         # Paper: within 5% for five of seven, max degradation 8%.
         close = sum(1 for v in relative.values() if v > 0.94)
         assert close >= 4
         assert min(relative.values()) > 0.80
 
     def test_mean_relative(self, fig13):
-        assert fig13.mean_relative_ipc("dependence-based", "baseline") > 0.90
+        assert fig13.mean_relative_ipc("dependence", "baseline") > 0.90
 
 
 class TestFig15Shape:
@@ -139,7 +152,7 @@ class TestFig15Shape:
     def test_clustering_costs_something(self, fig13, fig15):
         # The clustered machine cannot beat the unclustered FIFO
         # machine on average (its bypasses are strictly slower).
-        unclustered = fig13.mean_relative_ipc("dependence-based", "baseline")
+        unclustered = fig13.mean_relative_ipc("dependence", "baseline")
         clustered = fig15.mean_relative_ipc(*SECTION55_MACHINES)
         assert clustered <= unclustered + 0.02
 
@@ -147,28 +160,25 @@ class TestFig15Shape:
 class TestFig17Shape:
     """Figure 17: steering policy comparison."""
 
-    REFERENCE = "1-cluster.1window"
+    REFERENCE = "baseline"
 
     def test_random_is_worst(self, fig17):
         machines = [m for m in fig17.machine_names if m != self.REFERENCE]
         means = {
             m: fig17.mean_relative_ipc(m, self.REFERENCE) for m in machines
         }
-        assert min(means, key=means.get) == "2-cluster.windows.random_steer"
+        assert min(means, key=means.get) == "random"
         # Paper: random degrades 17-26%.
-        assert means["2-cluster.windows.random_steer"] < 0.88
+        assert means["random"] < 0.88
 
     def test_exec_steer_is_nearly_ideal(self, fig17):
         mean = fig17.mean_relative_ipc(
-            "2-cluster.1window.exec_steer", self.REFERENCE
+            "exec_steer", self.REFERENCE
         )
         assert mean > 0.92  # paper: max degradation 6%
 
     def test_dispatch_steered_competitive(self, fig17):
-        for machine in (
-            "2-cluster.FIFOs.dispatch_steer",
-            "2-cluster.windows.dispatch_steer",
-        ):
+        for machine in ("clustered", "clustered_windows"):
             assert fig17.mean_relative_ipc(machine, self.REFERENCE) > 0.82
 
     def test_bypass_frequency_anticorrelates_with_ipc(self, fig17):
@@ -189,10 +199,10 @@ class TestFig17Shape:
     def test_random_steering_has_the_most_traffic(self, fig17):
         traffic = {m: sum(fig17.bypass_frequency(m).values())
                    for m in fig17.machine_names}
-        assert max(traffic, key=traffic.get) == "2-cluster.windows.random_steer"
+        assert max(traffic, key=traffic.get) == "random"
 
     def test_random_bypass_frequency_high(self, fig17):
-        freqs = fig17.bypass_frequency("2-cluster.windows.random_steer")
+        freqs = fig17.bypass_frequency("random")
         # Paper: up to ~35%; random steering sends half of all
         # dependences across clusters.
         assert max(freqs.values()) > 0.25
@@ -261,8 +271,8 @@ class TestAblationShapes:
             assert abs(ratio - 1) < 0.06, workload
 
     def test_blind_steering_trails_dependence_aware(self, ablations):
-        aware = ablations["steering"]["dependence-aware"]
-        for machine in ("random", "modulo", "least-loaded"):
+        aware = ablations["steering"]["clustered_windows"]
+        for machine in ("random", "modulo", "least_loaded"):
             assert ablations["steering"][machine] < aware - 0.05, machine
             assert ablations["steering_traffic"][machine] > 0.30, machine
 

@@ -21,10 +21,10 @@ from tests.test_experiments_delay_tables import (  # noqa: F401 (fixture)
 
 #: The document's row label of each clustered Figure 17 machine.
 ROW_LABELS = {
-    "2-cluster.FIFOs.dispatch_steer": "2-cluster FIFOs, dispatch steer",
-    "2-cluster.windows.dispatch_steer": "2-cluster windows, dispatch steer",
-    "2-cluster.1window.exec_steer": "2-cluster 1 window, exec steer",
-    "2-cluster.windows.random_steer": "2-cluster windows, random steer",
+    "clustered": "2-cluster FIFOs, dispatch steer",
+    "clustered_windows": "2-cluster windows, dispatch steer",
+    "exec_steer": "2-cluster 1 window, exec steer",
+    "random": "2-cluster windows, random steer",
 }
 
 
@@ -52,7 +52,7 @@ def test_figure17_mean_relative_ipc(table_rows, fig17):
 
 
 def test_figure17_random_steer_bypass_peak(document, fig17):
-    frequency = fig17.bypass_frequency("2-cluster.windows.random_steer")
+    frequency = fig17.bypass_frequency("random")
     workload = max(frequency, key=frequency.get)
     assert_printed(section(document, "Figure 17"), (
         f"ours peaks at {100 * frequency[workload]:.1f} % on {workload}"))
