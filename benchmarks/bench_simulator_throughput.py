@@ -12,9 +12,9 @@ and the event-tracing overhead.
 
 Every measured row -- the median of its benchmark rounds -- must
 clear its floor in ``BENCH_simulator.json``'s
-``recorded.floors``: half the recorded interleaved median for each
-compiled row, so a 2x regression of any one shape fails, and fixed
-floors for the reference model and the emulator.
+``recorded.floors``: half the recorded interleaved median of each
+row, so a 2x regression of any one shape, of the reference model or
+of the emulator fails.
 :func:`conftest.assert_clears_floors` applies them through
 :func:`repro.obs.regression.check_bench`, the same gate
 ``repro bench --check`` runs.  The tracing-disabled overhead guard
@@ -155,7 +155,7 @@ def test_throughput_compiled_ports_limited_machine(
 
 def test_throughput_reference_model(benchmark, sim_bench_record):
     """The frozen reference stays runnable (it is the equivalence
-    oracle) at the seed floor."""
+    oracle) at half its recorded median."""
     trace = get_trace("gcc", TRACE_LENGTH)
     benchmark(simulate, baseline_8way(), trace, mode="reference")
     rate = _median_rate(benchmark)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.emulator import Trace
 from repro.isa.instructions import OpClass
+from repro.isa.trace import Trace
 from repro.uarch.config import PredictorConfig
 from repro.uarch.depend import NO_PRODUCER, dependence_info
 from repro.uarch.predictor import GshareBranchPredictor

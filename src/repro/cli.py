@@ -46,6 +46,7 @@ by per-cell heartbeats from the engine.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.analysis import profile_trace
@@ -1002,10 +1003,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes standard output early (``repro ... | head``)
+    ends the command quietly with exit code 1: the rest of the output
+    goes to ``os.devnull``, so the interpreter's final flush cannot
+    raise again (the recipe of the :mod:`signal` documentation).
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

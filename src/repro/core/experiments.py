@@ -31,7 +31,7 @@ from repro.uarch.stats import SimStats
 
 if TYPE_CHECKING:
     from repro.technology.params import Technology
-    from repro.isa.emulator import Trace
+    from repro.isa.trace import Trace
 
 #: Default dynamic instructions per benchmark.  The paper ran up to
 #: 0.5 B; these kernels reach steady state within a few thousand.

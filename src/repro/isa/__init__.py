@@ -12,7 +12,9 @@ the full substrate from scratch:
   and data directives, used to write the workload kernels;
 * :mod:`repro.isa.emulator` -- a functional emulator that executes
   programs and emits the dynamic instruction trace consumed by the
-  timing simulator in :mod:`repro.uarch`.
+  timing simulator in :mod:`repro.uarch`;
+* :mod:`repro.isa.trace` -- that trace: per-instruction columns
+  (producer links included) with a lazy :class:`DynInst` record view.
 """
 
 from repro.isa.instructions import (
@@ -25,7 +27,8 @@ from repro.isa.instructions import (
     reg_name,
 )
 from repro.isa.assembler import AssemblerError, Program, assemble
-from repro.isa.emulator import DynInst, EmulationError, Emulator, Trace, run_to_trace
+from repro.isa.emulator import EmulationError, Emulator, run_to_trace
+from repro.isa.trace import DynInst, Trace
 from repro.isa.encoding import (
     EncodingError,
     decode_instruction,

@@ -1,4 +1,4 @@
-"""Functional emulator and dynamic-trace generation.
+"""Functional emulator: executes a program into a columnar trace.
 
 The timing simulator in :mod:`repro.uarch` is trace-driven, like the
 paper's modified SimpleScalar: a functional front end executes the
@@ -6,6 +6,15 @@ program and produces the committed dynamic instruction stream, and the
 timing model replays that stream through the pipeline (branch
 mispredictions stall fetch for the refill latency rather than executing
 wrong-path instructions).
+
+The emulator writes that stream as a :class:`~repro.isa.trace.Trace`'s
+columns, never as per-instruction records.  Each static instruction is
+predecoded into a step handler that executes it, appends its producer
+links (it keeps a last-writer table over the 64 flat registers) and
+notes the only other dynamic facts, a memory address or a taken
+branch.  The run loop itself records just the pc sequence; every
+static field (opcode, sources, destination, class flags) is gathered
+from per-pc tables afterwards with C-level ``map``.
 
 Semantics notes:
 
@@ -20,110 +29,26 @@ Semantics notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from typing import Callable
 
 from repro.isa.assembler import Program
 from repro.isa.instructions import FP_REG_BASE, OPCODES, Instruction, OpClass
+from repro.isa.trace import NO_PRODUCER, Trace
+
 
 class EmulationError(RuntimeError):
     """Raised for runtime errors: bad PC, bad jump target, etc."""
 
 
-class DynInst:
-    """One committed dynamic instruction (a trace record).
-
-    Attributes:
-        seq: Dynamic sequence number (0-based).
-        pc: Static instruction index.
-        opcode: Mnemonic.
-        op_class: Execution class (:class:`OpClass`).
-        srcs: Flat architectural source registers actually read
-            (register 0 excluded -- it is never a true dependence).
-        dest: Flat architectural destination register, or None
-            (writes to register 0 are discarded and appear as None).
-        mem_addr: Effective address for loads/stores, else None.
-        is_store / is_load: Memory-class flags.
-        is_branch: True for conditional branches.
-        is_uncond: True for unconditional jumps (predicted perfectly
-            in the baseline model, Table 3).
-        taken: Branch/jump outcome.
-        next_pc: Static index of the following dynamic instruction.
-    """
-
-    __slots__ = (
-        "seq", "pc", "opcode", "op_class", "srcs", "dest", "mem_addr",
-        "is_store", "is_load", "is_branch", "is_uncond", "taken", "next_pc",
-    )
-
-    def __init__(self, seq, pc, opcode, op_class, srcs, dest, mem_addr,
-                 is_store, is_load, is_branch, is_uncond, taken, next_pc):
-        self.seq = seq
-        self.pc = pc
-        self.opcode = opcode
-        self.op_class = op_class
-        self.srcs = srcs
-        self.dest = dest
-        self.mem_addr = mem_addr
-        self.is_store = is_store
-        self.is_load = is_load
-        self.is_branch = is_branch
-        self.is_uncond = is_uncond
-        self.taken = taken
-        self.next_pc = next_pc
-
-    def __repr__(self) -> str:
-        return f"DynInst(#{self.seq} pc={self.pc} {self.opcode})"
-
-
-@dataclass
-class Trace:
-    """A committed dynamic instruction stream plus provenance."""
-
-    insts: list[DynInst]
-    halted: bool
-    program: Program | None = None
-    name: str = ""
-    _class_counts: dict[OpClass, int] | None = field(default=None, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.insts)
-
-    def __iter__(self):
-        return iter(self.insts)
-
-    def __getitem__(self, index):
-        return self.insts[index]
-
-    def class_counts(self) -> dict[OpClass, int]:
-        """Dynamic instruction count per execution class."""
-        if self._class_counts is None:
-            counts: dict[OpClass, int] = {}
-            for inst in self.insts:
-                counts[inst.op_class] = counts.get(inst.op_class, 0) + 1
-            self._class_counts = counts
-        return dict(self._class_counts)
-
-    def branch_fraction(self) -> float:
-        """Fraction of dynamic instructions that are conditional branches."""
-        if not self.insts:
-            return 0.0
-        return sum(1 for i in self.insts if i.is_branch) / len(self.insts)
-
-    def load_fraction(self) -> float:
-        """Fraction of dynamic instructions that are loads."""
-        if not self.insts:
-            return 0.0
-        return sum(1 for i in self.insts if i.is_load) / len(self.insts)
-
-
 # ---- predecoding -----------------------------------------------------------
 #
 # Each static instruction is decoded once, on an emulator's first run,
-# into a *step handler*: a closure that executes the instruction and
-# returns its DynInst (or None for ``halt``).  Handlers are built from
-# source templates -- one per opcode and register-file shape -- that
-# are compiled on first use and then shared by every program in the
+# into a *step handler*: a closure that executes the instruction,
+# records its producer links and dynamic facts, and returns the next
+# pc (or None for ``halt``).  Handlers are built from source templates
+# -- one per opcode, register-file and operand shape -- that are
+# compiled on first use and then shared by every program in the
 # process, so decoding a program costs one closure per instruction.
 
 #: Value written by each register-writing opcode, over its register
@@ -189,42 +114,61 @@ _FLOAT_VALUES = frozenset({"div.s", "mov.s", "cvt.s.w", "l.s"})
 _WRAP = "({} + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
 
 #: What a handler closes over: the register files, memory and its
-#: ``get``, then one instruction's pc, fall-through pc, op class, trace
-#: ``srcs`` and ``dest``, operand indices within their files, immediate,
+#: ``get``; the last-writer table over the flat registers, the append
+#: of the producer-link column, the memory address of each memory op
+#: by seq and the ``add`` of the set of taken seqs; then one
+#: instruction's pc, fall-through pc, flat (r0-filtered) sources and
+#: destination, operand indices within their files, immediate,
 #: destination index, target and the text-segment length.
-_FACTORY_PARAMS = ("ir, fr, mem, get, PC, NEXT, CLS, SRCS, DEST, "
-                   "A, B, IMM, D, TARGET, N")
+_FACTORY_PARAMS = ("ir, fr, mem, get, W, LINK, ADDR, TAKEN, PC, NEXT, "
+                   "S0, S1, DF, A, B, IMM, D, TARGET, N")
 
 #: Handler factories, keyed by instruction shape (see :func:`_shape`);
 #: filled on first use.
 _FACTORIES: dict[tuple, Callable] = {}
 
+#: Producer-link statements by the number of (r0-filtered) sources.
+_LINKS = ("LINK(())", "LINK((W[S0],))", "LINK((W[S0], W[S1]))")
 
-def _shape(inst: Instruction) -> tuple:
-    """What a handler's source depends on: the opcode, the register
-    file of each source, and the destination's file (``"zero"`` for
-    register 0, whose writes vanish)."""
+
+def _flat(inst: Instruction) -> tuple[tuple[int, ...], int | None]:
+    """The trace's ``srcs`` and ``dest`` of a static instruction:
+    register 0 is never a dependence, and its writes vanish."""
     dest = inst.dest
+    if dest == 0 or not OPCODES[inst.opcode].writes_dest:
+        dest = None
+    return tuple(reg for reg in inst.srcs if reg != 0), dest
+
+
+def _shape(inst: Instruction, srcs: tuple[int, ...],
+           dest: int | None) -> tuple:
+    """What a handler's source depends on: the opcode, the register
+    file of each source, the destination's file (``"zero"`` for
+    register 0, whose writes vanish), and how many producer links
+    (``srcs``) and last-writer updates (``dest``, see :func:`_flat`)
+    the trace records."""
     dest_file = None
-    if dest is not None:
-        dest_file = "fp" if dest >= FP_REG_BASE else "int" if dest else "zero"
+    if inst.dest is not None:
+        dest_file = ("fp" if inst.dest >= FP_REG_BASE
+                     else "int" if inst.dest else "zero")
     return (inst.opcode, tuple(reg >= FP_REG_BASE for reg in inst.srcs),
-            dest_file)
+            dest_file, len(srcs), dest is not None)
 
 
-def _handler_source(op: str, fp_srcs: tuple[bool, ...],
-                    dest: str | None) -> str:
+def _handler_source(op: str, fp_srcs: tuple[bool, ...], dest: str | None,
+                    links: int, writes: bool) -> str:
     """Body of the step handler for one instruction shape."""
-    info = OPCODES[op]
-    cls = info.op_class
+    if op == "halt":
+        return "return None"
+    cls = OPCODES[op].op_class
     files = ["fr" if fp else "ir" for fp in fp_srcs]
     operands = dict(zip("ab", (f"{f}[{n}]" for f, n in zip(files, "AB"))))
     body: list[str] = []
-    mem_addr, taken, next_pc = "None", "False", "NEXT"
+    next_pc = "NEXT"
     if cls is OpClass.LOAD:
         body.append("addr = ({a} + IMM) & 0xFFFFFFFF".format(**operands))
         body.append("x = " + _READ[_LOAD_SIZES[op]])
-        mem_addr = "addr"
+        body.append("ADDR[seq] = addr")
     elif cls is OpClass.STORE:
         body.append("addr = ({b} + IMM) & 0xFFFFFFFF".format(**operands))
         value, size = _STORES[op]
@@ -232,12 +176,9 @@ def _handler_source(op: str, fp_srcs: tuple[bool, ...],
         body.append("mem[addr] = x & 0xFF")
         body.extend(f"mem[addr + {i}] = x >> {8 * i} & 0xFF"
                     for i in range(1, size))
-        mem_addr = "addr"
-    elif cls is OpClass.BRANCH:
-        body.append("if " + _CONDITIONS[op].format(**operands) + ":")
-        body.append("    " + _record(op, info, "None", "True", "TARGET"))
+        body.append("ADDR[seq] = addr")
     elif cls is OpClass.JUMP:
-        taken = "True"
+        body.append("TAKEN(seq)")
         if op in ("jr", "jalr"):
             body.append("t = " + operands["a"])
             next_pc = "t"
@@ -249,8 +190,6 @@ def _handler_source(op: str, fp_srcs: tuple[bool, ...],
                         "{t} outside text segment (pc={PC})')")
         else:
             next_pc = "TARGET"
-    elif op == "halt":
-        return "return None"
     if op in _VALUES:
         value = _VALUES[op].format(**operands)
         if dest == "fp":
@@ -261,16 +200,16 @@ def _handler_source(op: str, fp_srcs: tuple[bool, ...],
             body.append("ir[D] = " + _WRAP.format(f"int({value})"))
         else:
             body.append("ir[D] = " + _WRAP.format(f"({value})"))
-    body.append(_record(op, info, mem_addr, taken, next_pc))
+    # Producer links read the table before this instruction's own write.
+    body.append(_LINKS[links])
+    if writes:
+        body.append("W[DF] = seq")
+    if cls is OpClass.BRANCH:
+        body.append("if " + _CONDITIONS[op].format(**operands) + ":")
+        body.append("    TAKEN(seq)")
+        body.append("    return TARGET")
+    body.append(f"return {next_pc}")
     return "\n".join(body)
-
-
-def _record(op: str, info, mem_addr: str, taken: str, next_pc: str) -> str:
-    """The ``return DynInst(...)`` statement of a handler."""
-    return (f"return DynInst(seq, PC, {op!r}, CLS, SRCS, DEST, {mem_addr}, "
-            f"{info.writes_memory}, {info.reads_memory}, "
-            f"{info.is_conditional}, {info.op_class is OpClass.JUMP}, "
-            f"{taken}, {next_pc})")
 
 
 def _factory(shape: tuple) -> Callable:
@@ -282,10 +221,41 @@ def _factory(shape: tuple) -> Callable:
         text = (f"def factory({_FACTORY_PARAMS}):\n"
                 f"    def step(seq):\n{body}\n"
                 f"    return step\n")
-        namespace = {"DynInst": DynInst, "EmulationError": EmulationError}
+        namespace = {"EmulationError": EmulationError}
         exec(compile(text, "<emulator handler>", "exec"), namespace)
         factory = _FACTORIES[shape] = namespace["factory"]
     return factory
+
+
+@functools.lru_cache(maxsize=64)
+def _predecode(instructions: tuple[Instruction, ...]) -> tuple:
+    """What decoding a text segment needs besides the machine state:
+    per static instruction its handler factory and the operands it
+    binds, then the per-pc opcodes, ``srcs`` and ``dest``.  Memoized by
+    content, so each program is analysed once per process however many
+    emulators run it.
+
+    Raises:
+        EmulationError: for a negative branch/jump target.
+    """
+    count = len(instructions)
+    steps, srcs_of, dest_of = [], [], []
+    for pc, inst in enumerate(instructions):
+        if inst.target is not None and inst.target < 0:
+            raise EmulationError(
+                f"target {inst.target} outside text segment (pc={pc})")
+        srcs, dest = _flat(inst)
+        srcs_of.append(srcs)
+        dest_of.append(dest)
+        # Register operands index their own file (int or fp).
+        a, b = (*(reg % FP_REG_BASE for reg in inst.srcs), None, None)[:2]
+        s0, s1 = (*srcs, None, None)[:2]
+        steps.append((_factory(_shape(inst, srcs, dest)), (
+            pc, pc + 1, s0, s1, dest, a, b, inst.imm,
+            None if inst.dest is None else inst.dest % FP_REG_BASE,
+            inst.target, count,
+        )))
+    return steps, [inst.opcode for inst in instructions], srcs_of, dest_of
 
 
 class Emulator:
@@ -306,7 +276,14 @@ class Emulator:
         self.pc = program.entry_point
         self.halted = False
         self.executed = 0
-        self._handlers: list | None = None
+        self._decoded: tuple | None = None
+        # What the handlers record during one run, emptied after it:
+        # each flat register's last writer (by seq), the producer-link
+        # column, the memory addresses by seq and the taken seqs.
+        self._writers = [NO_PRODUCER] * (2 * FP_REG_BASE)
+        self._links: list[tuple[int, ...]] = []
+        self._addrs: dict[int, int] = {}
+        self._taken: set[int] = set()
 
     def load(self, address: int, size: int, signed: bool) -> int:
         """Read ``size`` little-endian bytes; missing bytes read as 0."""
@@ -319,35 +296,24 @@ class Emulator:
                 value -= 1 << (8 * size)
         return value
 
-    def _decode(self) -> list:
-        """One step handler per static instruction, indexed by pc.
+    def _decode(self) -> tuple[list, list, list, list]:
+        """One step handler per static instruction, indexed by pc, and
+        the per-pc opcodes, ``srcs`` and ``dest`` the trace's static
+        columns are gathered from.
 
         Raises:
             EmulationError: for a negative branch/jump target (a target
                 past the end faults when it is reached, as falling off
                 the end does).
         """
-        instructions = self.program.instructions
-        count = len(instructions)
+        steps, opcode_of, srcs_of, dest_of = _predecode(
+            tuple(self.program.instructions))
         memory = self.memory
-        handlers = []
-        for pc, inst in enumerate(instructions):
-            if inst.target is not None and inst.target < 0:
-                raise EmulationError(
-                    f"target {inst.target} outside text segment (pc={pc})")
-            info = OPCODES[inst.opcode]
-            srcs, dest = inst.srcs, inst.dest
-            # Register operands index their own file (int or fp).
-            a, b = (*(reg % FP_REG_BASE for reg in srcs), None, None)[:2]
-            handlers.append(_factory(_shape(inst))(
-                self.int_regs, self.fp_regs, memory, memory.get,
-                pc, pc + 1, info.op_class,
-                tuple(reg for reg in srcs if reg != 0),
-                dest if dest != 0 and info.writes_dest else None,
-                a, b, inst.imm, None if dest is None else dest % FP_REG_BASE,
-                inst.target, count,
-            ))
-        return handlers
+        state = (self.int_regs, self.fp_regs, memory, memory.get,
+                 self._writers, self._links.append, self._addrs,
+                 self._taken.add)
+        handlers = [factory(*state, *operands) for factory, operands in steps]
+        return handlers, opcode_of, srcs_of, dest_of
 
     def run(self, max_instructions: int = 1_000_000) -> Trace:
         """Execute until ``halt`` or the instruction cap.
@@ -365,33 +331,48 @@ class Emulator:
         """
         if max_instructions < 0:
             raise ValueError(f"max_instructions must be >= 0, got {max_instructions}")
-        insts: list[DynInst] = []
         if self.halted or max_instructions == 0:
-            return Trace(insts=insts, halted=self.halted, program=self.program)
-        if self._handlers is None:
-            self._handlers = self._decode()
-        handlers = self._handlers
-        append = insts.append
+            return Trace([], [], [], [], [], [], [], final_pc=self.pc,
+                         halted=self.halted, program=self.program)
+        if self._decoded is None:
+            self._decoded = self._decode()
+        handlers, opcode_of, srcs_of, dest_of = self._decoded
+        pcs: list[int] = []
+        append = pcs.append
         pc = self.pc
         seq = 0
+        links, addrs, taken = self._links, self._addrs, self._taken
         try:
             if pc < 0:
                 raise IndexError
             while seq < max_instructions:
-                record = handlers[pc](seq)
-                if record is None:  # halt: counted, not committed
+                next_pc = handlers[pc](seq)
+                if next_pc is None:  # halt: counted, not committed
                     self.halted = True
                     self.executed += 1
                     break
-                append(record)
-                pc = record.next_pc
+                append(pc)
+                pc = next_pc
                 seq += 1
+            producers = links[:]
+            mem_addr = list(map(addrs.get, range(seq)))
+            outcome = list(map(taken.__contains__, range(seq)))
         except IndexError:
             raise EmulationError(f"PC {pc} outside text segment") from None
         finally:
             self.pc = pc
             self.executed += seq
-        return Trace(insts=insts, halted=self.halted, program=self.program)
+            self._writers[:] = [NO_PRODUCER] * len(self._writers)
+            links.clear()
+            addrs.clear()
+            taken.clear()
+        return Trace(
+            pcs, list(map(opcode_of.__getitem__, pcs)),
+            list(map(srcs_of.__getitem__, pcs)),
+            list(map(dest_of.__getitem__, pcs)),
+            mem_addr, outcome, producers,
+            final_pc=pc, halted=self.halted, program=self.program,
+        )
 
 
 def run_to_trace(program: Program, max_instructions: int = 1_000_000, name: str = "") -> Trace:

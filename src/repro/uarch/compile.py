@@ -448,28 +448,28 @@ def generate_source(
         _add(line.format(**const) if "{" in line else line)
 
     add("def _compiled_run(sim, max_cycles):")
-    add("    insts = sim.insts")
-    add("    n = len(insts)")
-    add("    pre = sim.pre")
-    add("    real_producers = pre.real_producers")
+    add("    trace = sim.trace")
+    add("    n = len(trace.pc)")
+    add("    real_producers = trace.real_producers")
     if ports:
         # One entry per source operand: the instruction's read demand.
-        add("    producers = pre.producers")
-    add("    is_load = pre.is_load")
-    add("    is_store = pre.is_store")
-    add("    is_mem = pre.is_mem")
-    add("    is_branch = pre.is_branch")
-    add("    mem_addr = pre.mem_addr")
-    add("    mem_word = pre.mem_word")
-    add("    dest_kind = pre.dest_kind")
-    add("    logical_dest = pre.logical_dest")
-    add("    pc = pre.pc")
-    add("    taken = pre.taken")
+        add("    producers = trace.producers")
+    add("    is_load = trace.is_load")
+    add("    is_store = trace.is_store")
+    add("    is_mem = trace.is_mem")
+    add("    is_branch = trace.is_branch")
+    add("    mem_addr = trace.mem_addr")
+    add("    mem_word = trace.mem_word")
+    add("    dest_kind = trace.dest_kind")
+    add("    logical_dest = trace.logical_dest")
+    add("    pc = trace.pc")
+    add("    taken = trace.taken")
     add("    stats = sim.stats")
     if traced:
+        add("    insts = sim.insts")
         add("    tracer = sim.tracer")
         add("    tracer_emit = tracer.emit")
-        add("    dest_flat = pre.dest")
+        add("    dest_flat = trace.dest")
     if profiled:
         add("    stage_t = sim.stage_times")
     # The timing record, filled in place.
@@ -1260,7 +1260,7 @@ def run_compiled(
             into the function).
     """
     if max_cycles is None:
-        max_cycles = 100 * len(sim.insts) + 1_000
+        max_cycles = 100 * len(sim.trace) + 1_000
     runner = compiled_runner(
         sim.config, traced=sim.tracer is not None,
         profiled=sim.stage_times is not None,

@@ -1,17 +1,21 @@
-"""Register dependence precomputation over a dynamic trace.
+"""Register dependence links, walked over a trace's records.
 
 The trace is the committed instruction stream, so each source
 operand's producer is simply the most recent earlier instruction that
-wrote the register.  The producer links are machine independent; they
-are computed once per trace and cached on it.
+wrote the register.  Every trace source already emits these links as
+it runs (the trace's ``producers`` column, which the compiled runner
+reads); this walk over the :class:`~repro.isa.trace.DynInst` view is
+the second, independent derivation that the reference model, the
+oracle and the analyses use, so the equivalence suite compares the
+two.  The links are machine independent; they are computed once per
+trace and cached on it.
 """
 
 from __future__ import annotations
 
-from repro.isa.emulator import Trace
+from repro.isa.trace import NO_PRODUCER, Trace
 
-#: Producer seq meaning "value was available before the trace began".
-NO_PRODUCER = -1
+__all__ = ["NO_PRODUCER", "dependence_info"]
 
 
 def dependence_info(trace: Trace) -> list[tuple[int, ...]]:

@@ -36,8 +36,9 @@ cycle-for-cycle to :mod:`repro.uarch.pipeline_reference` (the frozen,
 readable model) by the equivalence suite.  The speed comes from the
 mechanisms documented in ``docs/performance.md``:
 
-* per-trace pre-analysis (:mod:`repro.uarch.preanalysis`) turns
-  repeated attribute/enum lookups into flat array indexing;
+* the runner reads the trace's columns (:class:`~repro.isa.trace.
+  Trace`), flat arrays the trace source emitted, instead of repeated
+  attribute/enum lookups on per-instruction records;
 * the generated runner folds every machine constant and drops every
   branch the shape can never take;
 * idle cycles -- where no stage can possibly act -- are *skipped* by
@@ -52,11 +53,10 @@ execution-driven steering keep it, guarded per cycle.
 
 from __future__ import annotations
 
-from repro.isa.emulator import Trace
+from repro.isa.trace import DynInst, Trace
 from repro.obs.events import EventTracer
 from repro.uarch.compile import run_compiled
 from repro.uarch.config import MachineConfig, SteeringPolicy
-from repro.uarch.preanalysis import preanalyze
 from repro.uarch.stats import SimStats
 
 _INF = float("inf")
@@ -125,11 +125,9 @@ class PipelineSimulator:
         self.config = config
         self.trace = trace
         self.tracer = tracer
-        self.insts = trace.insts
-        self.pre = preanalyze(trace)
         self.stats = SimStats(machine=config.name, workload=trace.name)
         self.stage_times: list[float] | None = None
-        n = len(self.insts)
+        n = len(trace)
         self.fetch_cycle = [0] * n
         self.dispatch_cycle = [0] * n
         self.issue_cycle = [0] * n
@@ -140,6 +138,11 @@ class PipelineSimulator:
         self.fifo_of: list[tuple[int, int] | None] = [None] * n
         self.cycle = 0
         self.skipped_cycles = 0
+
+    @property
+    def insts(self) -> list[DynInst]:
+        """The trace's :class:`DynInst` view (built on first use)."""
+        return self.trace.insts
 
     def run(self, max_cycles: int | None = None) -> SimStats:
         """Simulate until the whole trace commits.

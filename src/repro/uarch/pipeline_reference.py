@@ -29,8 +29,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from repro.isa.emulator import Trace
 from repro.isa.instructions import FP_REG_BASE, OpClass
+from repro.isa.trace import Trace
 from repro.obs.events import EventKind, EventTracer
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.config import MachineConfig, SelectionPolicy, SteeringPolicy

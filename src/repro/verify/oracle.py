@@ -24,8 +24,9 @@ strings -- empty means the case passed.
 from __future__ import annotations
 
 from repro.isa.assembler import Program
-from repro.isa.emulator import Emulator, Trace
+from repro.isa.emulator import Emulator
 from repro.isa.instructions import FP_REG_BASE, OpClass
+from repro.isa.trace import Trace
 from repro.uarch.depend import NO_PRODUCER, dependence_info
 
 _M32 = 0xFFFFFFFF
@@ -106,7 +107,7 @@ def shadow_run(
     Returns:
         ``(records, state)`` where each record is the committed tuple
         ``(pc, opcode, taken, next_pc, mem_addr)`` -- the fields the
-        emulator's :class:`~repro.isa.emulator.DynInst` must agree on
+        emulator's :class:`~repro.isa.trace.DynInst` must agree on
         -- and ``state`` is the final architectural state.
     """
     s = ShadowState(program)

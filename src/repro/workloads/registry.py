@@ -44,10 +44,12 @@ KIND_SYNTHETIC = "synthetic"
 KIND_EXTERNAL = "external"
 WORKLOAD_KINDS = (KIND_KERNEL, KIND_SYNTHETIC, KIND_EXTERNAL)
 
-#: Most instructions the trace cache holds at once.  A cached trace
-#: costs about 350-430 bytes per instruction with its preanalysis, so
-#: this bounds the cache near 0.4 GB, yet holds every registered
-#: workload at the default budget (23 x 20,000) without eviction.
+#: Most instructions the trace cache holds at once.  A cached trace's
+#: columns cost about 160-230 bytes per instruction (its ``DynInst``
+#: view, built only for the reference model and the analyses, about
+#: 170 more), so this bounds the cache near 0.2-0.4 GB, yet holds
+#: every registered workload at the default budget (23 x 20,000)
+#: without eviction.
 TRACE_CACHE_INSTRUCTIONS = 1_000_000
 
 #: Traces, per (workload name, content fingerprint, budget), least
@@ -258,9 +260,9 @@ def register_external_trace(path: str | Path,
     name = name or f"trace:{path.stem}"
 
     def loader(max_instructions: int) -> Trace:
-        return Trace(insts=full.insts[:max_instructions],
-                     halted=full.halted and max_instructions >= len(full),
-                     name=name)
+        trace = full.prefix(max_instructions)
+        trace.name = name
+        return trace
 
     return register_workload(Workload(
         name, KIND_EXTERNAL,

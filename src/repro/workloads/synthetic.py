@@ -7,14 +7,21 @@ generator builds a static loop body whose slots have fixed classes and
 register dependences, then unrolls it dynamically with per-iteration
 branch outcomes -- so a gshare predictor and the steering heuristics
 see realistic, learnable structure.
+
+The unroll appends straight into a :class:`~repro.isa.trace.Trace`'s
+columns.  A source operand is drawn as the destination some number of
+writes back, so the generator knows its producer as it draws it: it
+keeps the seq that last wrote each destination register and emits
+that link, with no walk over the finished stream.  The slot's static
+fields (opcode, class flags) are gathered per slot afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.emulator import DynInst, Trace
 from repro.isa.instructions import OpClass
+from repro.isa.trace import NO_PRODUCER, Trace
 from repro.workloads._datagen import Lcg
 
 #: Registers the generator cycles through for destinations.
@@ -116,10 +123,10 @@ def synthetic_trace(config: SyntheticConfig) -> Trace:
     classes[-1] = OpClass.BRANCH  # loop-closing backward branch
     # Per-slot branch bias: individual branches lean taken or not, so a
     # history predictor has something to learn when the global
-    # probability is not extreme.  Everything static about a slot is
-    # hoisted into one tuple: (opcode, class, source operands, writes a
-    # destination, touches memory, is_store, is_load, is_branch, and
-    # the draw below which its branch is taken).
+    # probability is not extreme.  Everything the unroll needs about a
+    # slot is hoisted into one tuple: (source operands, writes a
+    # destination, touches memory, is a branch, and the draw below
+    # which its branch is taken).
     slots = []
     for op_class in classes:
         taken_below = 0
@@ -130,11 +137,10 @@ def synthetic_trace(config: SyntheticConfig) -> Trace:
             taken_below = _prefix_length(
                 10_000, lambda k, bias=bias: k / 10_000.0 < bias)
         is_load = op_class is OpClass.LOAD
-        is_store = op_class is OpClass.STORE
         slots.append((
-            _OPCODES[op_class], op_class, 1 if is_load else 2,
-            is_load or op_class is OpClass.IALU, is_load or is_store,
-            is_store, is_load, op_class is OpClass.BRANCH, taken_below,
+            1 if is_load else 2, is_load or op_class is OpClass.IALU,
+            is_load or op_class is OpClass.STORE,
+            op_class is OpClass.BRANCH, taken_below,
         ))
     # ---- dynamic unroll --------------------------------------------------
     # Source operands reference recent producers at geometric distances
@@ -145,41 +151,53 @@ def synthetic_trace(config: SyntheticConfig) -> Trace:
     distances = range(1, 65) if mean > 1.0 else ()
     success = 1.0 / mean
     stop_below = _prefix_length(10_000, lambda k: k / 10_000.0 <= success)
-    # Destinations cycle through _DEST_REGS, so the producer `distance`
+    # Destinations cycle through _DEST_REGS, so the register `distance`
     # destinations back is a function of how many were written; the
-    # 64-entry recent-producer window never needs to be held.
+    # 64-entry recent-producer window never needs to be held.  Its
+    # producer is the last seq that wrote that register: `writer` maps
+    # each _DEST_REGS index to it.
     dest_regs = _DEST_REGS
     n_dest = len(dest_regs)
+    writer = [NO_PRODUCER] * n_dest
     memory_words = config.memory_words
     last = config.body_size - 1
     state = rng.state  # the Lcg step, inlined below
-    insts: list[DynInst] = []
-    append = insts.append
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    (pcs, srcs_col, dest_col, addr_col, taken_col, links) = columns
+    (add_pc, add_srcs, add_dest, add_addr, add_taken,
+     add_link) = (column.append for column in columns)
     written = 0  # destinations written so far
     pc = 0
     for seq in range(config.length):
-        (opcode, op_class, operands, has_dest, has_mem, is_store, is_load,
-         is_branch, taken_below) = slots[pc]
+        operands, has_dest, has_mem, is_branch, taken_below = slots[pc]
         srcs: tuple[int, ...] = ()
+        producers: tuple[int, ...] = ()
         if written:
             distance = 1
             for distance in distances:
                 state = (state * 1664525 + 1013904223) & 0xFFFFFFFF
                 if (state >> 8) % 10_000 < stop_below:
                     break
-            first = dest_regs[max(0, written - distance) % n_dest]
+            first = written - distance
+            first = first % n_dest if first > 0 else 0
             if operands == 2:
                 distance = 1
                 for distance in distances:
                     state = (state * 1664525 + 1013904223) & 0xFFFFFFFF
                     if (state >> 8) % 10_000 < stop_below:
                         break
-                srcs = (first, dest_regs[max(0, written - distance) % n_dest])
+                second = written - distance
+                second = second % n_dest if second > 0 else 0
+                srcs = (dest_regs[first], dest_regs[second])
+                producers = (writer[first], writer[second])
             else:
-                srcs = (first,)
+                srcs = (dest_regs[first],)
+                producers = (writer[first],)
         dest = None
         if has_dest:
-            dest = dest_regs[written % n_dest]
+            index = written % n_dest
+            dest = dest_regs[index]
+            writer[index] = seq
             written += 1
         mem_addr = None
         if has_mem:
@@ -201,7 +219,14 @@ def synthetic_trace(config: SyntheticConfig) -> Trace:
                 next_pc = pc + 2 + (state >> 8) % 3
         if next_pc > last:
             next_pc = 0
-        append(DynInst(seq, pc, opcode, op_class, srcs, dest, mem_addr,
-                       is_store, is_load, is_branch, False, taken, next_pc))
+        add_pc(pc)
+        add_srcs(srcs)
+        add_dest(dest)
+        add_addr(mem_addr)
+        add_taken(taken)
+        add_link(producers)
         pc = next_pc
-    return Trace(insts=insts, halted=False, name=f"synthetic(seed={config.seed})")
+    opcodes = [_OPCODES[op_class] for op_class in classes]
+    return Trace(pcs, list(map(opcodes.__getitem__, pcs)), srcs_col,
+                 dest_col, addr_col, taken_col, links, final_pc=pc,
+                 halted=False, name=f"synthetic(seed={config.seed})")

@@ -41,7 +41,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from repro.isa.emulator import DynInst, Trace
+from repro.isa.trace import NO_PRODUCER, Trace
 from repro.isa.instructions import OPCODES, OpClass
 
 #: Version of the JSON-lines trace layout (header ``version`` field).
@@ -79,15 +79,17 @@ def trace_lines(trace: Trace) -> Iterable[str]:
         "halted": trace.halted,
         "count": len(trace),
     }, sort_keys=True, separators=(",", ":"))
-    for inst in trace:
+    for pc, op, srcs, dest, mem, taken, next_pc in zip(
+            trace.pc, trace.opcode, trace.srcs, trace.dest, trace.mem_addr,
+            trace.taken, trace.next_pc):
         yield json.dumps({
-            "pc": inst.pc,
-            "op": inst.opcode,
-            "srcs": list(inst.srcs),
-            "dest": inst.dest,
-            "mem": inst.mem_addr,
-            "taken": inst.taken,
-            "next": inst.next_pc,
+            "pc": pc,
+            "op": op,
+            "srcs": list(srcs),
+            "dest": dest,
+            "mem": mem,
+            "taken": taken,
+            "next": next_pc,
         }, sort_keys=True, separators=(",", ":"))
 
 
@@ -125,7 +127,7 @@ def _parse_header(line: str) -> dict:
     return header
 
 
-def _parse_record(record: dict, line_number: int, seq: int) -> DynInst:
+def _parse_record(record: dict, line_number: int) -> tuple:
     for field_name in ("pc", "op", "srcs", "dest", "mem", "taken", "next"):
         if field_name not in record:
             _fail(line_number, f"missing field {field_name!r}")
@@ -178,24 +180,31 @@ def _parse_record(record: dict, line_number: int, seq: int) -> DynInst:
                                f"to pc+1, got next={next_pc}")
     elif is_branch and not taken and next_pc != pc + 1:
         _fail(line_number, "a not-taken branch must fall through to pc+1")
-    return DynInst(
-        seq=seq, pc=pc, opcode=opcode, op_class=op_class,
-        srcs=tuple(srcs), dest=dest, mem_addr=mem_addr,
-        is_store=is_store, is_load=is_load,
-        is_branch=is_branch, is_uncond=is_uncond,
-        taken=taken, next_pc=next_pc,
-    )
+    return pc, opcode, tuple(srcs), dest, mem_addr, taken, next_pc
 
 
 def load_trace_lines(lines: Iterable[str]) -> Trace:
-    """Parse and validate JSONL lines into a :class:`Trace`."""
+    """Parse and validate JSONL lines into a :class:`Trace`.
+
+    The records append straight into the trace's columns, and a
+    last-writer table over the registers gives each source operand
+    its producer as the line is read.
+    """
     iterator = iter(lines)
     try:
         first = next(iterator)
     except StopIteration:
         _fail(1, "empty file (expected a header line)")
     header = _parse_header(first)
-    insts: list[DynInst] = []
+    pcs: list[int] = []
+    opcodes: list[str] = []
+    srcs_col: list[tuple[int, ...]] = []
+    dest_col: list[int | None] = []
+    addr_col: list[int | None] = []
+    taken_col: list[bool] = []
+    links: list[tuple[int, ...]] = []
+    writer: dict[int, int] = {}
+    final_pc = 0
     for line_number, line in enumerate(iterator, start=2):
         if not line.strip():
             continue
@@ -205,16 +214,27 @@ def load_trace_lines(lines: Iterable[str]) -> Trace:
             _fail(line_number, "not valid JSON")
         if not isinstance(record, dict):
             _fail(line_number, "instruction record must be a JSON object")
-        inst = _parse_record(record, line_number, seq=len(insts))
-        if insts and insts[-1].next_pc != inst.pc:
+        pc, opcode, srcs, dest, mem_addr, taken, next_pc = _parse_record(
+            record, line_number)
+        if pcs and final_pc != pc:
             _fail(line_number,
-                  f"control-flow break: previous next={insts[-1].next_pc} "
-                  f"but this pc={inst.pc}")
-        insts.append(inst)
-    if len(insts) != header["count"]:
+                  f"control-flow break: previous next={final_pc} "
+                  f"but this pc={pc}")
+        links.append(tuple(writer.get(src, NO_PRODUCER) for src in srcs))
+        if dest is not None:
+            writer[dest] = len(pcs)
+        pcs.append(pc)
+        opcodes.append(opcode)
+        srcs_col.append(srcs)
+        dest_col.append(dest)
+        addr_col.append(mem_addr)
+        taken_col.append(taken)
+        final_pc = next_pc
+    if len(pcs) != header["count"]:
         _fail(1, f"header count={header['count']} but file holds "
-                 f"{len(insts)} instructions (truncated or padded?)")
-    return Trace(insts=insts, halted=header["halted"],
+                 f"{len(pcs)} instructions (truncated or padded?)")
+    return Trace(pcs, opcodes, srcs_col, dest_col, addr_col, taken_col,
+                 links, final_pc=final_pc, halted=header["halted"],
                  name=str(header.get("name", "")))
 
 

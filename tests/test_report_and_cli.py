@@ -1,12 +1,18 @@
 """Tests for the report renderers and the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.machines import MACHINE_REGISTRY
 from repro.report import bar_chart, grouped_bar_chart, text_table
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestTextTable:
@@ -247,6 +253,22 @@ class TestCli:
                      "--cache-dir", str(tmp_path / "unused")]) == 0
         assert "0 cache hits" in capsys.readouterr().out
         assert not (tmp_path / "unused").exists()
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # The reader is gone before the first write, as after `| head`.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "campaign", "fig15",
+                 "-n", "500", "--no-cache"],
+                stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path,
+                env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1
 
     def test_timeline_command(self, capsys):
         assert main(["timeline", "baseline", "li", "-n", "500",

@@ -94,7 +94,7 @@ def test_issue_before_operand_arrival_is_reported():
     assert check_timing_invariants(simulator, config, trace) == []
     seq, producer = next(
         (seq, producers[0])
-        for seq, producers in enumerate(simulator.pre.real_producers)
+        for seq, producers in enumerate(trace.real_producers)
         if producers
     )
     arrival = (simulator.complete_cycle[producer]
