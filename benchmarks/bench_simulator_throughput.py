@@ -178,7 +178,7 @@ def test_throughput_functional_emulator(benchmark, sim_bench_record):
     assert_clears_floors("simulator", {row: rate})
 
 
-def test_stage_profile(benchmark, bench_report, metrics_record):
+def test_stage_profile(benchmark, bench_report):
     """Where does simulation wall-clock go, stage by stage?"""
     trace = get_trace("gcc", TRACE_LENGTH)
 
@@ -187,7 +187,6 @@ def test_stage_profile(benchmark, bench_report, metrics_record):
 
     stats, report = benchmark.pedantic(profiled, rounds=1, iterations=1)
     stats.validate()
-    metrics_record(stats)
     bench_report("Simulator host profile (per-stage Python time)",
                  report.format_report())
     assert report.cycles == stats.cycles

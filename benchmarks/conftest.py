@@ -16,15 +16,8 @@ per benchmark program).
 Every gated measurement goes through :func:`assert_clears_floors`,
 which holds it to the row's floor in the repo-root ``BENCH_*.json``
 record -- the same check ``repro bench --check`` runs.
-
-Machine-readable output: set ``REPRO_BENCH_METRICS=/path/to.json``
-and every run registered through the ``metrics_record`` fixture is
-written there as one JSON document (each entry is a
-``SimStats.to_dict`` payload -- the same audited serialisation the
-exporters use).
 """
 
-import json
 import os
 
 import pytest
@@ -34,9 +27,6 @@ from repro.obs.regression import check_bench, format_findings, load_bench
 
 #: (title, text) report blocks, in registration order.
 _REPORTS: list[tuple[str, str]] = []
-
-#: SimStats payloads registered for the machine-readable export.
-_METRICS: list[dict] = []
 
 #: label -> measured simulator rate (inst/s) for BENCH_simulator.json.
 _SIM_RATES: dict[str, float] = {}
@@ -80,23 +70,15 @@ def bench_report():
 
 
 @pytest.fixture
-def metrics_record():
-    """Register a run's SimStats for the REPRO_BENCH_METRICS export."""
-
-    def add(stats) -> None:
-        _METRICS.append(stats.to_dict())
-
-    return add
-
-
-@pytest.fixture
 def sim_bench_record():
     """Register a measured simulator throughput (label -> inst/s).
 
     At the end of the run every registered rate is folded into
-    ``BENCH_simulator.json`` next to the checked-in ``recorded``
-    numbers, so a local or CI benchmark run always leaves a
-    machine-readable before/after artifact.
+    ``BENCH_simulator.json``'s ``measured`` rows, next to the
+    checked-in ``recorded`` numbers, so a local or CI benchmark run
+    always leaves a machine-readable before/after artifact.  A run of
+    only some rows (``-k ...``) replaces those rows and keeps the
+    others.
     """
 
     def add(label: str, rate: float) -> None:
@@ -112,8 +94,10 @@ def _write_sim_bench(terminalreporter) -> None:
     # repo goes through record_bench (schema-stamped, atomic).
     from repro.obs.ledger import record_bench
 
+    measured = {**load_bench(BENCH_SIMULATOR_PATH).get("measured", {}),
+                **_SIM_RATES}
     record_bench(BENCH_SIMULATOR_PATH, "repro-simulator-bench",
-                 dict(sorted(_SIM_RATES.items())))
+                 dict(sorted(measured.items())))
     terminalreporter.write_line(
         f"wrote {len(_SIM_RATES)} simulator rates to {BENCH_SIMULATOR_PATH}"
     )
@@ -122,15 +106,6 @@ def _write_sim_bench(terminalreporter) -> None:
 
 def pytest_terminal_summary(terminalreporter):
     _write_sim_bench(terminalreporter)
-    metrics_path = os.environ.get("REPRO_BENCH_METRICS")
-    if metrics_path and _METRICS:
-        with open(metrics_path, "w", encoding="utf-8") as handle:
-            json.dump({"kind": "repro-bench-metrics", "runs": _METRICS},
-                      handle, indent=1, sort_keys=True)
-        terminalreporter.write_line(
-            f"wrote {len(_METRICS)} run metrics to {metrics_path}"
-        )
-    _METRICS.clear()
     if not _REPORTS:
         return
     terminalreporter.write_sep("=", "benchmark reports")

@@ -51,7 +51,11 @@ import sys
 
 from repro.analysis import profile_trace
 from repro.core import experiments, machines, speedup
-from repro.core.experiments import DEFAULT_INSTRUCTIONS, SECTION55_MACHINES
+from repro.core.experiments import (
+    DEFAULT_CACHE_DIR,
+    DEFAULT_INSTRUCTIONS,
+    SECTION55_MACHINES,
+)
 from repro.core.machines import MACHINE_REGISTRY
 from repro.delay.reservation import ReservationTableDelayModel
 from repro.delay.summary import overall_delays
@@ -79,6 +83,17 @@ def _progress_meter(enabled: bool, total: int | None, unit: str):
     from repro.obs.progress import ProgressMeter
 
     return ProgressMeter(total=total, stream=sys.stderr, unit=unit)
+
+
+def _write_metrics(path: str | None, profile, what: str) -> None:
+    """Write ``profile`` as JSON to the ``--metrics`` path, if given."""
+    if not path:
+        return
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(profile.to_dict(), handle, indent=1, sort_keys=True)
+    print(f"  {what} metrics written to {path}")
 
 
 def _record_ledger(kind: str, *, profile=None, config_hash: str = "",
@@ -378,12 +393,7 @@ def _cmd_frontier(args) -> int:
         extra={"tech": args.tech, "points": len(points),
                "jobs": args.jobs},
     )
-    if args.metrics:
-        import json
-
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(profile.to_dict(), handle, indent=1, sort_keys=True)
-        print(f"  campaign metrics written to {args.metrics}")
+    _write_metrics(args.metrics, profile, "campaign")
     return 0
 
 
@@ -450,12 +460,7 @@ def _cmd_campaign(args) -> int:
     if args.out:
         save_result(result, args.out)
         print(f"  result written to {args.out}")
-    if args.metrics:
-        import json
-
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(profile.to_dict(), handle, indent=1, sort_keys=True)
-        print(f"  campaign metrics written to {args.metrics}")
+    _write_metrics(args.metrics, profile, "campaign")
     return 0
 
 
@@ -594,13 +599,7 @@ def _cmd_fuzz(args) -> int:
         if failure.reproducer:
             print(f"    minimized reproducer: {failure.reproducer} "
                   f"({failure.minimized_instructions} instructions)")
-    if args.metrics:
-        import json
-
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(report.profile.to_dict(), handle, indent=1,
-                      sort_keys=True)
-        print(f"  fuzz metrics written to {args.metrics}")
+    _write_metrics(args.metrics, report.profile, "fuzz")
     return 0 if report.ok else 1
 
 
@@ -809,9 +808,9 @@ def build_parser() -> argparse.ArgumentParser:
                                f"(default {DEFAULT_INSTRUCTIONS})")
     campaign.add_argument("-j", "--jobs", type=int, default=1,
                           help="worker processes (default 1 = serial)")
-    campaign.add_argument("--cache-dir", default=".repro-cache",
+    campaign.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                           help="result cache directory "
-                               "(default .repro-cache)")
+                               f"(default {DEFAULT_CACHE_DIR})")
     campaign.add_argument("--no-cache", action="store_true",
                           help="simulate every cell, read/write no cache")
     campaign.add_argument("--timeout", type=float, default=None,
@@ -853,9 +852,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 0.18)")
     frontier.add_argument("-j", "--jobs", type=int, default=1,
                           help="worker processes (default 1 = serial)")
-    frontier.add_argument("--cache-dir", default=".repro-cache",
+    frontier.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                           help="result cache directory "
-                               "(default .repro-cache)")
+                               f"(default {DEFAULT_CACHE_DIR})")
     frontier.add_argument("--no-cache", action="store_true",
                           help="simulate every cell, read/write no cache")
     frontier.add_argument("--metrics", default=None, metavar="PATH",
@@ -871,9 +870,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8787,
                        help="bind port (default 8787)")
-    serve.add_argument("--cache-dir", default=".repro-cache",
+    serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                        help="campaign result cache backing the hot path "
-                            "(default .repro-cache)")
+                            f"(default {DEFAULT_CACHE_DIR})")
     serve.add_argument("-j", "--jobs", type=int, default=1,
                        help="simulation worker processes (default 1)")
     serve.add_argument("--warm", default=None,

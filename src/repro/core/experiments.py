@@ -37,6 +37,10 @@ if TYPE_CHECKING:
 #: 0.5 B; these kernels reach steady state within a few thousand.
 DEFAULT_INSTRUCTIONS = 20_000
 
+#: Default result-cache directory of ``repro campaign``, ``repro
+#: frontier`` and ``repro serve`` (relative to the working directory).
+DEFAULT_CACHE_DIR = ".repro-cache"
+
 
 @dataclass
 class ExperimentResult:

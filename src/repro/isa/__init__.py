@@ -29,13 +29,6 @@ from repro.isa.instructions import (
 from repro.isa.assembler import AssemblerError, Program, assemble
 from repro.isa.emulator import EmulationError, Emulator, run_to_trace
 from repro.isa.trace import DynInst, Trace
-from repro.isa.encoding import (
-    EncodingError,
-    decode_instruction,
-    decode_program,
-    encode_instruction,
-    encode_program,
-)
 
 __all__ = [
     "FP_REG_BASE",
@@ -53,9 +46,4 @@ __all__ = [
     "Emulator",
     "Trace",
     "run_to_trace",
-    "EncodingError",
-    "encode_instruction",
-    "decode_instruction",
-    "encode_program",
-    "decode_program",
 ]

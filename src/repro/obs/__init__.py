@@ -38,12 +38,10 @@ from repro.obs.export import (
     chrome_trace,
     metrics_dict,
     prometheus_text,
-    snapshot_payload,
     validate_chrome_trace,
     validate_snapshot_payload,
     write_chrome_trace,
     write_metrics_json,
-    write_prometheus_text,
     write_snapshot_json,
 )
 from repro.obs.ledger import (
@@ -78,12 +76,10 @@ __all__ = [
     "chrome_trace",
     "metrics_dict",
     "prometheus_text",
-    "snapshot_payload",
     "validate_chrome_trace",
     "validate_snapshot_payload",
     "write_chrome_trace",
     "write_metrics_json",
-    "write_prometheus_text",
     "write_snapshot_json",
     "Ledger",
     "LedgerEntry",

@@ -11,7 +11,7 @@
 * :func:`metrics_dict` packages a :class:`~repro.uarch.stats.SimStats`
   (via its audited ``to_dict``) with derived ratios for benchmark
   harnesses and dashboards.
-* :func:`prometheus_text` / :func:`snapshot_payload` export a
+* :func:`prometheus_text` / :func:`write_snapshot_json` export a
   :class:`~repro.obs.metrics.MetricsSnapshot` as Prometheus text
   exposition format and as versioned JSON.  Both are deterministic:
   the same snapshot always produces the same bytes, and
@@ -328,11 +328,6 @@ def prometheus_text(snapshot: MetricsSnapshot) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def snapshot_payload(snapshot: MetricsSnapshot) -> dict:
-    """A snapshot as its versioned JSON document."""
-    return snapshot.to_dict()
-
-
 def validate_snapshot_payload(payload: dict) -> None:
     """Round-trip a snapshot payload; raises ValueError on problems."""
     snapshot = MetricsSnapshot.from_dict(payload)
@@ -342,7 +337,7 @@ def validate_snapshot_payload(payload: dict) -> None:
 
 def write_snapshot_json(path: str | Path, snapshot: MetricsSnapshot) -> dict:
     """Validate and write a snapshot's JSON document; returns it."""
-    payload = snapshot_payload(snapshot)
+    payload = snapshot.to_dict()
     validate_snapshot_payload(payload)
     Path(path).write_text(
         json.dumps(payload, indent=1, sort_keys=True, ensure_ascii=False)
@@ -350,11 +345,3 @@ def write_snapshot_json(path: str | Path, snapshot: MetricsSnapshot) -> dict:
         encoding="utf-8",
     )
     return payload
-
-
-def write_prometheus_text(path: str | Path,
-                          snapshot: MetricsSnapshot) -> str:
-    """Write a snapshot in Prometheus text format; returns the text."""
-    text = prometheus_text(snapshot)
-    Path(path).write_text(text, encoding="utf-8")
-    return text

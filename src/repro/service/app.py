@@ -52,7 +52,7 @@ from repro.core.campaign import (
     model_fingerprint,
     simulate_cell,
 )
-from repro.core.experiments import DEFAULT_INSTRUCTIONS
+from repro.core.experiments import DEFAULT_CACHE_DIR, DEFAULT_INSTRUCTIONS
 from repro.core.frontier import FrontierPoint, frontier_point
 from repro.core.machines import machine_registry
 from repro.core.pool import DEFAULT_RETRIES, WorkerPool
@@ -184,7 +184,7 @@ class DesignSpaceService:
         self,
         machines: dict[str, MachineConfig] | None = None,
         cache: ResultCache | None = None,
-        cache_dir: str | None = ".repro-cache",
+        cache_dir: str | None = DEFAULT_CACHE_DIR,
         jobs: int = 1,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,

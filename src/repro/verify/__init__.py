@@ -29,7 +29,7 @@ from repro.verify.fuzzer import (
     run_fuzz,
     run_fuzz_case,
 )
-from repro.verify.generator import ProgramGenConfig, generate_program, generate_source
+from repro.verify.generator import ProgramGenConfig, generate_source
 from repro.verify.minimize import ddmin_lines, minimize_case, write_reproducer
 from repro.verify.oracle import (
     check_timing_invariants,
@@ -53,7 +53,6 @@ __all__ = [
     "compare_stats",
     "ddmin_lines",
     "derive_case_seed",
-    "generate_program",
     "generate_source",
     "minimize_case",
     "run_fuzz",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.assembler import Program, assemble
 from repro.workloads._datagen import Lcg
 
 #: Registers holding generated data values (dests cycle through these).
@@ -265,8 +264,3 @@ def generate_source(config: ProgramGenConfig) -> str:
         emitter.inst("jr    r31")
 
     return "\n".join(emitter.lines) + "\n"
-
-
-def generate_program(config: ProgramGenConfig) -> Program:
-    """Generate and assemble a program (see :func:`generate_source`)."""
-    return assemble(generate_source(config))
