@@ -713,6 +713,28 @@ def _cmd_asm(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``.
+
+    A value below ``low`` is a usage error (exit 2), like any other
+    malformed argument.
+    """
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = "int"
+    return parse
+
+
+_at_least_0 = _int_at_least(0)
+_at_least_1 = _int_at_least(1)
+
+
 #: Help for the workload argument of the single-cell commands.
 _WORKLOAD_HELP = ("a registered workload name (see 'repro workloads') "
                   "or 'synthetic'")
@@ -749,7 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default="all",
                            help="only list workloads of this kind "
                                 "(default all)")
-    workloads.add_argument("-n", "--instructions", type=int, default=5_000)
+    workloads.add_argument("-n", "--instructions", type=_at_least_1,
+                           default=5_000)
     workloads.set_defaults(func=_cmd_workloads)
 
     simulate = commands.add_parser("simulate", help="run one machine on one workload")
@@ -760,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="simulate an external JSONL trace file "
                                "(repro-trace format) instead of a "
                                "registered workload")
-    simulate.add_argument("-n", "--instructions", type=int,
+    simulate.add_argument("-n", "--instructions", type=_at_least_1,
                           default=DEFAULT_INSTRUCTIONS,
                           help=f"dynamic instructions "
                                f"(default {DEFAULT_INSTRUCTIONS})")
@@ -783,7 +806,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("workload", help=_WORKLOAD_HELP)
     trace_cmd.add_argument("--machine", choices=sorted(MACHINE_REGISTRY),
                            default="baseline")
-    trace_cmd.add_argument("-n", "--instructions", type=int, default=5_000)
+    trace_cmd.add_argument("-n", "--instructions", type=_at_least_1,
+                           default=5_000)
     trace_cmd.add_argument("--out", default="trace.json",
                            help="output path (default trace.json)")
     trace_cmd.add_argument("--capacity", type=int, default=None,
@@ -802,11 +826,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="workload set to sweep: the paper suite "
                                "(default), the synthetic zoo_* scenarios, "
                                "or every registered workload")
-    campaign.add_argument("-n", "--instructions", type=int,
+    campaign.add_argument("-n", "--instructions", type=_at_least_1,
                           default=DEFAULT_INSTRUCTIONS,
                           help=f"dynamic instructions per cell "
                                f"(default {DEFAULT_INSTRUCTIONS})")
-    campaign.add_argument("-j", "--jobs", type=int, default=1,
+    campaign.add_argument("-j", "--jobs", type=_at_least_1, default=1,
                           help="worker processes (default 1 = serial)")
     campaign.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                           help="result cache directory "
@@ -816,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--timeout", type=float, default=None,
                           help="per-cell seconds before retry "
                                "(default: no timeout)")
-    campaign.add_argument("--retries", type=int, default=1,
+    campaign.add_argument("--retries", type=_at_least_0, default=1,
                           help="resubmissions per failed/timed-out cell "
                                "before serial fallback (default 1)")
     campaign.add_argument("--out", default=None, metavar="PATH",
@@ -833,7 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
     timeline = commands.add_parser("timeline", help="render a pipeline timeline")
     timeline.add_argument("machine", choices=sorted(MACHINE_REGISTRY))
     timeline.add_argument("workload", help=_WORKLOAD_HELP)
-    timeline.add_argument("-n", "--instructions", type=int, default=2_000)
+    timeline.add_argument("-n", "--instructions", type=_at_least_1,
+                          default=2_000)
     timeline.add_argument("--start", type=int, default=0,
                           help="first dynamic instruction to show")
     timeline.add_argument("--count", type=int, default=24)
@@ -842,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     frontier = commands.add_parser(
         "frontier", help="the complexity-effectiveness frontier"
     )
-    frontier.add_argument("-n", "--instructions", type=int,
+    frontier.add_argument("-n", "--instructions", type=_at_least_1,
                           default=DEFAULT_INSTRUCTIONS,
                           help="dynamic instructions per cell "
                                f"(default {DEFAULT_INSTRUCTIONS})")
@@ -850,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="0.18",
                           help="technology node(s) to clock the sweep at "
                                "(default 0.18)")
-    frontier.add_argument("-j", "--jobs", type=int, default=1,
+    frontier.add_argument("-j", "--jobs", type=_at_least_1, default=1,
                           help="worker processes (default 1 = serial)")
     frontier.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                           help="result cache directory "
@@ -873,13 +898,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                        help="campaign result cache backing the hot path "
                             f"(default {DEFAULT_CACHE_DIR})")
-    serve.add_argument("-j", "--jobs", type=int, default=1,
+    serve.add_argument("-j", "--jobs", type=_at_least_1, default=1,
                        help="simulation worker processes (default 1)")
     serve.add_argument("--warm", default=None,
                        choices=("fig13", "fig15", "fig17", "registry"),
                        help="pre-warm the cache with a figure grid or the "
                             "full machine registry before binding")
-    serve.add_argument("-n", "--instructions", type=int,
+    serve.add_argument("-n", "--instructions", type=_at_least_1,
                        default=DEFAULT_INSTRUCTIONS,
                        help=f"default per-cell instruction budget "
                             f"(default {DEFAULT_INSTRUCTIONS})")
@@ -895,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     asm = commands.add_parser("asm", help="assemble and run a program")
     asm.add_argument("file")
-    asm.add_argument("-n", "--instructions", type=int, default=100_000)
+    asm.add_argument("-n", "--instructions", type=_at_least_1, default=100_000)
     asm.add_argument("--listing", action="store_true", help="print disassembly")
     asm.add_argument("--simulate", choices=sorted(MACHINE_REGISTRY),
                      default=None,
@@ -907,11 +932,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential fuzzing: emulator vs oracle, "
              "compiled vs reference",
     )
-    fuzz.add_argument("--cases", type=int, default=200,
+    fuzz.add_argument("--cases", type=_at_least_1, default=200,
                       help="fuzz cases to run (default 200)")
     fuzz.add_argument("--seed", type=int, default=0,
                       help="campaign seed (default 0)")
-    fuzz.add_argument("-j", "--jobs", type=int, default=1,
+    fuzz.add_argument("-j", "--jobs", type=_at_least_1, default=1,
                       help="worker processes (default 1 = serial)")
     fuzz.add_argument("--time-budget", type=float, default=None,
                       help="wall-clock cap in seconds; remaining cases "
@@ -951,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_list.add_argument("--kind", default=None,
                              help="filter by run kind (simulate, campaign, "
                                   "frontier, fuzz)")
-    ledger_list.add_argument("--limit", type=int, default=20,
+    ledger_list.add_argument("--limit", type=_at_least_1, default=20,
                              help="newest entries to show (default 20)")
     ledger_show = ledger_sub.add_parser("show", help="one entry as JSON")
     ledger_show.add_argument("run_id", help="run id (or unique prefix)")
@@ -959,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_diff.add_argument("run_id", help="older run id (or prefix)")
     ledger_diff.add_argument("other", help="newer run id (or prefix)")
     ledger_gc = ledger_sub.add_parser("gc", help="compact old entries")
-    ledger_gc.add_argument("--keep", type=int, default=100,
+    ledger_gc.add_argument("--keep", type=_at_least_0, default=100,
                            help="newest entries to keep (default 100)")
     ledger_cmd.set_defaults(func=_cmd_ledger)
 
@@ -992,7 +1017,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compile", help="compile and run a Mini program"
     )
     compile_cmd.add_argument("file")
-    compile_cmd.add_argument("-n", "--instructions", type=int, default=300_000)
+    compile_cmd.add_argument("-n", "--instructions", type=_at_least_1,
+                             default=300_000)
     compile_cmd.add_argument("--listing", action="store_true",
                              help="print generated assembly")
     compile_cmd.add_argument("--simulate", choices=sorted(MACHINE_REGISTRY),

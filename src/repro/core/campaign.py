@@ -154,8 +154,8 @@ def cache_key(
     """Content address of one cell's result.
 
     The key covers everything that determines the simulation output:
-    the full machine configuration (scheduler and register-file
-    strategy included), the workload, the instruction budget, the
+    the full machine configuration (load-delay tracking and the
+    read-port budget included), the workload, the instruction budget, the
     stats serialisation version
     (:data:`~repro.core.results_io.FORMAT_VERSION`, read at call time,
     so a format bump invalidates old entries instead of misreading

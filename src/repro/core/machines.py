@@ -26,8 +26,8 @@ serves:
 * ``modulo``, ``least_loaded`` -- two windows, dependence-blind
   steering; the steering ablation.
 * ``load_tracking``, ``ports_limited`` -- baseline geometry with
-  another scheduler or register file; the design-space frontier,
-  which sweeps every key.
+  load-delay tracking or a read-port budget; the design-space
+  frontier, which sweeps every key.
 
 The clustered shapes take the inter-cluster bypass latency from
 :class:`~repro.uarch.config.MachineConfig`'s default (2 cycles);
@@ -169,7 +169,7 @@ def clustered_least_loaded_8way(
 
 
 def load_tracking_8way(window_size: int = 64, **overrides: Any) -> MachineConfig:
-    """Baseline geometry with the ``load_delay_tracking`` scheduler.
+    """Baseline geometry with load-delay tracking.
 
     Diavastos & Carlson (arXiv:2109.03112): broadcast wakeup is
     replaced by predicted ready times with real-time load-delay
@@ -182,7 +182,7 @@ def load_tracking_8way(window_size: int = 64, **overrides: Any) -> MachineConfig
         name=f"ldt-8way-{window_size}w",
         clusters=(ClusterConfig(window_size=window_size, fu_count=8),),
         steering=SteeringPolicy.NONE,
-        scheduler="load_delay_tracking",
+        load_delay_tracking=True,
         **overrides,
     )
 
@@ -202,7 +202,6 @@ def ports_limited_8way(
         name=f"ports-8way-{read_ports}r-{window_size}w",
         clusters=(ClusterConfig(window_size=window_size, fu_count=8),),
         steering=SteeringPolicy.NONE,
-        regfile="ports_limited",
         regfile_read_ports=read_ports,
         **overrides,
     )

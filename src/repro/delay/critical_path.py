@@ -135,7 +135,7 @@ def ldt_window_logic_ps(
     selection still arbitrates over the whole flexible window.  The
     clock gain over :func:`window_logic_ps` is exactly the CAM-vs-RAM
     wakeup difference; the IPC cost of mispredicted ready times is
-    what the simulator's ``load_delay_tracking`` strategy measures.
+    what the simulator measures with ``load_delay_tracking`` on.
     """
     wakeup = ReservationTableDelayModel(tech).total(issue_width, tag_count)
     return wakeup + select_ps(tech, window_size)
@@ -217,7 +217,6 @@ def _window_structure(
 ) -> tuple[StructureDelay, ...]:
     entries = []
     widths = config.cluster_issue_widths
-    load_delay_tracking = config.scheduler == "load_delay_tracking"
     for index, (cluster, width) in enumerate(zip(config.clusters, widths)):
         if cluster.uses_fifos:
             delay = fifo_window_logic_ps(
@@ -227,7 +226,7 @@ def _window_structure(
                 f"cluster{index} reservation wakeup+select "
                 f"({width}-way, {cluster.fifo_count} FIFO heads)"
             )
-        elif load_delay_tracking:
+        elif config.load_delay_tracking:
             delay = ldt_window_logic_ps(
                 tech, width, config.reservation_tag_count, cluster.window_size
             )

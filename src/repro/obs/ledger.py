@@ -242,7 +242,12 @@ class Ledger:
             kind: Keep only entries of this kind.
             limit: Keep only the *newest* ``limit`` entries (applied
                 after the kind filter).
+
+        Raises:
+            ValueError: if ``limit`` is negative.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         try:
             text = self.path.read_text(encoding="utf-8")
         except OSError:
@@ -259,7 +264,7 @@ class Ledger:
             if kind is None or entry.kind == kind:
                 entries.append(entry)
         if limit is not None:
-            entries = entries[-limit:]
+            entries = _newest(entries, limit)
         return entries
 
     def find(self, run_id: str) -> LedgerEntry | None:
@@ -278,7 +283,7 @@ class Ledger:
         if keep < 0:
             raise ValueError(f"keep must be >= 0, got {keep}")
         entries = self.entries()
-        kept = entries[len(entries) - keep:] if keep else []
+        kept = _newest(entries, keep)
         removed = len(entries) - len(kept)
         if removed <= 0:
             return 0
@@ -289,6 +294,11 @@ class Ledger:
             for entry in kept
         ))
         return removed
+
+
+def _newest(entries: list[LedgerEntry], count: int) -> list[LedgerEntry]:
+    """The last ``count`` (>= 0) of ``entries``, all of them if fewer."""
+    return entries[-count:] if count else []
 
 
 def _run_id(entry: LedgerEntry) -> str:

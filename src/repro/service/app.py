@@ -154,6 +154,24 @@ def point_json(point: FrontierPoint) -> dict:
     }
 
 
+def _strategy_label(config: MachineConfig) -> str:
+    """``/v1/machines``' ``sched:<name>+regfile:<name>`` label.
+
+    The scheduler name is ``load_delay_tracking`` when the config
+    tracks load delays, else what the geometry implies:
+    ``fifo_steering`` for FIFO clusters, ``conventional`` for windows.
+    The register file is ``ports_limited`` under a read-port budget.
+    """
+    if config.load_delay_tracking:
+        scheduler = "load_delay_tracking"
+    elif any(cluster.uses_fifos for cluster in config.clusters):
+        scheduler = "fifo_steering"
+    else:
+        scheduler = "conventional"
+    regfile = "ports_limited" if config.regfile_read_ports else "unlimited"
+    return f"sched:{scheduler}+regfile:{regfile}"
+
+
 class DesignSpaceService:
     """The serving tier over the campaign cache.
 
@@ -508,8 +526,7 @@ class DesignSpaceService:
                 "clusters": len(config.clusters),
                 "total_capacity": config.total_capacity,
                 "steering": config.steering.value,
-                "strategy": (f"sched:{config.scheduler}"
-                             f"+regfile:{config.regfile}"),
+                "strategy": _strategy_label(config),
             })
         return envelope({
             "machines": entries,

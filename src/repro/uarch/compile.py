@@ -73,8 +73,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.isa.instructions import FP_REG_BASE
 from repro.obs.events import EventKind
 from repro.uarch.config import (
-    REGFILE_NAMES,
-    SCHEDULER_NAMES,
     MachineConfig,
     SelectionPolicy,
     SteeringPolicy,
@@ -125,15 +123,11 @@ def supports_compile(config: MachineConfig) -> bool:
     """True when :func:`compiled_runner` covers ``config``.
 
     The generator knows every steering policy, selection policy,
-    cluster count and FIFO geometry the config validator accepts, and
-    every registered scheduler and register-file strategy -- so this
+    cluster count and FIFO geometry the config validator accepts, with
+    and without load-delay tracking and a read-port budget -- so this
     holds for every valid config.
     """
-    return (
-        len(config.clusters) in (1, 2)
-        and config.scheduler in SCHEDULER_NAMES
-        and config.regfile in REGFILE_NAMES
-    )
+    return True
 
 
 def compile_cache_key(
@@ -175,18 +169,8 @@ def generate_source(
     cycle loop inline, fills the simulator's timing record, and
     returns the populated ``SimStats``.  See the module docstring for
     what gets folded and dropped.
-
-    Raises:
-        ValueError: for configs outside :func:`supports_compile`.
     """
-    if not supports_compile(config):
-        raise ValueError(
-            f"cannot compile {config.name!r}: unsupported shape "
-            f"(steering={config.steering.value}, "
-            f"scheduler={config.scheduler}, "
-            f"clusters={len(config.clusters)})"
-        )
-    ports = config.regfile == "ports_limited"
+    ports = bool(config.regfile_read_ports)
     bubble = config.wakeup_select_stages - 1
     cache = config.cache
     predictor = config.predictor
@@ -214,7 +198,7 @@ def generate_source(
     # skipping is legal only when no placement was attempted.
     random_steered = policy is SteeringPolicy.RANDOM
     positional = config.selection is SelectionPolicy.POSITION
-    ldt = config.scheduler == "load_delay_tracking"
+    ldt = config.load_delay_tracking
     # Issue candidates are bare seqs popped from one ready heap (the
     # single window, or execution-driven steering's central window),
     # or (seq, cluster, fifo) triples gathered across clusters/FIFOs.
@@ -1218,11 +1202,7 @@ def _exec_namespace() -> dict:
 def compiled_runner(
     config: MachineConfig, traced: bool = False, profiled: bool = False,
 ) -> Callable:
-    """The memoized compiled run function for one machine variant.
-
-    Raises:
-        ValueError: for configs outside :func:`supports_compile`.
-    """
+    """The memoized compiled run function for one machine variant."""
     key = compile_cache_key(config, traced, profiled)
     runner = _COMPILE_CACHE.get(key)
     if runner is not None:
@@ -1255,7 +1235,6 @@ def run_compiled(
     when a tracer is attached, profiled when ``stage_times`` is set.
 
     Raises:
-        ValueError: for configs outside :func:`supports_compile`.
         RuntimeError: on no-forward-progress (the guards are compiled
             into the function).
     """

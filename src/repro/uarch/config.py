@@ -45,35 +45,6 @@ class SteeringPolicy(enum.Enum):
     LEAST_LOADED = "least_loaded"  #: emptiest-window cluster choice (ablation)
 
 
-#: Valid ``MachineConfig.scheduler`` values, the wakeup/select
-#: strategies:
-#:
-#: * ``conventional`` -- the paper's broadcast wakeup + select over a
-#:   flexible window (also drives the window-steered clustered shapes);
-#: * ``fifo_steering`` -- Section 5's dependence-based FIFOs, where only
-#:   FIFO heads are visible to select;
-#: * ``load_delay_tracking`` -- predicted ready-time issue with
-#:   real-time load-delay feedback (Diavastos & Carlson,
-#:   arXiv:2109.03112): each instruction carries a ready time predicted
-#:   from its producers (a load's from the last observed latency of the
-#:   same static load), and a candidate predicted not yet ready is held
-#:   out of select and charged to ``SCHED_WAIT``.  Holds expire at
-#:   cycles no event marks, so this strategy never skips idle cycles.
-SCHEDULER_NAMES = ("conventional", "fifo_steering", "load_delay_tracking")
-
-#: Valid ``MachineConfig.regfile`` values, the register-file port
-#: models:
-#:
-#: * ``unlimited`` -- the paper's file, ``2 x issue_width`` read ports
-#:   per cluster, never a structural hazard;
-#: * ``ports_limited`` -- reduced read ports in the spirit of Los
-#:   (arXiv:2502.00147): each cluster has ``regfile_read_ports`` read
-#:   ports per cycle, and a selected instruction whose operand reads
-#:   exceed the remaining budget is denied issue and charged to
-#:   ``REGFILE_PORT``.
-REGFILE_NAMES = ("unlimited", "ports_limited")
-
-
 @dataclass(frozen=True)
 class PredictorConfig:
     """gshare predictor parameters (McFarling [13], Table 3)."""
@@ -210,18 +181,22 @@ class MachineConfig:
     cache: CacheConfig = field(default_factory=CacheConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     steering_seed: int = 12345  #: used only by random steering
-    #: Wakeup/select strategy (a :data:`SCHEDULER_NAMES` entry).  The
-    #: empty default derives the classic strategy from the cluster
-    #: geometry -- ``fifo_steering`` when any cluster uses FIFOs, else
-    #: ``conventional`` -- so every pre-existing config keeps its
-    #: behaviour without naming one.
-    scheduler: str = ""
-    #: Register-file port model (a :data:`REGFILE_NAMES` entry).  The
-    #: empty default derives ``ports_limited`` when
-    #: ``regfile_read_ports`` is set, else ``unlimited``.
-    regfile: str = ""
-    #: Per-cluster read ports for the ``ports_limited`` model; 0 means
-    #: the paper's fully-ported file (2 per issue slot).
+    #: Predicted ready-time issue with real-time load-delay feedback
+    #: (Diavastos & Carlson, arXiv:2109.03112) instead of broadcast
+    #: wakeup: each instruction carries a ready time predicted from its
+    #: producers (a load's from the last observed latency of the same
+    #: static load), and a candidate predicted not yet ready is held
+    #: out of select and charged to ``SCHED_WAIT``.  Holds expire at
+    #: cycles no event marks, so such a machine never skips idle
+    #: cycles.  Only a single unsteered window cluster tracks load
+    #: delays; without it, a window cluster wakes up by broadcast and
+    #: a FIFO cluster issues from its FIFO heads (Section 5).
+    load_delay_tracking: bool = False
+    #: Per-cluster register-file read ports, after Los
+    #: (arXiv:2502.00147): a selected instruction whose operand reads
+    #: exceed the cycle's remaining budget is denied issue and charged
+    #: to ``REGFILE_PORT``.  0 means the paper's fully-ported file (2
+    #: per issue slot, never a structural hazard).
     regfile_read_ports: int = 0
 
     def __post_init__(self) -> None:
@@ -271,71 +246,28 @@ class MachineConfig:
                 f"issue buffers could never fill, so the configured geometry "
                 f"is unreachable"
             )
-        self._normalize_strategies()
-
-    def _normalize_strategies(self) -> None:
-        """Derive/validate the scheduler and regfile strategy fields.
-
-        The derived classic scheduler is single-valued from the
-        cluster geometry, so an explicitly named classic strategy must
-        match it -- a FIFO machine running the ``conventional`` gather
-        path (or vice versa) would be a silently different machine
-        under the same geometry.
-        """
-        derived = (
-            "fifo_steering"
-            if any(c.uses_fifos for c in self.clusters)
-            else "conventional"
-        )
-        scheduler = self.scheduler or derived
-        if scheduler not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; valid: {SCHEDULER_NAMES}"
-            )
-        if scheduler in ("conventional", "fifo_steering"):
-            if scheduler != derived:
-                raise ValueError(
-                    f"scheduler {scheduler!r} contradicts the cluster "
-                    f"geometry (which implies {derived!r})"
-                )
-        elif scheduler == "load_delay_tracking":
+        if self.load_delay_tracking and (
+                len(self.clusters) != 1 or self.clusters[0].uses_fifos
+                or self.steering is not SteeringPolicy.NONE):
             # Predicted ready times replace the broadcast CAM of one
             # flexible window; steered/FIFO variants are future work.
-            if (len(self.clusters) != 1 or self.clusters[0].uses_fifos
-                    or self.steering is not SteeringPolicy.NONE):
-                raise ValueError(
-                    "load_delay_tracking models a single unsteered "
-                    "window cluster"
-                )
-        object.__setattr__(self, "scheduler", scheduler)
-        regfile = self.regfile or (
-            "ports_limited" if self.regfile_read_ports > 0 else "unlimited"
-        )
-        if regfile not in REGFILE_NAMES:
             raise ValueError(
-                f"unknown regfile {regfile!r}; valid: {REGFILE_NAMES}"
+                "load_delay_tracking models a single unsteered window cluster"
             )
-        if regfile == "unlimited":
-            if self.regfile_read_ports != 0:
-                raise ValueError(
-                    "regfile_read_ports is meaningful only with the "
-                    "ports_limited regfile"
-                )
-        else:
+        if self.regfile_read_ports:
             # Stores and branches read two registers; fewer ports than
             # that could never issue them.
             if self.regfile_read_ports < 2:
                 raise ValueError(
-                    "ports_limited needs regfile_read_ports >= 2 "
-                    "(the widest instruction reads two registers)"
+                    "a port-limited register file needs regfile_read_ports "
+                    ">= 2 (the widest instruction reads two registers)"
                 )
             if self.steering is SteeringPolicy.EXEC_DRIVEN:
                 raise ValueError(
-                    "ports_limited is incompatible with EXEC_DRIVEN "
+                    "a read-port budget is incompatible with EXEC_DRIVEN "
                     "steering (issue slots are not bound to a cluster's "
                     "register file until after selection)"
                 )
-        object.__setattr__(self, "regfile", regfile)
 
     @property
     def extra_bypass_latency(self) -> int:
@@ -374,13 +306,13 @@ class MachineConfig:
         """Register-file read ports per cluster.
 
         The paper's sizing is two ports per issue slot
-        (Section 5.5); the ``ports_limited`` model caps that at
-        ``regfile_read_ports``.  The delay models size the register
-        file's word lines from this, so the port reduction shows up
-        in the clock as well as in IPC.
+        (Section 5.5); a nonzero ``regfile_read_ports`` caps that.
+        The delay models size the register file's word lines from
+        this, so the port reduction shows up in the clock as well as
+        in IPC.
         """
         full = tuple(2 * width for width in self.cluster_issue_widths)
-        if self.regfile != "ports_limited":
+        if not self.regfile_read_ports:
             return full
         return tuple(min(ports, self.regfile_read_ports) for ports in full)
 

@@ -115,10 +115,10 @@ class ReferencePipelineSimulator:
         self.cache = SetAssociativeCache(config.cache)
         self.stats = SimStats(machine=config.name, workload=trace.name)
         self._steering = self._build_steering()
-        # The two strategy hooks (config.SCHEDULER_NAMES and
-        # REGFILE_NAMES describe them), in their plain forms.
-        self.load_delay_tracking = config.scheduler == "load_delay_tracking"
-        self.ports_limited = config.regfile == "ports_limited"
+        # Load-delay tracking and the read-port budget, in their
+        # plain forms.
+        self.load_delay_tracking = config.load_delay_tracking
+        self.ports_limited = bool(config.regfile_read_ports)
         self._reset_state()
 
     # ------------------------------------------------------------------
@@ -513,7 +513,7 @@ class ReferencePipelineSimulator:
         blocked: dict[StallCause, int] = {}
         self._issue_block = None
         # Per-cluster register-file read ports, granted afresh each
-        # cycle (the ports_limited regfile).
+        # cycle (when regfile_read_ports is set).
         read_budget = [self.config.regfile_read_ports] * self.n_clusters
         for seq, cluster, fifo_index in self._gather_candidates():
             if self.load_delay_tracking and self._predicted_unready(seq):

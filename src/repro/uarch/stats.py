@@ -52,10 +52,10 @@ class StallCause(str, Enum):
     #: bypass to a cluster with a free unit (execution-driven steering).
     INTER_CLUSTER_WAIT = "inter_cluster_wait"
     #: Issue blocked: the register file ran out of read ports this
-    #: cycle (the ``ports_limited`` regfile model).
+    #: cycle (a nonzero ``MachineConfig.regfile_read_ports``).
     REGFILE_PORT = "regfile_port"
     #: Issue blocked: the scheduler held a candidate past its
-    #: predicted ready time (the ``load_delay_tracking`` strategy).
+    #: predicted ready time (``MachineConfig.load_delay_tracking``).
     SCHED_WAIT = "sched_wait"
     #: End of trace: fetch exhausted, pipeline draining to commit.
     DRAIN = "drain"
@@ -291,25 +291,34 @@ class SimStats:
     def from_dict(cls, payload: dict) -> "SimStats":
         """Inverse of :meth:`to_dict` (missing keys default to zero).
 
+        Only the shape is checked, not :meth:`validate`'s invariants:
+        a cache entry or a worker payload that is not what
+        :meth:`to_dict` writes fails here, not later in a report.
+
         Raises:
-            ValueError: if a stall key is outside :class:`StallCause`.
+            ValueError: if ``payload`` is not a JSON object, a label is
+                not a string, a counter or a histogram/stall count is
+                not an integer, or a stall key is outside
+                :class:`StallCause`.
         """
+        if not isinstance(payload, dict):
+            raise ValueError("stats payload must be a JSON object")
         stats = cls(
-            machine=payload.get("machine", ""),
-            workload=payload.get("workload", ""),
+            machine=_typed(payload.get("machine", ""), str, "machine"),
+            workload=_typed(payload.get("workload", ""), str, "workload"),
         )
         for name in _COUNTER_FIELDS:
-            setattr(stats, name, payload.get(name, 0))
+            setattr(stats, name, _typed(payload.get(name, 0), int, name))
         stats.dispatch_stalls = {
             StallCause(cause): count
-            for cause, count in payload.get("dispatch_stalls", {}).items()
+            for cause, count in _counts(payload, "dispatch_stalls").items()
         }
         stats.issue_histogram = {
-            int(k): v for k, v in payload.get("issue_histogram", {}).items()
+            int(k): v for k, v in _counts(payload, "issue_histogram").items()
         }
         stats.stall_cycles = {
             StallCause(cause): count
-            for cause, count in payload.get("stall_cycles", {}).items()
+            for cause, count in _counts(payload, "stall_cycles").items()
         }
         stats.clock_ps = float(payload.get("clock_ps", 0.0))
         return stats
@@ -357,3 +366,19 @@ _COUNTER_FIELDS = (
     "occupancy_sum",
     "active_cycles",
 )
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if it is a ``kind`` (a bool is no int), else ValueError."""
+    if not isinstance(value, kind) or (kind is int and type(value) is bool):
+        raise ValueError(
+            f"stats field {name!r} is not {kind.__name__}: {value!r}")
+    return value
+
+
+def _counts(payload: dict, name: str) -> dict:
+    """``payload[name]`` as a mapping of integer counts (default empty)."""
+    counts = _typed(payload.get(name, {}), dict, name)
+    for key, count in counts.items():
+        _typed(count, int, f"{name}[{key}]")
+    return counts

@@ -91,6 +91,8 @@ _CONFIG_SHRINKS = {
     "wakeup_select_stages": (1,),
     "inter_cluster_bypass_cycles": (1,),
     "front_end_stages": (0, 1),
+    "load_delay_tracking": (False,),
+    "regfile_read_ports": (0,),
 }
 
 

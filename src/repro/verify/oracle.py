@@ -357,7 +357,7 @@ def check_timing_invariants(simulator, config, trace) -> list[str]:
     bypass across clusters), load-after-store order (a load issues no
     earlier than any earlier store, Table 3), per-cycle issue-width,
     functional-unit and cache-port limits, the register-file read
-    ports of a ``ports_limited`` machine (each issued instruction
+    ports of a machine with a read-port budget (each issued instruction
     reads ``len(srcs)`` registers from its cluster's ports), occupancy
     bounds, and the stall-cycle partition (``SimStats.validate``).
     """
@@ -469,7 +469,7 @@ def check_timing_invariants(simulator, config, trace) -> list[str]:
                 f"{clusters[cluster].fu_count} functional units"
             )
             break
-    if config.regfile == "ports_limited":
+    if config.regfile_read_ports:
         for (cycle, cluster), reads in sorted(reads_per_cycle.items()):
             if reads > config.regfile_read_ports:
                 failures.append(

@@ -58,10 +58,14 @@ _SHAPE_GEOMETRY = {
         "window_size": (8, 16, 32),
         "inter_cluster_bypass_cycles": (1, 2, 3),
     },
-    "load_tracking": {"window_size": (16, 32, 64)},
+    "load_tracking": {
+        "window_size": (16, 32, 64),
+        "regfile_read_ports": (0, 2, 4),
+    },
     "ports_limited": {
         "read_ports": (2, 3, 4, 6),
         "window_size": (16, 32, 64),
+        "load_delay_tracking": (False, True),
     },
 }
 

@@ -354,6 +354,47 @@ class TestResultCache:
         cache.path(key).write_text(json.dumps(payload), encoding="utf-8")
         assert cache.load(key) is None
 
+    @staticmethod
+    def _malformed(stats: dict, damage: str) -> object:
+        """A well-formed cell payload whose ``stats`` is damaged."""
+        payload = results_io.stats_payload(stats)
+        if damage == "stats_not_object":
+            payload["stats"] = []
+        elif damage == "string_counter":
+            payload["stats"]["committed"] = "x"
+        elif damage == "string_stall_count":
+            payload["stats"]["stall_cycles"] = {"regfile_port": "x"}
+        elif damage == "top_level_list":
+            payload = [payload]
+        return payload
+
+    MALFORMED = ("stats_not_object", "string_counter", "string_stall_count",
+                 "top_level_list")
+
+    @pytest.mark.parametrize("damage", MALFORMED)
+    def test_malformed_stats_discarded(self, entry, damage):
+        cache, key, stats = entry
+        cache.path(key).write_text(
+            json.dumps(self._malformed(stats, damage)), encoding="utf-8")
+        assert cache.load(key) is None
+        assert not cache.path(key).exists()
+
+    @pytest.mark.parametrize("damage", MALFORMED)
+    def test_campaign_recomputes_malformed_cells(self, tmp_path, damage):
+        configs = {"baseline": baseline_8way()}
+        cache = ResultCache(tmp_path / "cache")
+        first, _ = run_campaign(
+            configs, workloads=("li",), max_instructions=500, cache=cache,
+        )
+        path = cache.path(cache_key(baseline_8way(), "li", 500))
+        path.write_text(json.dumps(self._malformed(
+            first.stats["baseline"]["li"], damage)), encoding="utf-8")
+        second, profile = run_campaign(
+            configs, workloads=("li",), max_instructions=500, cache=cache,
+        )
+        assert profile.simulated_cells == 1  # re-simulated, not crashed
+        assert serialise(second) == serialise(first)
+
     def test_concurrent_writers_of_one_key_both_land(
             self, entry, monkeypatch):
         # A second writer of the same key finishes inside the first

@@ -20,6 +20,7 @@ from repro.uarch.compile import (
     compiled_runner,
     generate_source,
     run_compiled,
+    supports_compile,
 )
 from repro.uarch.pipeline import SIMULATE_MODES, PipelineSimulator, simulate
 from repro.workloads import get_trace
@@ -35,19 +36,16 @@ def fresh_compile_cache():
     compile_mod.clear_compile_cache()
 
 
-def _forged(config, **fields):
-    """A config carrying field values the validator would reject."""
-    for name, value in fields.items():
-        object.__setattr__(config, name, value)
-    return config
-
-
 class TestSupportsCompile:
-    """Every valid config compiles; only forged ones are refused."""
+    """Every valid config compiles; there is no fallback path."""
 
     def test_registry_coverage(self):
+        from repro.uarch import scheduler
+
         for factory in MACHINE_REGISTRY.values():
             assert "def _compiled_run" in generate_source(factory())
+            assert supports_compile(factory())
+            assert scheduler.supports_reference(factory())
 
     def test_sampled_configs_compile(self):
         import random
@@ -58,18 +56,6 @@ class TestSupportsCompile:
         for _ in range(200):
             _shape, config = sample_machine(rng)
             assert "def _compiled_run" in generate_source(config), config
-
-    def test_generate_source_rejects_unsupported_shapes(self):
-        forged = _forged(baseline_8way(), scheduler="oracle")
-        with pytest.raises(ValueError, match="cannot compile"):
-            generate_source(forged)
-
-    def test_compiled_runner_rejects_unsupported_shapes(self):
-        from repro.core.machines import dependence_based_8way
-
-        forged = _forged(dependence_based_8way(), regfile="infinite")
-        with pytest.raises(ValueError, match="cannot compile"):
-            compiled_runner(forged)
 
     def test_source_is_a_flat_function(self):
         source = generate_source(baseline_8way())
@@ -283,7 +269,7 @@ class TestCompiledProgressGuard:
         monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "port_leak")
         trace = get_trace("gcc", 50)
         # The load-delay-tracking scheduler never skips idle cycles.
-        config = ports_limited_8way(scheduler="load_delay_tracking")
+        config = ports_limited_8way(load_delay_tracking=True)
         sim = PipelineSimulator(config, trace)
         with pytest.raises(
             RuntimeError,

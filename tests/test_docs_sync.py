@@ -651,9 +651,11 @@ class TestMicroarchDoc:
         assert not missing, f"machine names out of sync: {missing}"
 
     def test_every_strategy_name_documented(self, microarch_doc):
-        from repro.uarch.config import REGFILE_NAMES, SCHEDULER_NAMES
+        from repro.uarch.config import MachineConfig
 
-        for name in SCHEDULER_NAMES + REGFILE_NAMES:
+        fields = MachineConfig.__dataclass_fields__
+        for name in ("load_delay_tracking", "regfile_read_ports"):
+            assert name in fields, name
             assert f"`{name}`" in microarch_doc, name
 
     def test_documented_stall_causes_are_real(self, microarch_doc):
@@ -667,8 +669,7 @@ class TestMicroarchDoc:
         from repro.core.campaign import model_fingerprint  # noqa: F401
         from repro.delay.critical_path import ldt_window_logic_ps  # noqa: F401
 
-        for symbol in ("model_fingerprint", "ldt_window_logic_ps",
-                       "_normalize_strategies"):
+        for symbol in ("model_fingerprint", "ldt_window_logic_ps"):
             assert symbol in microarch_doc, symbol
 
     def test_referenced_files_exist(self, microarch_doc):

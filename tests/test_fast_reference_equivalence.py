@@ -40,10 +40,15 @@ LENGTH = 1_200
 
 MACHINES = ALL_MACHINES
 
-#: The two strategy shapes (pluggable scheduler / ports-limited
-#: regfile).  The reference model gained plain forms of their hooks
-#: after the classic shapes, so they keep a column of their own.
-STRATEGY_MACHINES = subset("load_tracking", "ports_limited")
+#: The two strategy shapes (load-delay tracking, a read-port budget)
+#: and the two combined.  The reference model gained plain forms of
+#: their hooks after the classic shapes, so they keep a column of
+#: their own.
+STRATEGY_MACHINES = {
+    **subset("load_tracking", "ports_limited"),
+    "ports_limited+load_tracking": lambda: ports_limited_8way(
+        load_delay_tracking=True),
+}
 
 WORKLOADS = ("compress", "gcc", "go", "li", "m88ksim", "perl", "vortex")
 

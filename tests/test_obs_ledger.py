@@ -70,6 +70,10 @@ class TestEntries:
         assert [e.wall_seconds for e in sims] == [0.0, 1.0, 2.0, 3.0]
         newest = ledger.entries(kind="simulate", limit=2)
         assert [e.wall_seconds for e in newest] == [2.0, 3.0]
+        assert ledger.entries(limit=0) == []
+        assert len(ledger.entries(limit=9)) == 5
+        with pytest.raises(ValueError, match="limit"):
+            ledger.entries(limit=-1)
 
     def test_malformed_and_foreign_lines_skipped(self, tmp_path):
         ledger = Ledger(tmp_path)
@@ -102,6 +106,13 @@ class TestGc:
         assert [e.wall_seconds for e in ledger.entries()] == [3.0, 4.0]
         assert ledger.gc(keep=2) == 0  # idempotent
         assert not ledger.path.with_suffix(".tmp").exists()
+
+    def test_keep_above_the_entry_count_removes_nothing(self, tmp_path):
+        ledger = Ledger(tmp_path)
+        for i in range(3):
+            ledger.append(LedgerEntry(kind="simulate", wall_seconds=float(i)))
+        assert ledger.gc(keep=4) == 0
+        assert [e.wall_seconds for e in ledger.entries()] == [0.0, 1.0, 2.0]
 
     def test_negative_keep_raises(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):

@@ -161,6 +161,24 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "fig13", "--jobs", "0"],
+        ["frontier", "--jobs", "0"],
+        ["fuzz", "--cases", "0"],
+        ["campaign", "fig13", "--retries", "-1"],
+        ["simulate", "baseline", "gcc", "-n", "-5"],
+        ["workloads", "-n", "-3"],
+        ["ledger", "gc", "--keep", "-1"],
+        ["ledger", "list", "--limit", "0"],
+        ["ledger", "list", "--limit", "-1"],
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least" in err and "Traceback" not in err
+
     def test_asm_command(self, tmp_path, capsys):
         source = tmp_path / "prog.s"
         source.write_text(

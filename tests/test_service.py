@@ -210,6 +210,10 @@ class TestRouting:
         assert strategies["baseline"] == "sched:conventional+regfile:unlimited"
         assert strategies["ports_limited"] == (
             "sched:conventional+regfile:ports_limited")
+        assert strategies["dependence"] == (
+            "sched:fifo_steering+regfile:unlimited")
+        assert strategies["load_tracking"] == (
+            "sched:load_delay_tracking+regfile:unlimited")
 
     def test_workloads_lists_the_registry(self, tmp_path):
         from repro.core.campaign import model_fingerprint

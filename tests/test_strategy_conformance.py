@@ -1,7 +1,7 @@
 """Strategy conformance harness.
 
-The scheduler/regfile strategies let a machine shape swap its issue
-logic or register-file model.  That flexibility is only safe if every
+Load-delay tracking and the read-port budget let a machine shape swap
+its issue logic or register-file model.  That flexibility is only safe if every
 strategy obeys the same contract.  This suite pins that contract:
 
 * ``SimStats`` schema validity and the stall-cycle partition
@@ -20,10 +20,12 @@ strategy obeys the same contract.  This suite pins that contract:
   read-port starvation can only lower IPC, load-delay mispredictions
   can only delay issue -- plus the degenerate-parameter identity:
   ``ports_limited`` with a full complement of ports is behaviourally
-  byte-identical to ``unlimited``;
+  byte-identical to the fully-ported file;
 * the config-layer validation rules that keep impossible strategy
   combinations unconstructible.
 """
+
+import dataclasses
 
 import pytest
 
@@ -162,38 +164,27 @@ class TestConfigValidation:
 
     def test_ldt_requires_single_unsteered_window(self):
         with pytest.raises(ValueError, match="single unsteered"):
-            dependence_based_8way(scheduler="load_delay_tracking")
-
-    def test_explicit_classic_must_match_geometry(self):
-        with pytest.raises(ValueError, match="contradicts"):
-            baseline_8way(scheduler="fifo_steering")
-        with pytest.raises(ValueError, match="contradicts"):
-            dependence_based_8way(scheduler="conventional")
-
-    def test_unknown_strategy_names_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            baseline_8way(scheduler="oracle")
-        with pytest.raises(ValueError, match="unknown regfile"):
-            baseline_8way(regfile="infinite")
+            dependence_based_8way(load_delay_tracking=True)
+        with pytest.raises(ValueError, match="single unsteered"):
+            MACHINE_REGISTRY["clustered_windows"](load_delay_tracking=True)
 
     def test_ports_limited_needs_two_read_ports(self):
         with pytest.raises(ValueError, match="regfile_read_ports >= 2"):
             ports_limited_8way(read_ports=1)
-
-    def test_unlimited_rejects_a_port_budget(self):
-        with pytest.raises(ValueError, match="ports_limited"):
-            baseline_8way(regfile="unlimited", regfile_read_ports=4)
+        with pytest.raises(ValueError, match="regfile_read_ports >= 2"):
+            baseline_8way(regfile_read_ports=-1)
 
     def test_exec_driven_steering_incompatible_with_port_limits(self):
         with pytest.raises(ValueError, match="EXEC_DRIVEN"):
-            MACHINE_REGISTRY["exec_steer"](
-                regfile="ports_limited", regfile_read_ports=4
-            )
+            MACHINE_REGISTRY["exec_steer"](regfile_read_ports=4)
 
-    def test_derivation_fills_defaults(self):
-        assert baseline_8way().scheduler == "conventional"
-        assert dependence_based_8way().scheduler == "fifo_steering"
-        assert baseline_8way().regfile == "unlimited"
-        # A bare port budget is enough to select the limited model.
-        derived = baseline_8way(regfile_read_ports=4)
-        assert derived.regfile == "ports_limited"
+    def test_each_choice_changes_alone(self):
+        # One field per choice: dropping the port budget or the
+        # load-delay tracking alone leaves the baseline machine.
+        plain = dataclasses.replace(ports_limited_8way(), regfile_read_ports=0)
+        assert plain.cluster_read_ports == baseline_8way().cluster_read_ports
+        assert not dataclasses.replace(
+            load_tracking_8way(), load_delay_tracking=False
+        ).load_delay_tracking
+        both = ports_limited_8way(load_delay_tracking=True)
+        assert both.load_delay_tracking and both.regfile_read_ports == 4

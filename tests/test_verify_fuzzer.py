@@ -196,7 +196,7 @@ class TestPlantedPortArbiterBug:
     def test_reproducer_passes_once_bug_is_gone(self, selftest):
         """The compiler knob is restored before returning, so the
         emitted reproducer -- which reconstructs the ports_limited
-        config, strategy fields included -- must pass against the
+        config, read-port budget included -- must pass against the
         healthy arbiter."""
         namespace = {}
         exec(compile(

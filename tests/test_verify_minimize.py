@@ -85,6 +85,15 @@ def test_shrink_config_drops_second_cluster_when_allowed():
     assert len(small.clusters) == 1
 
 
+def test_shrink_config_drops_load_tracking_and_port_budget():
+    # Each choice is one field, so a one-field shrink can drop it.
+    config = MACHINE_REGISTRY["ports_limited"](load_delay_tracking=True)
+    always = lambda text, candidate: True  # noqa: E731
+    small = shrink_config(SOURCE, config, always)
+    assert not small.load_delay_tracking
+    assert small.regfile_read_ports == 0
+
+
 def test_minimize_case_shrinks_both_halves():
     config = MACHINE_REGISTRY["baseline"](fetch_width=8)
     still_fails = lambda text, candidate: "xor r5" in text  # noqa: E731
